@@ -809,9 +809,7 @@ def cmd_simulate(path: str, out_dir: str, **overrides) -> int:
 
     scn = _build_scenario(parsed, gains)
     traj = integrate(scn, gains, part)
-    metrics = compute_metrics(
-        traj, bounds, gains, part, scn.controller, tail_fraction=parsed.tail_fraction
-    )
+    metrics = compute_metrics(traj, bounds, gains, tail_fraction=parsed.tail_fraction)
 
     if parsed.kind == CONTINUOUS_STATIC:
         certified = metrics.d1_certified

@@ -1,4 +1,4 @@
-"""Controller laws evaluated pointwise along a trajectory.
+"""Controller laws, evaluated for every follower at once.
 
 Four follower controllers share the relative state
 
@@ -7,23 +7,27 @@ Four follower controllers share the relative state
 computed against whatever each follower can measure (true states, or observer
 states for the output-feedback design). Leaders run their own bounded inputs
 and never listen to anyone.
+
+The laws work on stacked rows, one per follower, but every matrix-vector
+product is a stacked matmul (K @ sigma[:, :, None]) and every norm a stacked
+dot, so each row rounds exactly as a single-vector evaluation would; see the
+sim module docstring for why that matters.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .graph import Topology
 from .matlib import as_matrix
 from .synthesis import GainSet
 
 
 class MissingState(ValueError):
-    """Controller needs a state component (adaptive gains, observer states) not present."""
+    """The adaptive law was evaluated without its gain vector."""
 
 
 DISCONTINUOUS_STATIC = "discontinuous_static"
@@ -142,101 +146,69 @@ class NetworkState:
     observer_states: Optional[np.ndarray] = None
 
 
-def ghat(w: np.ndarray) -> np.ndarray:
-    """Unit vector w/||w||, with g(0) = 0."""
-    norm = math.sqrt(float(w @ w))
-    if norm == 0.0:
-        return np.zeros_like(w)
-    return w / norm
+def row_norms(w: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of w (shape (..., p)), one BLAS dot per row.
+
+    The stacked matmul runs the same per-vector dot as math.sqrt(w @ w) on a
+    single row, so batched and single-row callers round identically.
+    """
+    return np.sqrt((w[..., None, :] @ w[..., :, None])[..., 0, 0])
 
 
-def gsat(w: np.ndarray, kappa: float) -> np.ndarray:
+def ghat(w: np.ndarray, norm=None) -> np.ndarray:
+    """Unit vector w/||w|| row by row, with g(0) = 0.
+
+    The saturations take the rows of w (shape (..., p)) and, optionally, their
+    precomputed row_norms. Each divides exactly as its scalar formula reads:
+    w / ||w||, w / kappa, (w / kappa) d. A reciprocal multiply rounds
+    differently.
+    """
+    if norm is None:
+        norm = row_norms(w)
+    zero = (norm == 0.0)[..., None]
+    return np.where(zero, 0.0, w / np.where(zero, 1.0, norm[..., None]))
+
+
+def gsat(w: np.ndarray, kappa: float, norm=None) -> np.ndarray:
     """Boundary-layer version: w/||w|| outside ||w|| > kappa, w/kappa inside."""
-    norm = math.sqrt(float(w @ w))
-    if norm > kappa:
-        return w / norm
-    return w / kappa
+    if norm is None:
+        norm = row_norms(w)
+    return w / np.where(norm > kappa, norm, kappa)[..., None]
 
 
-def rsat(w: np.ndarray, d: float, kappa: float) -> np.ndarray:
+def rsat(w: np.ndarray, d, kappa: float, norm=None) -> np.ndarray:
     """Adaptive boundary layer: w/||w|| when d ||w|| > kappa, else (w/kappa) d."""
-    norm = math.sqrt(float(w @ w))
-    if d * norm > kappa:
-        return w / norm
-    return (w / kappa) * d
+    if norm is None:
+        norm = row_norms(w)
+    d = np.asarray(d, dtype=float)
+    outside = d * norm > kappa
+    unit = w / np.where(outside, norm, kappa)[..., None]
+    return np.where(outside[..., None], unit, unit * d[..., None])
 
 
-def relative_state(i: int, state: NetworkState, topology: Topology) -> np.ndarray:
-    """sigma_i = deg(i) x_i - sum_j a_ij x_j over everything follower i hears."""
-    m = topology.n_followers
-    if not 0 <= i < m:
-        raise ValueError(f"follower index {i} out of range (M = {m})")
-    x_all = np.concatenate([state.follower_states, state.leader_states], axis=0)
-    row = topology.adjacency[i]
-    return row.sum() * x_all[i] - row @ x_all
+def follower_law(config: ControllerConfig, sigma: np.ndarray, d=None):
+    """Inputs of every follower from its relative state, under the configured law.
 
-
-def observer_relative_state(i: int, state: NetworkState, topology: Topology) -> np.ndarray:
-    """sigma_i evaluated on observer states instead of true states."""
-    m = topology.n_followers
-    if not 0 <= i < m:
-        raise ValueError(f"follower index {i} out of range (M = {m})")
-    if state.observer_states is None:
-        raise MissingState("observer-based controller needs observer states")
-    row = topology.adjacency[i]
-    return row.sum() * state.observer_states[i] - row @ state.observer_states
-
-
-def u_follower(
-    i: int, state: NetworkState, config: ControllerConfig, topology: Topology
-) -> np.ndarray:
-    """Control input of follower i under the configured law."""
+    sigma is M x n (one row per follower) and d the adaptive gain vector
+    (adaptive law only). Returns (u, d_rate): u is M x p and d_rate holds
+    d_i' = tau_i (-phi_i d_i + sigma_i.T Gamma sigma_i + ||K sigma_i||) for
+    the adaptive law, None otherwise. K sigma and its norms are computed once
+    and shared by the input and the gain rate.
+    """
     gains = config.gains
-    if config.kind == OBSERVER_BASED:
-        sigma = observer_relative_state(i, state, topology)
-    else:
-        sigma = relative_state(i, state, topology)
-    ks = gains.K @ sigma
+    ks = (gains.K @ sigma[:, :, None])[:, :, 0]
+    norm = row_norms(ks)
     if config.kind == DISCONTINUOUS_STATIC:
-        return gains.c1 * ks + gains.c2 * ghat(ks)
+        return gains.c1 * ks + gains.c2 * ghat(ks, norm), None
     if config.kind == CONTINUOUS_STATIC or config.kind == OBSERVER_BASED:
-        return gains.c1 * ks + gains.c2 * gsat(ks, config.kappa)
+        return gains.c1 * ks + gains.c2 * gsat(ks, config.kappa, norm), None
     # adaptive
-    if state.adaptive_gains is None:
+    if d is None:
         raise MissingState("adaptive controller needs the adaptive gain vector")
-    d = float(state.adaptive_gains[i])
-    return d * ks + d * rsat(ks, d, config.kappa)
-
-
-def adaptive_gain_rate(
-    i: int, state: NetworkState, config: ControllerConfig, topology: Topology
-) -> float:
-    """d_i update: tau_i (-phi_i d_i + sigma_i.T Gamma sigma_i + ||K sigma_i||)."""
-    if state.adaptive_gains is None:
-        raise MissingState("adaptive controller needs the adaptive gain vector")
-    sigma = relative_state(i, state, topology)
-    ks = config.gains.K @ sigma
-    d = float(state.adaptive_gains[i])
-    quad = float(sigma @ (config.gains.Gamma @ sigma))
-    return float(config.taus[i]) * (
-        -float(config.phis[i]) * d + quad + math.sqrt(float(ks @ ks))
-    )
-
-
-def observer_rate(
-    j: int,
-    state: NetworkState,
-    u_j: np.ndarray,
-    system: LinearSystem,
-    l_obs: np.ndarray,
-) -> np.ndarray:
-    """Observer dynamics v_dot = A v + B u + L (C v - y) for agent j."""
-    if state.observer_states is None:
-        raise MissingState("observer rate needs observer states")
-    x_all = np.concatenate([state.follower_states, state.leader_states], axis=0)
-    v = state.observer_states[j]
-    innovation = system.C @ v - system.C @ x_all[j]
-    return system.A @ v + system.B @ u_j + l_obs @ innovation
+    gain = d[:, None]
+    u = gain * ks + gain * rsat(ks, d, config.kappa, norm)
+    quad = (sigma[:, None, :] @ (gains.Gamma @ sigma[:, :, None]))[:, 0, 0]
+    return u, config.taus * (-config.phis * d + quad + norm)
 
 
 def leader_input(spec: LeaderInputSpec, x_j: np.ndarray, t: float) -> np.ndarray:

@@ -103,11 +103,6 @@ def frobenius(a) -> float:
     return float(np.sqrt(np.sum(arr * arr)))
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product a (x) b."""
-    return np.kron(as_matrix(a, "a"), as_matrix(b, "b"))
-
-
 @dataclass
 class SymEigResult:
     values: np.ndarray   # ascending

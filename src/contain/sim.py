@@ -13,11 +13,26 @@ The recorded grid is t_k = k h for k = 0 .. S-1 with S = round(t_end / h):
 one row per integration step, each row holding the state at the step start and
 the inputs applied over that step. t_end = h therefore records exactly the
 initial condition (a zero-step horizon).
+
+The vector field evaluates every follower at once (make_evaluator) and must
+round exactly as a per-follower evaluation does. The default adaptive run
+chatters inside a boundary layer of width kappa/d (about 0.014), so a
+difference in the last bit of one input grows along the trajectory until it
+shows in the reported metrics. Two rules keep the arithmetic bit-identical:
+
+- every matrix-vector product is a stacked matmul, M @ v[:, :, None], and
+  every norm a stacked dot; numpy runs those as one BLAS gemv or dot per row,
+  the same call a single vector gets. sigma @ K.T and einsum use other
+  kernels and round differently (FMA, summation order) on most inputs;
+- the saturations divide as the scalar formulas do: w / ||w||, w / kappa and
+  (w / kappa) * d, never w * (1 / ||w||) or w * (d / kappa).
+
+xi, |xi|, V1 and the leader-bound count never feed back into the dynamics;
+they are derived from the recorded states after the loop.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -29,10 +44,9 @@ from .control import (
     ControllerConfig,
     LinearSystem,
     NetworkState,
-    adaptive_gain_rate,
+    follower_law,
     leader_input,
-    observer_rate,
-    u_follower,
+    row_norms,
 )
 from .graph import LaplacianPartition, Topology
 from .matlib import solve_linear
@@ -140,26 +154,46 @@ class Metrics:
     d_sup: Optional[float] = None
 
 
-def containment_error(state: NetworkState, part: LaplacianPartition, n: int) -> np.ndarray:
-    """xi = x_f - (W (x) I_n) x_l, flattened follower-major."""
-    diff = state.follower_states - part.W @ state.leader_states
-    return diff.reshape(-1)
+def containment_error(
+    follower_states: np.ndarray, leader_states: np.ndarray, part: LaplacianPartition
+) -> np.ndarray:
+    """xi = x_f - (W (x) I_n) x_l, flattened follower-major.
+
+    Takes (M, n) and (N-M, n) states, or stacks of them with a leading step
+    axis, and returns (M*n,) or (S, M*n).
+    """
+    diff = follower_states - part.W @ leader_states
+    return diff.reshape(diff.shape[:-2] + (-1,))
 
 
-def lyapunov_v1(xi: np.ndarray, part: LaplacianPartition, p: np.ndarray, p_inv=None) -> float:
-    """V1 = 0.5 xi.T (L1 (x) P^-1) xi.
+def lyapunov_v1(xi: np.ndarray, part: LaplacianPartition, p: np.ndarray, p_inv=None):
+    """V1 = 0.5 xi.T (L1 (x) P^-1) xi, for one xi or a stack of them (S, M*n).
 
     P^-1 is solved on demand; pass p_inv to amortize it across a run.
     """
     if p_inv is None:
         p_inv = solve_linear(p, np.eye(p.shape[0]))
-    m = part.L1.shape[0]
-    block = np.asarray(xi, dtype=float).reshape(m, -1)
-    return 0.5 * float(np.sum(block * (part.L1 @ block @ p_inv)))
+    xi = np.asarray(xi, dtype=float)
+    block = xi.reshape(xi.shape[:-1] + (part.L1.shape[0], -1))
+    weighted = block * (part.L1 @ block @ p_inv)
+    return 0.5 * np.sum(weighted.reshape(xi.shape), axis=-1)
 
 
-def _make_evaluator(scn: Scenario, gains: GainSet):
-    """Build evaluate(t, y) -> (ydot, follower inputs, leader inputs)."""
+def make_evaluator(scn: Scenario, gains: GainSet):
+    """Build evaluate(t, y) -> (ydot, follower inputs, leader inputs).
+
+    One call evaluates every follower at once. The agent states are read as
+    x = y[:N*n].reshape(N, n); the measured source is x, or the observer
+    states for the observer-based law. The relative states of all followers
+    come from one stacked expression, follower_law turns them into inputs and
+    adaptive gain rates, and the observer rate is one stacked expression too.
+
+    The forms are chosen to round exactly as the per-follower formulas do
+    (see the module docstring): sigma_i = deg_i s_i - a_i @ s row by row via
+    rows @ s, and every matrix-vector product, K sigma_i, Gamma sigma_i and
+    the observer's C, A, B and L_obs products, as a stacked matmul that runs
+    one BLAS gemv per row.
+    """
     topo = scn.topology
     cfg = scn.controller
     system = scn.system
@@ -170,56 +204,39 @@ def _make_evaluator(scn: Scenario, gains: GainSet):
     p = system.p
     adaptive = cfg.kind == ADAPTIVE
     observer = cfg.kind == OBSERVER_BASED
+    rows = topo.adjacency[:m, None, :]
+    degree = topo.adjacency[:m].sum(axis=1)[:, None]
     a_t = system.A.T.copy()
     b_t = system.B.T.copy()
-    off_xl = m * n
-    off_extra = (m + n_leaders) * n
+    specs = scn.leader_specs
+    off_x = n_agents * n
 
     def evaluate(t: float, y: np.ndarray):
-        xf = y[:off_xl].reshape(m, n)
-        xl = y[off_xl:off_extra].reshape(n_leaders, n)
-        d = y[off_extra:off_extra + m] if adaptive else None
-        v = (
-            y[off_extra:off_extra + n_agents * n].reshape(n_agents, n)
-            if observer
-            else None
-        )
-        s = NetworkState(
-            t=t, follower_states=xf, leader_states=xl,
-            adaptive_gains=d, observer_states=v,
-        )
-        u_f = np.empty((m, p))
-        for i in range(m):
-            u_f[i] = u_follower(i, s, cfg, topo)
+        x = y[:off_x].reshape(n_agents, n)
+        xf = x[:m]
+        xl = x[m:]
+        source = y[off_x:2 * off_x].reshape(n_agents, n) if observer else x
+        sigma = degree * source[:m] - (rows @ source)[:, 0]
+        u_f, d_rate = follower_law(cfg, sigma, y[off_x:off_x + m] if adaptive else None)
         u_l = np.empty((n_leaders, p))
         for j in range(n_leaders):
-            u_l[j] = leader_input(scn.leader_specs[j], xl[j], t)
+            u_l[j] = leader_input(specs[j], xl[j], t)
+        # Separate follower and leader products, as the per-agent code had:
+        # a gemm over a different row count is not guaranteed to round alike.
         xdot_f = xf @ a_t + u_f @ b_t
         xdot_l = xl @ a_t + u_l @ b_t
         pieces = [xdot_f.reshape(-1), xdot_l.reshape(-1)]
         if adaptive:
-            pieces.append(
-                np.array([adaptive_gain_rate(i, s, cfg, topo) for i in range(m)])
-            )
+            pieces.append(d_rate)
         if observer:
-            u_all = np.concatenate([u_f, u_l], axis=0)
-            vdot = np.empty((n_agents, n))
-            for j in range(n_agents):
-                vdot[j] = observer_rate(j, s, u_all[j], system, gains.L_obs)
+            v = source[:, :, None]
+            u_all = np.concatenate([u_f, u_l], axis=0)[:, :, None]
+            innovation = system.C @ v - system.C @ x[:, :, None]
+            vdot = system.A @ v + system.B @ u_all + gains.L_obs @ innovation
             pieces.append(vdot.reshape(-1))
         return np.concatenate(pieces), u_f, u_l
 
     return evaluate
-
-
-def assemble_rhs(scn: Scenario, gains: GainSet, part: LaplacianPartition) -> Callable:
-    """The stacked vector field f(t, y) for the configured closed loop."""
-    evaluate = _make_evaluator(scn, gains)
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return evaluate(t, np.asarray(y, dtype=float))[0]
-
-    return rhs
 
 
 def rk4_step(f: Callable, t: float, y: np.ndarray, h: float) -> np.ndarray:
@@ -238,84 +255,67 @@ def integrate(scn: Scenario, gains: GainSet, part: LaplacianPartition) -> Trajec
     """
     topo = scn.topology
     cfg = scn.controller
-    system = scn.system
     m = topo.n_followers
     n_leaders = topo.n_leaders
     n_agents = topo.n_agents
-    n = system.n
-    p = system.p
+    n = scn.system.n
+    p = scn.system.p
     h = scn.h
-    adaptive = cfg.kind == ADAPTIVE
-    observer = cfg.kind == OBSERVER_BASED
 
     steps = int(round(scn.t_end / h))
     if steps < 1:
         raise ValueError("horizon shorter than one step")
 
-    pieces = [scn.x0[:m].reshape(-1), scn.x0[m:].reshape(-1)]
-    if adaptive:
+    pieces = [scn.x0.reshape(-1)]
+    if cfg.kind == ADAPTIVE:
         pieces.append(cfg.d0.astype(float))
-    if observer:
+    if cfg.kind == OBSERVER_BASED:
         pieces.append(scn.v0.reshape(-1))
     y = np.concatenate(pieces)
 
-    evaluate = _make_evaluator(scn, gains)
+    evaluate = make_evaluator(scn, gains)
     p_inv = solve_linear(gains.P, np.eye(n))
+    gammas = np.array([spec.gamma for spec in scn.leader_specs])
 
     times = np.arange(steps) * h
-    xf_rec = np.empty((steps, m, n))
-    xl_rec = np.empty((steps, n_leaders, n))
+    y_rec = np.empty((steps, y.shape[0]))
     uf_rec = np.empty((steps, m, p))
     ul_rec = np.empty((steps, n_leaders, p))
-    xi_rec = np.empty((steps, m * n))
-    xin_rec = np.empty(steps)
-    v1_rec = np.empty(steps)
-    d_rec = np.empty((steps, m)) if adaptive else None
-    v_rec = np.empty((steps, n_agents, n)) if observer else None
-    violations = 0
 
-    def snapshot(upto: int, violation_count: int) -> Trajectory:
+    def snapshot(upto: int) -> Trajectory:
+        """Trajectory of the first `upto` recorded steps, with xi, V1 and the
+        leader-bound count derived from the recorded states."""
+        rec = y_rec[:upto]
+        xf = rec[:, :m * n].reshape(upto, m, n)
+        xl = rec[:, m * n:n_agents * n].reshape(upto, n_leaders, n)
+        extra = rec[:, n_agents * n:]
+        ul = ul_rec[:upto]
+        xi = containment_error(xf, xl, part)
         return Trajectory(
-            times=times[:upto].copy(),
-            follower_states=xf_rec[:upto].copy(),
-            leader_states=xl_rec[:upto].copy(),
-            follower_inputs=uf_rec[:upto].copy(),
-            leader_inputs=ul_rec[:upto].copy(),
-            xi=xi_rec[:upto].copy(),
-            xi_norm=xin_rec[:upto].copy(),
-            v1=v1_rec[:upto].copy(),
-            assumption2_violations=violation_count,
-            adaptive_gains=None if d_rec is None else d_rec[:upto].copy(),
-            observer_states=None if v_rec is None else v_rec[:upto].copy(),
+            times=times[:upto],
+            follower_states=xf,
+            leader_states=xl,
+            follower_inputs=uf_rec[:upto],
+            leader_inputs=ul,
+            xi=xi,
+            xi_norm=row_norms(xi),
+            v1=lyapunov_v1(xi, part, gains.P, p_inv),
+            assumption2_violations=int(np.count_nonzero(row_norms(ul) > gammas)),
+            adaptive_gains=extra if cfg.kind == ADAPTIVE else None,
+            observer_states=(
+                extra.reshape(upto, n_agents, n) if cfg.kind == OBSERVER_BASED else None
+            ),
         )
 
-    off_xl = m * n
-    off_extra = (m + n_leaders) * n
     # Divergent runs overflow on purpose before the finiteness check fires;
     # keep numpy quiet about it.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             t = float(times[k])
             deriv, u_f, u_l = evaluate(t, y)
-            xf = y[:off_xl].reshape(m, n)
-            xl = y[off_xl:off_extra].reshape(n_leaders, n)
-            xf_rec[k] = xf
-            xl_rec[k] = xl
+            y_rec[k] = y
             uf_rec[k] = u_f
             ul_rec[k] = u_l
-            if adaptive:
-                d_rec[k] = y[off_extra:off_extra + m]
-            if observer:
-                v_rec[k] = y[off_extra:off_extra + n_agents * n].reshape(n_agents, n)
-            xi = (xf - part.W @ xl).reshape(-1)
-            xi_rec[k] = xi
-            xin_rec[k] = math.sqrt(float(xi @ xi))
-            block = xi.reshape(m, n)
-            v1_rec[k] = 0.5 * float(np.sum(block * (part.L1 @ block @ p_inv)))
-            for j, spec in enumerate(scn.leader_specs):
-                if math.sqrt(float(u_l[j] @ u_l[j])) > spec.gamma:
-                    violations += 1
-
             if k == steps - 1:
                 break
             k2 = evaluate(t + 0.5 * h, y + (0.5 * h) * deriv)[0]
@@ -325,20 +325,17 @@ def integrate(scn: Scenario, gains: GainSet, part: LaplacianPartition) -> Trajec
             if not np.isfinite(y).all():
                 raise NonFiniteState(
                     f"state became non-finite advancing from t = {t:.6g}",
-                    trajectory=snapshot(k + 1, violations),
+                    trajectory=snapshot(k + 1),
                     step=k + 1,
                     t=t + h,
                 )
-
-    return snapshot(steps, violations)
+        return snapshot(steps)
 
 
 def compute_metrics(
     traj: Trajectory,
     bounds: BoundReport,
     gains: GainSet,
-    part: LaplacianPartition,
-    cfg: ControllerConfig,
     tail_fraction: float = 0.2,
 ) -> Metrics:
     """Certification metrics over a completed trajectory.

@@ -82,7 +82,7 @@ class DefaultRun:
         )
         scn = cli._build_scenario(parsed, gains)
         traj = integrate(scn, gains, part)
-        metrics = compute_metrics(traj, bounds, gains, part, scn.controller,
+        metrics = compute_metrics(traj, bounds, gains,
                                   tail_fraction=parsed.tail_fraction)
         self.parsed = parsed
         self.part = part

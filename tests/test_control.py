@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,18 +9,15 @@ from contain.control import (
     LeaderInputSpec,
     LinearSystem,
     MissingState,
-    NetworkState,
     Sinusoid,
-    adaptive_gain_rate,
+    follower_law,
     ghat,
     gsat,
     leader_input,
-    observer_rate,
-    relative_state,
     rsat,
-    u_follower,
 )
 from contain.graph import build_topology
+from contain.sim import Scenario, make_evaluator
 from contain.synthesis import GainSet
 
 
@@ -62,47 +60,62 @@ def test_rsat_scales_with_gain():
     assert np.allclose(rsat(np.zeros(2), 3.0, kappa), 0.0)
 
 
+def evaluate_on_chain(cfg, x, d=None, v=None, l_obs=None):
+    """One evaluation of the closed loop on CHAIN at t = 0: (ydot, u_f, u_l).
+
+    x holds the four agents' states (followers first); the leader holds still
+    and every agent's drift is zero, so ydot shows the law's terms directly.
+    """
+    n = x.shape[1]
+    b = np.zeros((n, 1))
+    b[-1, 0] = 1.0
+    system = LinearSystem(A=np.zeros((n, n)), B=b, C=np.eye(n))
+    hold = LeaderInputSpec(feedback_gain=np.zeros((1, n)), sinusoids=(), gamma=1.0)
+    scn = Scenario(system=system, topology=CHAIN, controller=cfg, leader_specs=(hold,),
+                   x0=x, v0=v)
+    gains = cfg.gains if l_obs is None else replace(cfg.gains, L_obs=l_obs)
+    pieces = [x.ravel()] + [np.asarray(a, dtype=float).ravel() for a in (d, v) if a is not None]
+    return make_evaluator(scn, gains)(0.0, np.concatenate(pieces))
+
+
 def test_relative_state_hand_computed():
-    # follower 1 hears follower 2 and the leader
-    state = NetworkState(
-        t=0.0,
-        follower_states=np.array([[1.0], [2.0], [3.0]]),
-        leader_states=np.array([[10.0]]),
-    )
-    sigma0 = relative_state(0, state, CHAIN)
-    assert np.allclose(sigma0, 2 * 1.0 - 2.0 - 10.0)
-    sigma2 = relative_state(2, state, CHAIN)
-    assert np.allclose(sigma2, 1 * 3.0 - 2.0)
-    with pytest.raises(ValueError):
-        relative_state(3, state, CHAIN)
+    # follower 1 hears follower 2 and the leader; with K = 1 and c2 = 0 the
+    # continuous law hands back sigma itself
+    cfg = ControllerConfig(kind="continuous_static",
+                           gains=make_gains(k_row=(1.0,), c1=1.0, c2=0.0), kappa=0.1)
+    x = np.array([[1.0], [2.0], [3.0], [10.0]])
+    _, u_f, _ = evaluate_on_chain(cfg, x)
+    assert u_f[0, 0] == 2 * 1.0 - 2.0 - 10.0
+    assert u_f[1, 0] == 2 * 2.0 - 1.0 - 3.0
+    assert u_f[2, 0] == 1 * 3.0 - 2.0
+    # the observer-based law measures observer states, not true states
+    obs = ControllerConfig(kind="observer_based", gains=cfg.gains, kappa=0.1)
+    _, u_obs, _ = evaluate_on_chain(obs, np.zeros((4, 1)), v=x, l_obs=np.zeros((1, 1)))
+    assert np.array_equal(u_obs, u_f)
 
 
 def test_u_follower_continuous_matches_formula():
     gains = make_gains()
     cfg = ControllerConfig(kind="continuous_static", gains=gains, kappa=0.1)
-    state = NetworkState(
-        t=0.0,
-        follower_states=np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
-        leader_states=np.zeros((1, 2)),
-    )
-    sigma = relative_state(0, state, CHAIN)
+    x = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    _, u_f, _ = evaluate_on_chain(cfg, x)
+    sigma = 2 * x[0] - x[1] - x[3]
     ks = gains.K @ sigma
     expect = gains.c1 * ks + gains.c2 * gsat(ks, 0.1)
-    assert np.allclose(u_follower(0, state, cfg, CHAIN), expect)
+    assert np.allclose(u_f[0], expect)
 
 
 def test_u_follower_discontinuous_uses_unit_vector():
     gains = make_gains()
     cfg = ControllerConfig(kind="discontinuous_static", gains=gains)
-    state = NetworkState(
-        t=0.0,
-        follower_states=np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
-        leader_states=np.zeros((1, 2)),
-    )
-    sigma = relative_state(0, state, CHAIN)
+    x = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    _, u_f, _ = evaluate_on_chain(cfg, x)
+    sigma = 2 * x[0] - x[1] - x[3]
     ks = gains.K @ sigma
     expect = gains.c1 * ks + gains.c2 * ghat(ks)
-    assert np.allclose(u_follower(0, state, cfg, CHAIN), expect)
+    assert np.allclose(u_f[0], expect)
+    # follower 2 only hears the idle follower 1: sigma = 0 gives no input
+    assert np.array_equal(u_f[2], [0.0])
 
 
 def test_u_follower_adaptive_scales_both_terms():
@@ -111,18 +124,14 @@ def test_u_follower_adaptive_scales_both_terms():
         kind="adaptive", gains=gains, kappa=0.1,
         taus=[2.0, 2.0, 2.0], phis=[0.1, 0.1, 0.1], d0=[0.0, 0.0, 0.0],
     )
-    state = NetworkState(
-        t=0.0,
-        follower_states=np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
-        leader_states=np.zeros((1, 2)),
-        adaptive_gains=np.array([0.5, 0.0, 0.0]),
-    )
-    sigma = relative_state(0, state, CHAIN)
+    x = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    _, u_f, _ = evaluate_on_chain(cfg, x, d=[0.5, 0.0, 0.0])
+    sigma = 2 * x[0] - x[1] - x[3]
     ks = gains.K @ sigma
     expect = 0.5 * ks + 0.5 * rsat(ks, 0.5, 0.1)
-    assert np.allclose(u_follower(0, state, cfg, CHAIN), expect)
+    assert np.allclose(u_f[0], expect)
     # zero gain means zero input regardless of the error
-    assert np.allclose(u_follower(1, state, cfg, CHAIN), 0.0)
+    assert np.allclose(u_f[1], 0.0)
 
 
 def test_u_follower_adaptive_requires_gain_vector():
@@ -131,13 +140,8 @@ def test_u_follower_adaptive_requires_gain_vector():
         kind="adaptive", gains=gains, kappa=0.1,
         taus=[1.0] * 3, phis=[0.0] * 3, d0=[0.0] * 3,
     )
-    state = NetworkState(
-        t=0.0,
-        follower_states=np.zeros((3, 2)),
-        leader_states=np.zeros((1, 2)),
-    )
     with pytest.raises(MissingState):
-        u_follower(0, state, cfg, CHAIN)
+        follower_law(cfg, np.zeros((3, 2)))
 
 
 def test_adaptive_gain_rate_formula():
@@ -146,34 +150,34 @@ def test_adaptive_gain_rate_formula():
         kind="adaptive", gains=gains, kappa=0.1,
         taus=[2.0, 1.0, 1.0], phis=[0.25, 0.0, 0.0], d0=[0.0] * 3,
     )
-    state = NetworkState(
-        t=0.0,
-        follower_states=np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
-        leader_states=np.zeros((1, 2)),
-        adaptive_gains=np.array([2.0, 0.0, 0.0]),
-    )
-    sigma = relative_state(0, state, CHAIN)
-    ks = gains.K @ sigma
-    expect = 2.0 * (-0.25 * 2.0 + sigma @ gains.Gamma @ sigma + np.linalg.norm(ks))
-    assert adaptive_gain_rate(0, state, cfg, CHAIN) == pytest.approx(expect)
+    x = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    ydot, _, _ = evaluate_on_chain(cfg, x, d=[2.0, 0.0, 0.0])
+    sigma0 = 2 * x[0] - x[1] - x[3]
+    ks0 = gains.K @ sigma0
+    expect0 = 2.0 * (-0.25 * 2.0 + sigma0 @ gains.Gamma @ sigma0 + np.linalg.norm(ks0))
+    sigma1 = 2 * x[1] - x[0] - x[2]
+    ks1 = gains.K @ sigma1
+    expect1 = 1.0 * (sigma1 @ gains.Gamma @ sigma1 + np.linalg.norm(ks1))
+    # the rates follow the 4 x 2 agent states in the stacked derivative
+    assert ydot[8:] == pytest.approx([expect0, expect1, 0.0])
 
 
 def test_observer_rate_tracks_innovation():
-    system = LinearSystem(A=np.array([[0.0, 1.0], [-1.0, 1.0]]),
-                          B=np.array([[0.0], [1.0]]),
-                          C=np.eye(2))
     l_obs = np.array([[-2.0, 0.0], [0.0, -2.0]])
-    state = NetworkState(
-        t=0.0,
-        follower_states=np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
-        leader_states=np.zeros((1, 2)),
-        observer_states=np.zeros((4, 2)),
-    )
-    u = np.array([0.5])
-    rate = observer_rate(0, state, u, system, l_obs)
-    # v = 0 so v_dot = B u + L (0 - C x_0)
-    expect = system.B @ u + l_obs @ (-state.follower_states[0])
-    assert np.allclose(rate, expect)
+    cfg = ControllerConfig(kind="observer_based", gains=make_gains(), kappa=0.1)
+    x = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    ydot, u_f, _ = evaluate_on_chain(cfg, x, v=np.zeros((4, 2)), l_obs=l_obs)
+    # v = 0 so u = 0 and v_dot = L (0 - C x)
+    assert np.allclose(u_f, 0.0)
+    vdot = ydot[8:].reshape(4, 2)
+    assert np.allclose(vdot[0], l_obs @ (-x[0]))
+    assert np.allclose(vdot[1:], 0.0)
+    # nonzero estimates: v_dot_j = A v_j + B u_j + L (C v_j - C x_j), A = 0, C = I
+    v = np.array([[0.5, -1.0], [0.0, 2.0], [1.0, 1.0], [0.0, 0.0]])
+    ydot, u_f, u_l = evaluate_on_chain(cfg, x, v=v, l_obs=l_obs)
+    u = np.concatenate([u_f, u_l])
+    expect = np.array([np.array([0.0, u[j, 0]]) + l_obs @ (v[j] - x[j]) for j in range(4)])
+    assert np.allclose(ydot[8:].reshape(4, 2), expect)
 
 
 def test_leader_input_combines_feedback_and_sinusoids():

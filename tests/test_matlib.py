@@ -16,7 +16,6 @@ from contain.matlib import (
     frobenius,
     is_controllable,
     is_hurwitz,
-    kron,
     lyap_solve,
     solve_linear,
     sym_eigs,
@@ -31,28 +30,6 @@ def test_as_matrix_rejects_bad_input():
         as_matrix(np.zeros((0, 2)))
     with pytest.raises(ValueError):
         as_matrix([[np.nan, 0.0], [0.0, 1.0]])
-
-
-def test_kron_matches_blockwise_definition():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[0.0, 5.0], [6.0, 7.0]])
-    k = kron(a, b)
-    assert k.shape == (4, 4)
-    for i in range(2):
-        for j in range(2):
-            block = k[2 * i:2 * i + 2, 2 * j:2 * j + 2]
-            assert np.allclose(block, a[i, j] * b)
-
-
-def test_kron_vectorization_identity_row_major():
-    # vec(a x b) = kron(a, b.T) vec(x) when vec is row-major raveling
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((3, 3))
-    b = rng.standard_normal((3, 3))
-    x = rng.standard_normal((3, 3))
-    lhs = (a @ x @ b).ravel()
-    rhs = kron(a, b.T) @ x.ravel()
-    assert np.allclose(lhs, rhs)
 
 
 def test_sym_eigs_frozen_two_by_two():

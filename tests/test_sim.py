@@ -13,11 +13,11 @@ from contain.graph import build_topology, partition_laplacian
 from contain.sim import (
     NonFiniteState,
     Scenario,
-    assemble_rhs,
     compute_metrics,
     containment_error,
     integrate,
     lyapunov_v1,
+    make_evaluator,
     rk4_step,
 )
 from contain.synthesis import compute_bound_report, synthesize
@@ -64,10 +64,12 @@ def test_rk4_local_accuracy_on_decay():
 
 def test_rhs_sign_convention():
     scn, gains, part = chain_scenario()
-    rhs = assemble_rhs(scn, gains, part)
+    evaluate = make_evaluator(scn, gains)
     # P=1, K=-1, c1=1, c2=1; sigma = -2 so u = 2 + 1 and the leader holds
-    ydot = rhs(0.0, scn.x0.ravel())
+    ydot, u_f, u_l = evaluate(0.0, scn.x0.ravel())
     assert np.allclose(ydot, [3.0, 0.0])
+    assert np.allclose(u_f, [[3.0]])
+    assert np.allclose(u_l, [[0.0]])
 
 
 def test_integrate_grid_convention():
@@ -91,10 +93,16 @@ def test_containment_error_zero_on_hull():
     part = partition_laplacian(topo)
     leaders = np.array([[0.0, 0.0], [1.0, 2.0]])
     hull_points = part.W @ leaders
-    from contain.control import NetworkState
-    state = NetworkState(t=0.0, follower_states=hull_points, leader_states=leaders)
-    xi = containment_error(state, part, 2)
+    xi = containment_error(hull_points, leaders, part)
+    assert xi.shape == (4,)
     assert np.linalg.norm(xi) < 1e-12
+    # a leading step axis is carried through, one xi row per step
+    off_hull = hull_points + np.array([[1.0, 0.0], [0.0, 0.0]])
+    stacked = containment_error(np.stack([hull_points, off_hull]),
+                                np.stack([leaders, leaders]), part)
+    assert stacked.shape == (2, 4)
+    assert np.linalg.norm(stacked[0]) < 1e-12
+    assert np.allclose(stacked[1], [1.0, 0.0, 0.0, 0.0])
 
 
 def test_lyapunov_v1_matches_dense_form():
@@ -111,13 +119,16 @@ def test_lyapunov_v1_matches_dense_form():
     dense = 0.5 * xi @ np.kron(part.L1, np.linalg.inv(p)) @ xi
     assert lyapunov_v1(xi, part, p) == pytest.approx(dense)
     assert lyapunov_v1(np.zeros(4), part, p) == 0.0
+    # a stack of xi rows gives one V1 per row
+    stacked = lyapunov_v1(np.stack([xi, np.zeros(4), 2.0 * xi]), part, p)
+    assert stacked == pytest.approx([dense, 0.0, 4.0 * dense])
 
 
 def test_continuous_run_converges_and_certifies():
     scn, gains, part = chain_scenario()
     traj = integrate(scn, gains, part)
     bounds = compute_bound_report(gains, part, 1, 0.1, [1.0])
-    metrics = compute_metrics(traj, bounds, gains, part, scn.controller)
+    metrics = compute_metrics(traj, bounds, gains)
     assert traj.xi_norm[-1] < 1e-2
     assert metrics.d1_certified
     assert metrics.envelope_violations == 0
@@ -132,7 +143,7 @@ def test_adaptive_run_gains_stay_bounded():
     traj = integrate(scn, gains, part)
     bounds = compute_bound_report(gains, part, 1, 0.1, [1.0],
                                   phis=[0.1], taus=[1.0])
-    metrics = compute_metrics(traj, bounds, gains, part, scn.controller)
+    metrics = compute_metrics(traj, bounds, gains)
     assert traj.adaptive_gains is not None
     assert np.isfinite(traj.adaptive_gains).all()
     assert np.all(traj.adaptive_gains >= 0.0)
@@ -170,8 +181,12 @@ def test_divergence_raises_with_snapshot():
         integrate(scn, gains, part)
     exc = info.value
     assert exc.step > 0
-    assert exc.trajectory.times.shape[0] >= 1
+    assert exc.trajectory.times.shape[0] == exc.step
     assert np.isfinite(exc.trajectory.follower_states).all()
+    # xi and V1 are derived over exactly the finite prefix
+    assert exc.trajectory.xi_norm.shape == (exc.step,)
+    assert exc.trajectory.v1.shape == (exc.step,)
+    assert np.isfinite(exc.trajectory.xi_norm[0])
 
 
 def test_integrate_is_deterministic():
@@ -210,8 +225,6 @@ def test_tail_window_fraction():
     traj = integrate(scn, gains, part)
     bounds = compute_bound_report(gains, part, 1, 0.1, [1.0])
     # with tail_fraction 0.5 the sup is taken over t >= 0.495, i.e. half the rows
-    m_half = compute_metrics(traj, bounds, gains, part, scn.controller,
-                             tail_fraction=0.5)
-    m_tiny = compute_metrics(traj, bounds, gains, part, scn.controller,
-                             tail_fraction=0.01)
+    m_half = compute_metrics(traj, bounds, gains, tail_fraction=0.5)
+    m_tiny = compute_metrics(traj, bounds, gains, tail_fraction=0.01)
     assert m_tiny.tail_sup_xi_sq <= m_half.tail_sup_xi_sq
