@@ -8,12 +8,11 @@ reported back in the original terms.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matlib import as_matrix, solve_linear, sym_eigs
+from .matlib import TOL, as_matrix, frobenius, sym_eigs
 
 
 class BadAdjacency(ValueError):
@@ -156,40 +155,56 @@ def check_assumption1(topology: Topology) -> Assumption1Report:
     n = topology.n_agents
     labels = topology.labels
 
-    asymmetric = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            if adj[i, j] != adj[j, i]:
-                asymmetric.append((labels[i], labels[j]))
+    follower_block = adj[:m, :m]
+    rows, cols = np.nonzero(np.triu(follower_block != follower_block.T, 1))
+    asymmetric = tuple((labels[i], labels[j]) for i, j in zip(rows.tolist(), cols.tolist()))
 
     # Information flows j -> i when adj[i, j] == 1. Leaders have no incoming
-    # edges, so multi-source BFS from the leader set finds exactly the
-    # followers some leader can reach.
-    visited = [False] * n
-    queue = deque(range(m, n))
-    for j in queue:
-        visited[j] = True
-    while queue:
-        j = queue.popleft()
-        for i in range(n):
-            if adj[i, j] == 1.0 and not visited[i]:
-                visited[i] = True
-                queue.append(i)
-    unreachable = tuple(labels[i] for i in range(m) if not visited[i])
+    # edges, so sweeping the frontier outward from the leader set finds
+    # exactly the followers some leader can reach.
+    reached = np.zeros(n, dtype=bool)
+    reached[m:] = True
+    frontier = np.arange(m, n)
+    while frontier.size:
+        fresh = adj[:, frontier].any(axis=1) & ~reached
+        reached |= fresh
+        frontier = np.flatnonzero(fresh)
+    unreachable = tuple(labels[i] for i in np.flatnonzero(~reached[:m]).tolist())
 
     return Assumption1Report(
         follower_subgraph_undirected=not asymmetric,
-        asymmetric_pairs=tuple(asymmetric),
+        asymmetric_pairs=asymmetric,
         unreachable_followers=unreachable,
     )
+
+
+def _hull_weights(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
+    """W = -L1^-1 L2 by LAPACK, kept only if its backward error is within TOL.solve.
+
+    W reaches the containment error and V1 but never the dynamics, so this
+    solve does not need the elimination that synthesis uses for K and P.
+    """
+    try:
+        w = np.linalg.solve(l1, -l2)
+    except np.linalg.LinAlgError as exc:
+        raise AssumptionViolated(f"hull weights W = -L1^-1 L2 have no solution: {exc}") from None
+    residual = frobenius(l1 @ w + l2)
+    scale = frobenius(l1) * frobenius(w) + frobenius(l2)
+    if not residual <= TOL.solve * scale:
+        raise AssumptionViolated(
+            f"hull weights W = -L1^-1 L2 fail the residual check: "
+            f"|L1 W + L2|_F = {residual:.3e} exceeds {TOL.solve:.1e} * {scale:.3e}"
+        )
+    return w
 
 
 def partition_laplacian(topology: Topology) -> LaplacianPartition:
     """Split the Laplacian into follower/leader blocks and solve for W.
 
-    Requires the standing assumption (raises AssumptionViolated otherwise),
-    which guarantees L1 is symmetric positive definite; W = -L1^-1 L2 then has
-    nonnegative entries with unit row sums.
+    Requires the standing assumption (raises AssumptionViolated otherwise, or
+    when W fails its residual check), which guarantees L1 is symmetric
+    positive definite; W = -L1^-1 L2 then has nonnegative entries with unit
+    row sums.
     """
     report = check_assumption1(topology)
     if not report.passed:
@@ -208,7 +223,7 @@ def partition_laplacian(topology: Topology) -> LaplacianPartition:
     lap = np.diag(degrees) - adj
     l1 = lap[:m, :m]
     l2 = lap[:m, m:]
-    w = solve_linear(l1, -l2)
+    w = _hull_weights(l1, l2)
     lambda_min = float(sym_eigs(l1).values[0])
     return LaplacianPartition(
         L=_freeze(lap),

@@ -122,13 +122,9 @@ def sym_eigs(s) -> SymEigResult:
         raise NotSymmetric(f"matrix is not symmetric: max |s - s.T| = {skew:.3e}")
     sym = 0.5 * (arr + arr.T)
     values, vectors = np.linalg.eigh(sym)
-    vectors = vectors.copy()
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        lead = int(np.argmax(np.abs(col)))
-        if col[lead] < 0.0:
-            vectors[:, j] = -col
-    return SymEigResult(values, vectors)
+    lead = np.argmax(np.abs(vectors), axis=0)
+    flip = vectors[lead, np.arange(vectors.shape[1])] < 0.0
+    return SymEigResult(values, np.where(flip, -vectors, vectors))
 
 
 def solve_linear(a, rhs) -> np.ndarray:

@@ -11,6 +11,7 @@ from contain.cli import (
     load_scenario,
     main,
     parse_scenario,
+    write_trajectory_csv,
 )
 
 CHAIN_TEXT = """\
@@ -322,3 +323,24 @@ def test_load_scenario_applies_overrides(tmp_path):
     parsed = load_scenario(chain_file(tmp_path), t_end=1.0, h=0.005)
     assert parsed.t_end == 1.0
     assert parsed.h == 0.005
+
+
+def _write_csv_per_cell(path, topology, system, traj):
+    """Reference writer: one repr(float(...)) per cell, row by row."""
+    header = cli.trajectory_header(topology, system, traj)
+    cols = cli._trajectory_columns(topology, system, traj)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for k in range(len(traj.times)):
+            fh.write(",".join(repr(float(col[k])) for col in cols) + "\n")
+    return header
+
+
+@pytest.mark.parametrize("run_name", ["cont_run", "disc_run", "adaptive_run", "observer_run"])
+def test_csv_writer_matches_per_cell_reference(run_name, request, tmp_path):
+    # 20 000 rows span five write chunks; adaptive adds d_i, observer v columns
+    run = request.getfixturevalue(run_name)
+    args = (run.parsed.topology, run.parsed.system, run.traj)
+    header = write_trajectory_csv(str(tmp_path / "chunked.csv"), *args)
+    assert header == _write_csv_per_cell(str(tmp_path / "cells.csv"), *args)
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()

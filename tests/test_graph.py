@@ -1,7 +1,13 @@
+import sys
+from collections import deque
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from contain.cli import default_scenario, main, parse_scenario
 from contain.graph import (
+    Assumption1Report,
     AssumptionViolated,
     BadAdjacency,
     NoFollower,
@@ -10,7 +16,12 @@ from contain.graph import (
     check_assumption1,
     partition_laplacian,
 )
+from contain.matlib import solve_linear
 from conftest import random_a1_topology
+
+# perfbench/ sits beside src/ at the repository root.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.workloads import ring_scenario  # noqa: E402
 
 RING8 = np.array([
     [0, 1, 0, 0, 0, 1, 1, 0],
@@ -146,3 +157,121 @@ def test_random_topologies_partition_cleanly():
         assert part.lambda_min_L1 > 0.0
         assert part.W.min() >= -1e-12
         assert np.allclose(part.W.sum(axis=1), 1.0, atol=1e-10)
+
+
+def _check_assumption1_loops(topology):
+    """Loop-based reference: the check as first written, pair by pair and BFS."""
+    adj = topology.adjacency
+    m = topology.n_followers
+    n = topology.n_agents
+    labels = topology.labels
+
+    asymmetric = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            if adj[i, j] != adj[j, i]:
+                asymmetric.append((labels[i], labels[j]))
+
+    # Information flows j -> i when adj[i, j] == 1. Leaders have no incoming
+    # edges, so multi-source BFS from the leader set finds exactly the
+    # followers some leader can reach.
+    visited = [False] * n
+    queue = deque(range(m, n))
+    for j in queue:
+        visited[j] = True
+    while queue:
+        j = queue.popleft()
+        for i in range(n):
+            if adj[i, j] == 1.0 and not visited[i]:
+                visited[i] = True
+                queue.append(i)
+    unreachable = tuple(labels[i] for i in range(m) if not visited[i])
+
+    return Assumption1Report(
+        follower_subgraph_undirected=not asymmetric,
+        asymmetric_pairs=tuple(asymmetric),
+        unreachable_followers=unreachable,
+    )
+
+
+def _random_digraph(rng):
+    """Adjacency with leaders, possibly violating the standing assumption.
+
+    Shapes: dense random digraphs (asymmetric pairs), symmetric follower
+    blocks with few leader edges (unreachable components), and directed or
+    undirected chains that a leader may feed at either end or not at all.
+    """
+    n = int(rng.integers(2, 14))
+    n_leaders = int(rng.integers(1, min(3, n - 1) + 1))
+    m = n - n_leaders
+    shape = rng.choice(["random", "symmetric", "chain"])
+    adj = np.zeros((n, n))
+    if shape == "chain":
+        for i in range(m - 1):
+            adj[i, i + 1] = 1.0
+            if rng.random() < 0.5:
+                adj[i + 1, i] = 1.0
+        for end in (0, m - 1):
+            if rng.random() < 0.5:
+                adj[end, int(rng.integers(m, n))] = 1.0
+    else:
+        block = rng.random((m, m)) < rng.uniform(0.05, 0.6)
+        if shape == "symmetric":
+            block = np.triu(block, 1)
+            block = block | block.T
+        adj[:m, :m] = block
+        adj[:m, m:] = rng.random((m, n_leaders)) < rng.uniform(0.0, 0.3)
+    np.fill_diagonal(adj, 0.0)
+    perm = rng.permutation(n)
+    return adj[np.ix_(perm, perm)], [f"a{p}" for p in perm]
+
+
+def test_assumption1_matches_loop_reference_on_random_digraphs():
+    rng = np.random.default_rng(5)
+    seen = {"asymmetric": 0, "unreachable": 0, "passed": 0}
+    checked = 0
+    while checked < 300:
+        adj, labels = _random_digraph(rng)
+        try:
+            topo = build_topology(adj, labels=labels)
+        except NoFollower:
+            continue
+        report = check_assumption1(topo)
+        assert report == _check_assumption1_loops(topo)
+        seen["asymmetric"] += bool(report.asymmetric_pairs)
+        seen["unreachable"] += bool(report.unreachable_followers)
+        seen["passed"] += report.passed
+        checked += 1
+    assert min(seen.values()) >= 30, seen
+
+
+@pytest.mark.parametrize("followers", [6, 126])
+def test_hull_weights_match_elimination_on_ring(followers):
+    part = partition_laplacian(parse_scenario(ring_scenario(followers, 1)).topology)
+    reference = solve_linear(part.L1, -part.L2)
+    np.testing.assert_allclose(part.W, reference, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(part.W.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    assert part.W.min() >= 0.0
+
+
+def _wrong_solve(a, b):
+    return np.zeros_like(b)
+
+
+def _failing_solve(a, b):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@pytest.mark.parametrize("solve", [_wrong_solve, _failing_solve])
+def test_hull_weight_failure_is_assumption_violation(solve, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    with pytest.raises(AssumptionViolated, match="hull weights"):
+        partition_laplacian(build_topology(RING8))
+
+    path = tmp_path / "default.scn"
+    path.write_text(default_scenario(), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("assumption failure: hull weights")

@@ -62,6 +62,27 @@ def test_sym_eigs_sign_convention_is_deterministic():
         assert col[int(np.argmax(np.abs(col)))] > 0.0
 
 
+def test_sym_eigs_sign_matches_per_column_loop():
+    def loop_signs(vectors):
+        vectors = vectors.copy()
+        for j in range(vectors.shape[1]):
+            col = vectors[:, j]
+            lead = int(np.argmax(np.abs(col)))
+            if col[lead] < 0.0:
+                vectors[:, j] = -col
+        return vectors
+
+    rng = np.random.default_rng(17)
+    # each of the first three has a column whose largest magnitude is tied
+    cases = [np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[2.0, 1.0], [1.0, 2.0]]), np.ones((4, 4))]
+    for _ in range(50):
+        m = rng.standard_normal((int(rng.integers(1, 9)),) * 2)
+        cases.append(m + m.T)
+    for s in cases:
+        raw = np.linalg.eigh(0.5 * (s + s.T)).eigenvectors
+        assert np.array_equal(sym_eigs(s).vectors, loop_signs(raw))
+
+
 def test_sym_eigs_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
         sym_eigs([[0.0, 1.0], [0.0, 0.0]])
