@@ -5,7 +5,7 @@ Pipeline: describe the network (graph), synthesize the shared feedback gains
 or drive everything from a scenario file (cli).
 """
 
-from .control import ControllerConfig, LeaderInputSpec, LinearSystem, NetworkState, Sinusoid
+from .control import ControllerConfig, LeaderInputSpec, LinearSystem, Sinusoid
 from .graph import (
     AssumptionViolated,
     LaplacianPartition,
@@ -23,7 +23,6 @@ __all__ = [
     "ControllerConfig",
     "LeaderInputSpec",
     "LinearSystem",
-    "NetworkState",
     "Sinusoid",
     "AssumptionViolated",
     "LaplacianPartition",

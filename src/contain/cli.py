@@ -42,7 +42,7 @@ from .graph import (
     check_assumption1,
     partition_laplacian,
 )
-from .matlib import NotControllable, apply_tolerance_env, sym_eigs
+from .matlib import BadTolerance, NotControllable, apply_tolerance_env, sym_eigs
 from .sim import (
     Metrics,
     NonFiniteState,
@@ -153,6 +153,7 @@ def _require(sections, section, key) -> _Value:
 
 def _matrix(value: _Value, field: str) -> np.ndarray:
     rows = []
+    row_lines = []
     width = None
     for text, lineno in value.fragments:
         for piece in text.split(";"):
@@ -174,9 +175,17 @@ def _matrix(value: _Value, field: str) -> np.ndarray:
                     field=field,
                 )
             rows.append(row)
+            row_lines.append(lineno)
     if not rows:
         raise ScenarioParseError("empty matrix", line=value.line, field=field)
-    return np.array(rows, dtype=float)
+    mat = np.array(rows, dtype=float)
+    finite = np.isfinite(mat).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ScenarioParseError(
+            f"non-finite number in matrix row {bad + 1}", line=row_lines[bad], field=field
+        )
+    return mat
 
 
 def _vector(value: _Value, field: str) -> np.ndarray:
@@ -190,11 +199,14 @@ def _vector(value: _Value, field: str) -> np.ndarray:
 
 def _scalar(value: _Value, field: str) -> float:
     try:
-        return float(value.text())
+        number = float(value.text())
     except ValueError:
+        number = math.nan
+    if not math.isfinite(number):
         raise ScenarioParseError(
-            f"bad number {value.text()!r}", line=value.line, field=field
-        ) from None
+            f"expected a finite number, got {value.text()!r}", line=value.line, field=field
+        )
+    return number
 
 
 def _sinusoids(value: _Value, field: str, n_channels: int) -> tuple:
@@ -215,11 +227,14 @@ def _sinusoids(value: _Value, field: str, n_channels: int) -> tuple:
             )
         try:
             channel = int(parts[0])
-            amp, omega, phase = (float(p) for p in parts[1:])
+            numbers = [float(p) for p in parts[1:]]
         except ValueError:
+            numbers = [math.nan]
+        if not all(map(math.isfinite, numbers)):
             raise ScenarioParseError(
                 f"bad sinusoid numbers in {item!r}", line=value.line, field=field
-            ) from None
+            )
+        amp, omega, phase = numbers
         if not 1 <= channel <= n_channels:
             raise ScenarioParseError(
                 f"sinusoid channel {channel} out of range 1..{n_channels}",
@@ -236,11 +251,7 @@ class ParsedScenario:
 
     system: LinearSystem
     topology: Topology
-    kind: str
-    kappa: Optional[float]
-    taus: Optional[np.ndarray]
-    phis: Optional[np.ndarray]
-    d0: Optional[np.ndarray]
+    controller: ControllerConfig
     c1_scale: float
     c2_scale: float
     are_weight: Optional[np.ndarray]
@@ -265,6 +276,9 @@ def parse_scenario(
     t_end: Optional[float] = None,
 ) -> ParsedScenario:
     """Parse scenario text and apply command-line overrides."""
+    for name, value in (("--kappa", kappa), ("--h", h), ("--t-end", t_end)):
+        if value is not None and not math.isfinite(value):
+            raise ScenarioParseError(f"expected a finite number, got {value!r}", field=name)
     sections = _parse_sections(text)
 
     a = _matrix(_require(sections, "system", "A"), "[system].A")
@@ -307,12 +321,6 @@ def parse_scenario(
     eff_kappa = kappa if kappa is not None else file_kappa
     if kind == DISCONTINUOUS_STATIC:
         eff_kappa = None
-    elif eff_kappa is None:
-        raise ScenarioParseError(
-            f"{kind} controller requires kappa", field="[controller].kappa"
-        )
-    elif eff_kappa <= 0.0:
-        raise ScenarioParseError("kappa must be positive", field="[controller].kappa")
 
     taus = phis = d0 = None
     if kind == ADAPTIVE:
@@ -330,6 +338,10 @@ def parse_scenario(
                     f"{name} must list one value per follower ({m}), got {vec.shape[0]}",
                     field=f"[controller].{name}",
                 )
+    try:
+        controller = ControllerConfig(kind=kind, kappa=eff_kappa, taus=taus, phis=phis, d0=d0)
+    except ValueError as exc:
+        raise ScenarioParseError(str(exc), field="[controller]") from None
 
     def scale(key):
         value = _get(sections, "controller", key)
@@ -438,11 +450,7 @@ def parse_scenario(
     return ParsedScenario(
         system=system,
         topology=topology,
-        kind=kind,
-        kappa=eff_kappa,
-        taus=taus,
-        phis=phis,
-        d0=d0,
+        controller=controller,
         c1_scale=c1_scale,
         c2_scale=c2_scale,
         are_weight=are_weight,
@@ -464,31 +472,16 @@ def load_scenario(path: str, **overrides) -> ParsedScenario:
 # runtime assembly
 
 
-def _controller_config(parsed: ParsedScenario, gains: GainSet) -> ControllerConfig:
-    if parsed.kind == ADAPTIVE:
-        return ControllerConfig(
-            kind=parsed.kind,
-            gains=gains,
-            kappa=parsed.kappa,
-            taus=parsed.taus,
-            phis=parsed.phis,
-            d0=parsed.d0,
-        )
-    if parsed.kind == DISCONTINUOUS_STATIC:
-        return ControllerConfig(kind=parsed.kind, gains=gains)
-    return ControllerConfig(kind=parsed.kind, gains=gains, kappa=parsed.kappa)
-
-
-def _build_scenario(parsed: ParsedScenario, gains: GainSet) -> Scenario:
+def _build_scenario(parsed: ParsedScenario) -> Scenario:
     perm = list(parsed.topology.user_positions)
     x0 = parsed.x0_user[perm]
     v0 = None
-    if parsed.kind == OBSERVER_BASED:
+    if parsed.controller.kind == OBSERVER_BASED:
         v0 = parsed.v0_user[perm]
     return Scenario(
         system=parsed.system,
         topology=parsed.topology,
-        controller=_controller_config(parsed, gains),
+        controller=parsed.controller,
         leader_specs=parsed.leader_specs,
         x0=x0,
         v0=v0,
@@ -505,7 +498,7 @@ def _synthesize(parsed: ParsedScenario, part) -> GainSet:
         are_weight=parsed.are_weight,
         c1_scale=parsed.c1_scale,
         c2_scale=parsed.c2_scale,
-        with_observer=parsed.kind == OBSERVER_BASED,
+        with_observer=parsed.controller.kind == OBSERVER_BASED,
     )
 
 
@@ -611,8 +604,9 @@ def write_metrics(
     traj: Trajectory,
     certified: bool,
 ) -> None:
+    cfg = parsed.controller
     lines = [
-        f"kind = {parsed.kind}",
+        f"kind = {cfg.kind}",
         f"steps = {len(traj.times)}",
         f"h = {parsed.h!r}",
         f"t_end = {parsed.t_end!r}",
@@ -624,11 +618,11 @@ def write_metrics(
         f"tail_sup_xi_sq = {metrics.tail_sup_xi_sq!r}",
         f"d1_certified = {metrics.d1_certified}",
     ]
-    if parsed.kind == ADAPTIVE:
+    if cfg.kind == ADAPTIVE:
         varrho = (
             bounds.varrho
             if bounds.varrho is not None
-            else compute_varrho(parsed.phis, parsed.taus)
+            else compute_varrho(cfg.phis, cfg.taus)
         )
         lines.append(f"varrho = {varrho!r}")
         if bounds.d2_radius_sq is not None:
@@ -765,21 +759,22 @@ def cmd_synth(path: str, **overrides) -> int:
 
 def cmd_bound(path: str, **overrides) -> int:
     parsed = load_scenario(path, **overrides)
+    cfg = parsed.controller
     part = partition_laplacian(parsed.topology)
     gains = _synthesize(parsed, part)
     bounds = compute_bound_report(
         gains,
         part,
         parsed.topology.n_followers,
-        parsed.kappa,
+        cfg.kappa,
         parsed.gammas,
-        phis=parsed.phis,
-        taus=parsed.taus,
+        phis=cfg.phis,
+        taus=cfg.taus,
     )
     print(f"alpha = {_fmt(gains.alpha)}")
     print(f"envelope offset b/alpha = {_fmt(bounds.envelope_offset)}")
     print(f"D1 radius^2 = {_fmt(bounds.d1_radius_sq)}")
-    if parsed.kind == ADAPTIVE:
+    if cfg.kind == ADAPTIVE:
         print(f"beta = {_fmt(bounds.beta)}")
         print(f"varrho = {_fmt(bounds.varrho)}")
         print(f"D2 radius^2 = {_fmt(bounds.d2_radius_sq)}")
@@ -788,6 +783,7 @@ def cmd_bound(path: str, **overrides) -> int:
 
 def cmd_simulate(path: str, out_dir: str, **overrides) -> int:
     parsed = load_scenario(path, **overrides)
+    cfg = parsed.controller
     part = partition_laplacian(parsed.topology)
     gains = _synthesize(parsed, part)
 
@@ -797,10 +793,10 @@ def cmd_simulate(path: str, out_dir: str, **overrides) -> int:
             gains,
             part,
             parsed.topology.n_followers,
-            parsed.kappa,
+            cfg.kappa,
             parsed.gammas,
-            phis=parsed.phis,
-            taus=parsed.taus,
+            phis=cfg.phis,
+            taus=cfg.taus,
         )
     except VarrhoTooLarge as exc:
         print(f"note: {exc}")
@@ -809,17 +805,17 @@ def cmd_simulate(path: str, out_dir: str, **overrides) -> int:
             gains,
             part,
             parsed.topology.n_followers,
-            parsed.kappa,
+            cfg.kappa,
             parsed.gammas,
         )
 
-    scn = _build_scenario(parsed, gains)
+    scn = _build_scenario(parsed)
     traj = integrate(scn, gains, part)
     metrics = compute_metrics(traj, bounds, gains, tail_fraction=parsed.tail_fraction)
 
-    if parsed.kind == CONTINUOUS_STATIC:
+    if cfg.kind == CONTINUOUS_STATIC:
         certified = metrics.d1_certified
-    elif parsed.kind == ADAPTIVE:
+    elif cfg.kind == ADAPTIVE:
         certified = bool(metrics.d2_certified) and not d2_uncertifiable
     else:
         # The ideal discontinuous law and the observer-based law assert no
@@ -837,10 +833,10 @@ def cmd_simulate(path: str, out_dir: str, **overrides) -> int:
         os.path.join(out_dir, "plot.gp"), header, parsed.topology, parsed.system
     )
 
-    print(f"integrated {len(traj.times)} steps of h = {parsed.h} ({parsed.kind})")
+    print(f"integrated {len(traj.times)} steps of h = {parsed.h} ({cfg.kind})")
     print(f"tail sup |xi|^2 = {_fmt(metrics.tail_sup_xi_sq)}")
     print(f"D1 radius^2 = {_fmt(bounds.d1_radius_sq)} (certified: {metrics.d1_certified})")
-    if parsed.kind == ADAPTIVE:
+    if cfg.kind == ADAPTIVE:
         if bounds.d2_radius_sq is not None:
             print(
                 f"D2 radius^2 = {_fmt(bounds.d2_radius_sq)} "
@@ -959,9 +955,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    apply_tolerance_env()
     args = _build_parser().parse_args(argv)
     try:
+        apply_tolerance_env()
         if args.command == "default":
             return cmd_default(args.out)
         overrides = dict(
@@ -979,6 +975,9 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(args.scenario, args.out, **overrides)
         raise AssertionError(f"unhandled command {args.command}")
+    except BadTolerance as exc:
+        print(f"bad CONTAIN_TOL: {exc}", file=sys.stderr)
+        return 1
     except ScenarioParseError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 1

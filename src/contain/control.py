@@ -1,12 +1,15 @@
 """Controller laws, evaluated for every follower at once.
 
-Four follower controllers share the relative state
+The four follower controllers are one law, u_i = g1 K sigma_i +
+g2 sat(K sigma_i), on the relative state
 
     sigma_i = sum_j a_ij (x_i - x_j)
 
 computed against whatever each follower can measure (true states, or observer
-states for the output-feedback design). Leaders run their own bounded inputs
-and never listen to anyone.
+states for the output-feedback design). They differ in the coupling gains
+(c1/c2 or the adaptive d_i), the boundary-layer width (0 or kappa) and that
+measurement source. Leaders run their own bounded inputs and never listen to
+anyone.
 
 The laws work on stacked rows, one per follower, but every matrix-vector
 product is a stacked matmul (K @ sigma[:, :, None]) and every norm a stacked
@@ -100,8 +103,9 @@ class LeaderInputSpec:
 
 @dataclass(frozen=True, eq=False)
 class ControllerConfig:
+    """Which law the followers run and its parameters; the gains come from synthesis."""
+
     kind: str
-    gains: GainSet
     kappa: Optional[float] = None
     taus: Optional[np.ndarray] = None
     phis: Optional[np.ndarray] = None
@@ -111,39 +115,23 @@ class ControllerConfig:
         if self.kind not in KINDS:
             raise ValueError(f"unknown controller kind {self.kind!r}")
         if self.kind != DISCONTINUOUS_STATIC:
-            if self.kappa is None or self.kappa <= 0.0:
-                raise ValueError(f"{self.kind} requires kappa > 0")
+            if self.kappa is None or not 0.0 < self.kappa < math.inf:
+                raise ValueError(f"{self.kind} requires a finite kappa > 0")
         if self.kind == ADAPTIVE:
             taus = np.asarray(self.taus, dtype=float)
             phis = np.asarray(self.phis, dtype=float)
             d0 = np.asarray(self.d0, dtype=float)
             if taus.ndim != 1 or phis.shape != taus.shape or d0.shape != taus.shape:
                 raise ValueError("taus, phis and d0 must be equal-length vectors")
-            if np.any(taus <= 0.0):
-                raise ValueError("tau_i must be positive")
-            if np.any(phis < 0.0):
-                raise ValueError("phi_i must be nonnegative")
-            if np.any(d0 < 0.0):
-                raise ValueError("initial adaptive gains must be nonnegative")
+            if not np.all(taus > 0.0):
+                raise ValueError("taus must be positive")
+            if not np.all(phis >= 0.0):
+                raise ValueError("phis must be nonnegative")
+            if not np.all(d0 >= 0.0):
+                raise ValueError("d0 (initial adaptive gains) must be nonnegative")
             object.__setattr__(self, "taus", taus)
             object.__setattr__(self, "phis", phis)
             object.__setattr__(self, "d0", d0)
-
-
-@dataclass
-class NetworkState:
-    """Snapshot of everything the controllers can read at time t.
-
-    follower_states is M x n (canonical follower order), leader_states is
-    (N - M) x n. adaptive_gains (length M) and observer_states (N x n) are
-    present only for the designs that use them.
-    """
-
-    t: float
-    follower_states: np.ndarray
-    leader_states: np.ndarray
-    adaptive_gains: Optional[np.ndarray] = None
-    observer_states: Optional[np.ndarray] = None
 
 
 def row_norms(w: np.ndarray) -> np.ndarray:
@@ -155,58 +143,51 @@ def row_norms(w: np.ndarray) -> np.ndarray:
     return np.sqrt((w[..., None, :] @ w[..., :, None])[..., 0, 0])
 
 
-def ghat(w: np.ndarray, norm=None) -> np.ndarray:
-    """Unit vector w/||w|| row by row, with g(0) = 0.
+def saturate(w: np.ndarray, norm: np.ndarray, width: float, d=None) -> np.ndarray:
+    """Boundary-layer saturation of the rows of w (shape (..., p)).
 
-    The saturations take the rows of w (shape (..., p)) and, optionally, their
-    precomputed row_norms. Each divides exactly as its scalar formula reads:
-    w / ||w||, w / kappa, (w / kappa) d. A reciprocal multiply rounds
-    differently.
+    norm holds the row_norms of w and d the per-row gains (d = 1 when absent).
+    A row is outside the layer when d ||w|| > width and gives w / ||w||;
+    inside it gives (w / width) d. Width 0 is the discontinuous unit vector,
+    whose only inside rows are zero rows: they give +0.0.
+
+    The divisions keep their scalar form, w / ||w|| and (w / width) d; a
+    reciprocal multiply rounds differently. Absent d skips the multiply by
+    one, which is exact anyway.
     """
-    if norm is None:
-        norm = row_norms(w)
-    zero = (norm == 0.0)[..., None]
-    return np.where(zero, 0.0, w / np.where(zero, 1.0, norm[..., None]))
-
-
-def gsat(w: np.ndarray, kappa: float, norm=None) -> np.ndarray:
-    """Boundary-layer version: w/||w|| outside ||w|| > kappa, w/kappa inside."""
-    if norm is None:
-        norm = row_norms(w)
-    return w / np.where(norm > kappa, norm, kappa)[..., None]
-
-
-def rsat(w: np.ndarray, d, kappa: float, norm=None) -> np.ndarray:
-    """Adaptive boundary layer: w/||w|| when d ||w|| > kappa, else (w/kappa) d."""
-    if norm is None:
-        norm = row_norms(w)
-    d = np.asarray(d, dtype=float)
-    outside = d * norm > kappa
-    unit = w / np.where(outside, norm, kappa)[..., None]
+    outside = (norm if d is None else d * norm) > width
+    if width == 0.0:
+        return np.where(outside[..., None], w / np.where(outside, norm, 1.0)[..., None], 0.0)
+    unit = w / np.where(outside, norm, width)[..., None]
+    if d is None:
+        return unit
     return np.where(outside[..., None], unit, unit * d[..., None])
 
 
-def follower_law(config: ControllerConfig, sigma: np.ndarray, d=None):
+def follower_law(config: ControllerConfig, gains: GainSet, sigma: np.ndarray, d=None):
     """Inputs of every follower from its relative state, under the configured law.
 
-    sigma is M x n (one row per follower) and d the adaptive gain vector
-    (adaptive law only). Returns (u, d_rate): u is M x p and d_rate holds
+    Every law is u_i = g1 K sigma_i + g2 sat(K sigma_i; d, width): the static
+    laws take g1 = c1, g2 = c2 and no d, the adaptive law g1 = g2 = d = d_i;
+    the width is 0 for the discontinuous law and kappa otherwise. sigma is
+    M x n (one row per follower) and d the adaptive gain vector (adaptive law
+    only). Returns (u, d_rate): u is M x p and d_rate holds
     d_i' = tau_i (-phi_i d_i + sigma_i.T Gamma sigma_i + ||K sigma_i||) for
     the adaptive law, None otherwise. K sigma and its norms are computed once
     and shared by the input and the gain rate.
     """
-    gains = config.gains
     ks = (gains.K @ sigma[:, :, None])[:, :, 0]
     norm = row_norms(ks)
-    if config.kind == DISCONTINUOUS_STATIC:
-        return gains.c1 * ks + gains.c2 * ghat(ks, norm), None
-    if config.kind == CONTINUOUS_STATIC or config.kind == OBSERVER_BASED:
-        return gains.c1 * ks + gains.c2 * gsat(ks, config.kappa, norm), None
-    # adaptive
+    width = 0.0 if config.kind == DISCONTINUOUS_STATIC else config.kappa
+    if config.kind == ADAPTIVE:
+        if d is None:
+            raise MissingState("adaptive controller needs the adaptive gain vector")
+        g1 = g2 = d[:, None]
+    else:
+        g1, g2, d = gains.c1, gains.c2, None
+    u = g1 * ks + g2 * saturate(ks, norm, width, d)
     if d is None:
-        raise MissingState("adaptive controller needs the adaptive gain vector")
-    gain = d[:, None]
-    u = gain * ks + gain * rsat(ks, d, config.kappa, norm)
+        return u, None
     quad = (sigma[:, None, :] @ (gains.Gamma @ sigma[:, :, None]))[:, 0, 0]
     return u, config.taus * (-config.phis * d + quad + norm)
 

@@ -61,12 +61,6 @@ class Topology:
     def leader_labels(self) -> tuple:
         return self.labels[self.n_followers:]
 
-    def canonical_index(self, label) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown agent label {label!r}") from None
-
 
 @dataclass(frozen=True)
 class Assumption1Report:

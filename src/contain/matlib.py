@@ -9,6 +9,7 @@ Riccati) are implemented here.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -29,6 +30,10 @@ class NotControllable(ValueError):
 
 class NoConvergence(RuntimeError):
     """Iteration hit its cap before meeting the residual tolerance."""
+
+
+class BadTolerance(ValueError):
+    """A tolerance spec (CONTAIN_TOL) names an unknown field or a bad value."""
 
 
 @dataclass
@@ -54,23 +59,31 @@ def apply_tolerance_overrides(text: str) -> None:
     """Override fields of TOL from a spec string.
 
     Accepts either a single float (sets `solve` and `sym`) or a comma list of
-    name=value pairs, e.g. "solve=1e-8,pivot=1e-11". Unknown names raise
-    ValueError.
+    name=value pairs, e.g. "solve=1e-8,pivot=1e-11". The whole spec is checked
+    before any field changes: an unknown name, or a value that is not a finite
+    number >= 0, raises BadTolerance and leaves TOL as it was.
     """
     text = text.strip()
     if not text:
         return
     if "=" not in text:
-        value = float(text)
-        TOL.solve = value
-        TOL.sym = value
-        return
-    for item in text.split(","):
-        name, _, raw = item.partition("=")
+        pairs = [("solve", text), ("sym", text)]
+    else:
+        pairs = [item.partition("=")[::2] for item in text.split(",")]
+    values = {}
+    for name, raw in pairs:
         name = name.strip()
         if name not in ("solve", "eig", "pivot", "sym"):
-            raise ValueError(f"unknown tolerance field {name!r}")
-        setattr(TOL, name, float(raw))
+            raise BadTolerance(f"unknown tolerance field {name!r}")
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        if not 0.0 <= value < math.inf:
+            raise BadTolerance(f"{name} must be a finite number >= 0, got {raw.strip()!r}")
+        values[name] = value
+    for name, value in values.items():
+        setattr(TOL, name, value)
 
 
 def apply_tolerance_env(var: str = "CONTAIN_TOL") -> None:

@@ -24,7 +24,7 @@ shows in the reported metrics. Two rules keep the arithmetic bit-identical:
   every norm a stacked dot; numpy runs those as one BLAS gemv or dot per row,
   the same call a single vector gets. sigma @ K.T and einsum use other
   kernels and round differently (FMA, summation order) on most inputs;
-- the saturations divide as the scalar formulas do: w / ||w||, w / kappa and
+- the saturation divides as the scalar formulas do: w / ||w||, w / kappa and
   (w / kappa) * d, never w * (1 / ||w||) or w * (d / kappa).
 
 xi, |xi|, V1 and the leader-bound count never feed back into the dynamics;
@@ -43,7 +43,6 @@ from .control import (
     OBSERVER_BASED,
     ControllerConfig,
     LinearSystem,
-    NetworkState,
     follower_law,
     leader_input,
     row_norms,
@@ -134,15 +133,6 @@ class Trajectory:
     adaptive_gains: Optional[np.ndarray] = None   # (S, M)
     observer_states: Optional[np.ndarray] = None  # (S, N, n)
 
-    def state_at(self, k: int) -> NetworkState:
-        return NetworkState(
-            t=float(self.times[k]),
-            follower_states=self.follower_states[k],
-            leader_states=self.leader_states[k],
-            adaptive_gains=None if self.adaptive_gains is None else self.adaptive_gains[k],
-            observer_states=None if self.observer_states is None else self.observer_states[k],
-        )
-
 
 @dataclass(frozen=True)
 class Metrics:
@@ -217,7 +207,7 @@ def make_evaluator(scn: Scenario, gains: GainSet):
         xl = x[m:]
         source = y[off_x:2 * off_x].reshape(n_agents, n) if observer else x
         sigma = degree * source[:m] - (rows @ source)[:, 0]
-        u_f, d_rate = follower_law(cfg, sigma, y[off_x:off_x + m] if adaptive else None)
+        u_f, d_rate = follower_law(cfg, gains, sigma, y[off_x:off_x + m] if adaptive else None)
         u_l = np.empty((n_leaders, p))
         for j in range(n_leaders):
             u_l[j] = leader_input(specs[j], xl[j], t)
@@ -239,9 +229,8 @@ def make_evaluator(scn: Scenario, gains: GainSet):
     return evaluate
 
 
-def rk4_step(f: Callable, t: float, y: np.ndarray, h: float) -> np.ndarray:
-    """One classic Runge-Kutta 4 step."""
-    k1 = f(t, y)
+def rk4_step(f: Callable, t: float, y: np.ndarray, h: float, k1: np.ndarray) -> np.ndarray:
+    """One classic Runge-Kutta 4 step from y at t, given its first stage k1 = f(t, y)."""
     k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
     k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
     k4 = f(t + h, y + h * k3)
@@ -274,6 +263,10 @@ def integrate(scn: Scenario, gains: GainSet, part: LaplacianPartition) -> Trajec
     y = np.concatenate(pieces)
 
     evaluate = make_evaluator(scn, gains)
+
+    def rate(t, y):
+        return evaluate(t, y)[0]
+
     p_inv = solve_linear(gains.P, np.eye(n))
     gammas = np.array([spec.gamma for spec in scn.leader_specs])
 
@@ -318,10 +311,7 @@ def integrate(scn: Scenario, gains: GainSet, part: LaplacianPartition) -> Trajec
             ul_rec[k] = u_l
             if k == steps - 1:
                 break
-            k2 = evaluate(t + 0.5 * h, y + (0.5 * h) * deriv)[0]
-            k3 = evaluate(t + 0.5 * h, y + (0.5 * h) * k2)[0]
-            k4 = evaluate(t + h, y + h * k3)[0]
-            y = y + (h / 6.0) * (deriv + 2.0 * k2 + 2.0 * k3 + k4)
+            y = rk4_step(rate, t, y, h, deriv)
             if not np.isfinite(y).all():
                 raise NonFiniteState(
                     f"state became non-finite advancing from t = {t:.6g}",

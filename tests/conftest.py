@@ -76,11 +76,12 @@ class DefaultRun:
         parsed = cli.parse_scenario(cli.default_scenario(), controller=kind, kappa=kappa)
         part = partition_laplacian(parsed.topology)
         gains = cli._synthesize(parsed, part)
+        cfg = parsed.controller
         bounds = compute_bound_report(
-            gains, part, parsed.topology.n_followers, parsed.kappa,
-            parsed.gammas, phis=parsed.phis, taus=parsed.taus,
+            gains, part, parsed.topology.n_followers, cfg.kappa,
+            parsed.gammas, phis=cfg.phis, taus=cfg.taus,
         )
-        scn = cli._build_scenario(parsed, gains)
+        scn = cli._build_scenario(parsed)
         traj = integrate(scn, gains, part)
         metrics = compute_metrics(traj, bounds, gains,
                                   tail_fraction=parsed.tail_fraction)

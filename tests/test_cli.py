@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from contain.cli import (
     parse_scenario,
     write_trajectory_csv,
 )
+from contain.matlib import TOL
 
 CHAIN_TEXT = """\
 [system]
@@ -46,8 +48,8 @@ def chain_file(tmp_path, text=CHAIN_TEXT, name="chain.scn"):
 
 def test_parse_default_scenario_roundtrip():
     parsed = parse_scenario(default_scenario())
-    assert parsed.kind == "adaptive"
-    assert parsed.kappa == 0.1
+    assert parsed.controller.kind == "adaptive"
+    assert parsed.controller.kappa == 0.1
     assert parsed.topology.n_followers == 6
     assert parsed.gammas == [6.0, 4.0]
     assert parsed.t_end == 20.0
@@ -60,8 +62,8 @@ def test_parse_default_scenario_roundtrip():
 def test_parse_overrides_win():
     parsed = parse_scenario(default_scenario(), controller="continuous_static",
                             kappa=0.05, h=0.01, t_end=5.0)
-    assert parsed.kind == "continuous_static"
-    assert parsed.kappa == 0.05
+    assert parsed.controller.kind == "continuous_static"
+    assert parsed.controller.kappa == 0.05
     assert parsed.h == 0.01
     assert parsed.t_end == 5.0
 
@@ -70,7 +72,7 @@ def test_parse_chain_minimal():
     parsed = parse_scenario(CHAIN_TEXT)
     assert parsed.system.n == 1
     assert parsed.topology.leader_labels == (2,)
-    assert parsed.taus is None
+    assert parsed.controller.taus is None
     assert parsed.c1_scale == 1.0
     assert parsed.tail_fraction == 0.2
 
@@ -108,8 +110,8 @@ def test_discontinuous_does_not_need_kappa():
     text = CHAIN_TEXT.replace("kind = continuous_static", "kind = discontinuous_static")
     text = text.replace("kappa = 0.1\n", "")
     parsed = parse_scenario(text)
-    assert parsed.kind == "discontinuous_static"
-    assert parsed.kappa is None
+    assert parsed.controller.kind == "discontinuous_static"
+    assert parsed.controller.kappa is None
 
 
 def test_validate_pass(tmp_path, capsys):
@@ -344,3 +346,58 @@ def test_csv_writer_matches_per_cell_reference(run_name, request, tmp_path):
     header = write_trajectory_csv(str(tmp_path / "chunked.csv"), *args)
     assert header == _write_csv_per_cell(str(tmp_path / "cells.csv"), *args)
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
+def assert_one_line_error(capsys, rc, prefix, *words):
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith(prefix), err
+    for word in words:
+        assert word in lines[0], err
+
+
+@pytest.mark.parametrize("command,edit,args,field", [
+    ("validate", None, ["--h", "nan"], "--h"),
+    ("validate", None, ["--t-end", "inf"], "--t-end"),
+    ("validate", ("A = 0 1; -1 1", "A = 0 nan; -1 1"), [], "[system].A"),
+    ("validate", None, ["--kappa", "nan"], "--kappa"),
+    ("bound", ("7.gamma = 6", "7.gamma = nan"), [], "[leaders].7.gamma"),
+    ("bound", ("7.sinusoids = 1:4:2:0", "7.sinusoids = 1:inf:2:0"), [], "[leaders].7.sinusoids"),
+])
+def test_non_finite_numbers_rejected_at_parse(tmp_path, capsys, command, edit, args, field):
+    text = default_scenario()
+    if edit is not None:
+        assert edit[0] in text
+        text = text.replace(*edit)
+    rc = main([command, chain_file(tmp_path, text), *args])
+    assert_one_line_error(capsys, rc, "scenario error:", field)
+
+
+@pytest.mark.parametrize("command", ["validate", "bound", "simulate"])
+@pytest.mark.parametrize("params,name", [
+    ("taus = 0\nphis = 0.1\nd0 = 0", "taus"),
+    ("taus = 1\nphis = -0.1\nd0 = 0", "phis"),
+    ("taus = 1\nphis = 0.1\nd0 = -1", "d0"),
+])
+def test_adaptive_parameters_out_of_range(tmp_path, capsys, command, params, name):
+    text = CHAIN_TEXT.replace(
+        "kind = continuous_static\nkappa = 0.1", "kind = adaptive\nkappa = 0.1\n" + params
+    )
+    argv = [command, chain_file(tmp_path, text)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "out")]
+    assert_one_line_error(capsys, main(argv), "scenario error:", "[controller]", name)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spec", ["abc", "solve=1e-8,nope=3", "solve=1e-8,pivot=nan", "-1"])
+def test_malformed_contain_tol(tmp_path, capsys, monkeypatch, spec):
+    before = dataclasses.astuple(TOL)
+    monkeypatch.setenv("CONTAIN_TOL", spec)
+    rc = main(["validate", chain_file(tmp_path)])
+    assert_one_line_error(capsys, rc, "bad CONTAIN_TOL:")
+    # the spec is checked whole before any field is assigned
+    assert dataclasses.astuple(TOL) == before

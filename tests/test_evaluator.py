@@ -4,11 +4,14 @@ The oracle below is the per-follower implementation the stacked evaluator
 replaced, kept verbatim: one relative state, one input and one rate per call,
 with the same BLAS products and divisions. The default adaptive run chatters
 inside a boundary layer about 0.014 wide, so the evaluator has to match it
-exactly (np.array_equal), not just closely: any rounding difference grows
-along the trajectory.
+exactly (np.array_equal, and the same sign on every zero, which the CSV
+prints as 0.0 or -0.0), not just closely: any rounding difference grows along
+the trajectory.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -23,9 +26,10 @@ from contain.control import (
     LeaderInputSpec,
     LinearSystem,
     MissingState,
-    NetworkState,
     Sinusoid,
     leader_input,
+    row_norms,
+    saturate,
 )
 from contain.graph import build_topology, partition_laplacian
 from contain.sim import Scenario, integrate, make_evaluator
@@ -33,6 +37,17 @@ from contain.synthesis import synthesize
 
 # ---------------------------------------------------------------------------
 # per-agent oracle
+
+
+@dataclass
+class NetworkState:
+    """Snapshot of everything the controllers can read at time t."""
+
+    t: float
+    follower_states: np.ndarray
+    leader_states: np.ndarray
+    adaptive_gains: Optional[np.ndarray] = None
+    observer_states: Optional[np.ndarray] = None
 
 
 def ghat(w):
@@ -67,8 +82,7 @@ def observer_relative_state(i, state, topology):
     return row.sum() * state.observer_states[i] - row @ state.observer_states
 
 
-def u_follower(i, state, config, topology):
-    gains = config.gains
+def u_follower(i, state, config, gains, topology):
     if config.kind == OBSERVER_BASED:
         sigma = observer_relative_state(i, state, topology)
     else:
@@ -84,11 +98,11 @@ def u_follower(i, state, config, topology):
     return d * ks + d * rsat(ks, d, config.kappa)
 
 
-def adaptive_gain_rate(i, state, config, topology):
+def adaptive_gain_rate(i, state, config, gains, topology):
     sigma = relative_state(i, state, topology)
-    ks = config.gains.K @ sigma
+    ks = gains.K @ sigma
     d = float(state.adaptive_gains[i])
-    quad = float(sigma @ (config.gains.Gamma @ sigma))
+    quad = float(sigma @ (gains.Gamma @ sigma))
     return float(config.taus[i]) * (
         -float(config.phis[i]) * d + quad + math.sqrt(float(ks @ ks))
     )
@@ -133,7 +147,7 @@ def oracle_evaluator(scn, gains):
         )
         u_f = np.empty((m, p))
         for i in range(m):
-            u_f[i] = u_follower(i, s, cfg, topo)
+            u_f[i] = u_follower(i, s, cfg, gains, topo)
         u_l = np.empty((n_leaders, p))
         for j in range(n_leaders):
             u_l[j] = leader_input(scn.leader_specs[j], xl[j], t)
@@ -142,7 +156,7 @@ def oracle_evaluator(scn, gains):
         pieces = [xdot_f.reshape(-1), xdot_l.reshape(-1)]
         if adaptive:
             pieces.append(
-                np.array([adaptive_gain_rate(i, s, cfg, topo) for i in range(m)])
+                np.array([adaptive_gain_rate(i, s, cfg, gains, topo) for i in range(m)])
             )
         if observer:
             u_all = np.concatenate([u_f, u_l], axis=0)
@@ -195,7 +209,7 @@ def default_setup(kind, t_end=20.0):
     parsed = cli.parse_scenario(cli.default_scenario(), controller=kind, t_end=t_end)
     part = partition_laplacian(parsed.topology)
     gains = cli._synthesize(parsed, part)
-    return cli._build_scenario(parsed, gains), gains, part
+    return cli._build_scenario(parsed), gains, part
 
 
 def chain_setup(kind, t_end=20.0):
@@ -205,8 +219,8 @@ def chain_setup(kind, t_end=20.0):
     extra = {}
     if kind == ADAPTIVE:
         extra = dict(taus=[5.0, 2.0, 1.0], phis=[0.005, 0.1, 0.0], d0=[0.0, 1.0, 3.0])
-    cfg = ControllerConfig(kind=kind, gains=gains,
-                           kappa=None if kind == DISCONTINUOUS_STATIC else 0.1, **extra)
+    cfg = ControllerConfig(kind=kind, kappa=None if kind == DISCONTINUOUS_STATIC else 0.1,
+                           **extra)
     x0 = np.array([[2.0, -1.0], [-1.5, 0.5], [0.5, 2.5], [1.0, 0.0]])
     scn = Scenario(system=CHAIN_SYSTEM, topology=CHAIN, controller=cfg,
                    leader_specs=(CHAIN_LEADER,), x0=x0,
@@ -276,8 +290,84 @@ def law_branches(scn, gains, y):
     return branches
 
 
+def assert_bitwise(got, want, name=""):
+    """Equal values and equal sign bits (array_equal alone takes -0.0 == 0.0)."""
+    assert got.shape == want.shape, name
+    assert np.array_equal(got, want), name
+    assert np.array_equal(np.signbit(got), np.signbit(want)), name
+
+
+# ---------------------------------------------------------------------------
+# the three stacked saturations that control.saturate replaced, verbatim
+
+
+def stacked_ghat(w: np.ndarray, norm=None) -> np.ndarray:
+    if norm is None:
+        norm = row_norms(w)
+    zero = (norm == 0.0)[..., None]
+    return np.where(zero, 0.0, w / np.where(zero, 1.0, norm[..., None]))
+
+
+def stacked_gsat(w: np.ndarray, kappa: float, norm=None) -> np.ndarray:
+    if norm is None:
+        norm = row_norms(w)
+    return w / np.where(norm > kappa, norm, kappa)[..., None]
+
+
+def stacked_rsat(w: np.ndarray, d, kappa: float, norm=None) -> np.ndarray:
+    if norm is None:
+        norm = row_norms(w)
+    d = np.asarray(d, dtype=float)
+    outside = d * norm > kappa
+    unit = w / np.where(outside, norm, kappa)[..., None]
+    return np.where(outside[..., None], unit, unit * d[..., None])
+
+
+def random_rows(rng, rows, p, kappa):
+    """Rows w of K sigma and gains d that reach every branch of the saturations.
+
+    A fifth of the rows are zero rows with mixed signs and a fifth of the
+    gains are 0. Every twentieth row sits on the layer edge, ||w|| = kappa
+    with d = 1, and every twentieth on the adaptive edge, d ||w|| = kappa with
+    d = 2 (both exact: sqrt(x * x) == |x| and halving is exact).
+    """
+    w = rng.standard_normal((rows, p)) * 10.0 ** rng.uniform(-4.0, 1.0, (rows, 1))
+    d = rng.uniform(0.0, 10.0, rows)
+    d[rng.random(rows) < 0.2] = 0.0
+    zero = rng.random(rows) < 0.2
+    w[zero] = np.where(rng.random((int(zero.sum()), p)) < 0.5, -0.0, 0.0)
+    for offset, edge, gain in ((1, kappa, 1.0), (3, kappa / 2.0, 2.0)):
+        rows_at = np.arange(rows) % 20 == offset
+        w[rows_at] = 0.0
+        w[rows_at, 0] = edge
+        d[rows_at] = gain
+    return w, d
+
+
 # ---------------------------------------------------------------------------
 # tests
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_saturate_matches_the_three_saturations_bitwise(p):
+    kappa = 0.1
+    w, d = random_rows(np.random.default_rng(5 + p), 4000, p, kappa)
+    norm = row_norms(w)
+    assert_bitwise(saturate(w, norm, 0.0), stacked_ghat(w, norm), "width 0")
+    assert_bitwise(saturate(w, norm, kappa), stacked_gsat(w, kappa, norm), "d absent")
+    assert_bitwise(saturate(w, norm, kappa, d), stacked_rsat(w, d, kappa, norm), "d given")
+    # d = 1 is the static law: the same bits whether it is given or absent
+    assert_bitwise(saturate(w, norm, kappa, np.ones(len(w))), saturate(w, norm, kappa))
+    # every case occurs: zero rows of both signs, whose static output keeps
+    # the sign; both sides of each layer and its edge; d = 0 on nonzero rows
+    zero_rows = norm == 0.0
+    assert np.signbit(w[zero_rows]).any() and (~np.signbit(w[zero_rows])).any()
+    assert np.signbit(stacked_gsat(w, kappa, norm)[zero_rows]).any()
+    reach = d * norm
+    assert (norm > kappa).any() and ((norm < kappa) & ~zero_rows).any()
+    assert (reach > kappa).any() and ((reach < kappa) & (d > 0.0) & ~zero_rows).any()
+    assert (norm == kappa).any() and ((reach == kappa) & (d == 2.0)).any()
+    assert ((d == 0.0) & ~zero_rows).any()
 
 
 @pytest.mark.parametrize("topology", sorted(SETUPS))
@@ -292,8 +382,7 @@ def test_evaluator_matches_oracle_bitwise(kind, topology):
         got = evaluate(t, y)
         want = oracle(t, y)
         for a, b in zip(got, want):
-            assert a.shape == b.shape
-            assert np.array_equal(a, b)
+            assert_bitwise(a, b)
         seen.update(law_branches(scn, gains, y))
     expected = {"Ks=0", "outside"}
     if kind != DISCONTINUOUS_STATIC:
@@ -318,7 +407,7 @@ def test_integrate_matches_oracle_run(kind, topology, steps, monkeypatch):
         if want is None:
             assert got is None
         else:
-            assert np.array_equal(got, want), name
+            assert_bitwise(got, want, name)
     # xi, V1 and the leader-bound count are derived after the loop; they never
     # feed back into the dynamics, so a stated tolerance is enough for them
     xi, xi_norm, v1, violations = oracle_derived(traj, scn, gains, part)

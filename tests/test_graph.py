@@ -143,7 +143,7 @@ def test_labels_and_user_positions_roundtrip():
     # canonical row i came from user row user_positions[i]
     for i, pos in enumerate(topo.user_positions):
         lab = labels[pos]
-        assert topo.canonical_index(lab) == i
+        assert topo.labels[i] == lab
 
 
 def test_random_topologies_partition_cleanly():
