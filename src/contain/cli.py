@@ -5,8 +5,8 @@ values may continue on indented lines (matrix rows). The full grammar is
 documented in the README and the built-in default file (contain default).
 
 Exit codes: 0 success / certified; 1 parse or input error; 2 standing-assumption
-failure; 3 not controllable; 4 adaptive leakage too fast (varrho >= alpha);
-5 bounds not certified by the run; 6 state diverged.
+failure; 3 not controllable or another synthesis failure; 4 adaptive leakage
+too fast (varrho >= alpha); 5 bounds not certified by the run; 6 state diverged.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -23,7 +24,6 @@ import numpy as np
 
 from .control import (
     ADAPTIVE,
-    CONTINUOUS_STATIC,
     DISCONTINUOUS_STATIC,
     KINDS,
     OBSERVER_BASED,
@@ -42,21 +42,34 @@ from .graph import (
     check_assumption1,
     partition_laplacian,
 )
-from .matlib import BadTolerance, NotControllable, apply_tolerance_env, sym_eigs
+from .matlib import (
+    TOL,
+    BadTolerance,
+    NoConvergence,
+    NotControllable,
+    NotSymmetric,
+    Singular,
+    apply_tolerance_env,
+    sym_eigs,
+)
 from .sim import (
+    HorizonTooLong,
     Metrics,
     NonFiniteState,
     Scenario,
     Trajectory,
+    Verdict,
     compute_metrics,
     integrate,
+    run_verdict,
 )
 from .synthesis import (
     BoundReport,
     GainSet,
+    NonPositiveAlpha,
+    NotObservable,
     VarrhoTooLarge,
     compute_bound_report,
-    compute_varrho,
     lmi_matrix,
     synthesize,
 )
@@ -350,11 +363,20 @@ def parse_scenario(
     c1_scale = scale("c1_scale")
     c2_scale = scale("c2_scale")
     weight_value = _get(sections, "controller", "are_weight")
-    are_weight = (
-        _matrix(weight_value, "[controller].are_weight")
-        if weight_value is not None
-        else None
-    )
+    are_weight = None
+    if weight_value is not None:
+        where = "[controller].are_weight"
+        are_weight = _matrix(weight_value, where)
+        if are_weight.shape != (n, n):
+            raise ScenarioParseError(
+                f"must be {n}x{n}, got {are_weight.shape[0]}x{are_weight.shape[1]}", field=where
+            )
+        try:
+            positive = sym_eigs(are_weight)[0] > TOL.eig
+        except NotSymmetric as exc:
+            raise ScenarioParseError(str(exc), field=where) from None
+        if not positive:
+            raise ScenarioParseError("must be positive definite", field=where)
 
     if "leaders" not in sections:
         raise ScenarioParseError("missing section [leaders]", field="leaders")
@@ -517,64 +539,35 @@ def _fmt_matrix(mat: np.ndarray, indent: str = "  ") -> str:
     return "\n".join(lines)
 
 
-def _user_order(topology: Topology):
-    """(canonical index, label) pairs in original file order."""
-    inverse = [0] * topology.n_agents
-    for canon, upos in enumerate(topology.user_positions):
-        inverse[upos] = canon
-    return [(inverse[upos], topology.labels[inverse[upos]]) for upos in range(topology.n_agents)]
+def trajectory_columns(topology: Topology, traj: Trajectory) -> list:
+    """(name, column) pairs of trajectory.csv, in file order.
 
-
-def trajectory_header(topology: Topology, system: LinearSystem, traj: Trajectory) -> list:
-    n = system.n
-    p = system.p
+    t; the states of every agent, in the order the scenario file lists them;
+    the inputs of every follower, same order; xi_norm and v1; then the
+    adaptive gains d_i and the observer states of every agent, when present.
+    """
     m = topology.n_followers
-    header = ["t"]
-    order = _user_order(topology)
-    for canon, label in order:
-        for comp in range(1, n + 1):
-            header.append(f"x{label}_{comp}")
-    for canon, label in order:
-        if canon < m:
-            for ch in range(1, p + 1):
-                header.append(f"u{label}_{ch}")
-    header.append("xi_norm")
-    header.append("v1")
-    if traj.adaptive_gains is not None:
-        header.extend(f"d_{i}" for i in range(1, m + 1))
-    if traj.observer_states is not None:
-        for canon, label in order:
-            for comp in range(1, n + 1):
-                header.append(f"v{label}_{comp}")
-    return header
+    order = sorted(range(topology.n_agents), key=topology.user_positions.__getitem__)
 
+    def per_agent(prefix, blocks):
+        """prefix<label>_<k> for every (label, (S, K) block) and k = 1..K."""
+        return [
+            (f"{prefix}{label}_{k + 1}", block[:, k])
+            for label, block in blocks
+            for k in range(block.shape[1])
+        ]
 
-def _trajectory_columns(topology: Topology, system: LinearSystem, traj: Trajectory) -> list:
-    n = system.n
-    p = system.p
-    m = topology.n_followers
-    order = _user_order(topology)
-    cols = [traj.times]
-    for canon, _label in order:
-        for comp in range(n):
-            if canon < m:
-                cols.append(traj.follower_states[:, canon, comp])
-            else:
-                cols.append(traj.leader_states[:, canon - m, comp])
-    for canon, _label in order:
-        if canon < m:
-            for ch in range(p):
-                cols.append(traj.follower_inputs[:, canon, ch])
-    cols.append(traj.xi_norm)
-    cols.append(traj.v1)
+    labels = [topology.labels[c] for c in order]
+    states = [traj.follower_states[:, c] if c < m else traj.leader_states[:, c - m] for c in order]
+    pairs = [("t", traj.times)]
+    pairs += per_agent("x", zip(labels, states))
+    pairs += per_agent("u", [(topology.labels[c], traj.follower_inputs[:, c]) for c in order if c < m])
+    pairs += [("xi_norm", traj.xi_norm), ("v1", traj.v1)]
     if traj.adaptive_gains is not None:
-        for i in range(m):
-            cols.append(traj.adaptive_gains[:, i])
+        pairs += [(f"d_{i + 1}", traj.adaptive_gains[:, i]) for i in range(m)]
     if traj.observer_states is not None:
-        for canon, _label in order:
-            for comp in range(n):
-                cols.append(traj.observer_states[:, canon, comp])
-    return cols
+        pairs += per_agent("v", zip(labels, [traj.observer_states[:, c] for c in order]))
+    return pairs
 
 
 # Rows converted to Python floats at a time: bounds the transient list of
@@ -582,16 +575,14 @@ def _trajectory_columns(topology: Topology, system: LinearSystem, traj: Trajecto
 _CSV_CHUNK_ROWS = 4096
 
 
-def write_trajectory_csv(path: str, topology: Topology, system: LinearSystem, traj: Trajectory) -> list:
-    """Write the CSV; values use shortest round-trip decimals. Returns the header."""
-    header = trajectory_header(topology, system, traj)
-    cols = _trajectory_columns(topology, system, traj)
+def write_trajectory_csv(path: str, topology: Topology, traj: Trajectory) -> None:
+    """Write the CSV; values use shortest round-trip decimals."""
+    names, cols = zip(*trajectory_columns(topology, traj))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(names) + "\n")
         for start in range(0, len(traj.times), _CSV_CHUNK_ROWS):
             block = np.column_stack([col[start:start + _CSV_CHUNK_ROWS] for col in cols])
             fh.writelines(",".join(map(repr, row)) + "\n" for row in block.tolist())
-    return header
 
 
 def write_metrics(
@@ -602,7 +593,7 @@ def write_metrics(
     bounds: BoundReport,
     metrics: Metrics,
     traj: Trajectory,
-    certified: bool,
+    verdict: Verdict,
 ) -> None:
     cfg = parsed.controller
     lines = [
@@ -619,12 +610,7 @@ def write_metrics(
         f"d1_certified = {metrics.d1_certified}",
     ]
     if cfg.kind == ADAPTIVE:
-        varrho = (
-            bounds.varrho
-            if bounds.varrho is not None
-            else compute_varrho(cfg.phis, cfg.taus)
-        )
-        lines.append(f"varrho = {varrho!r}")
+        lines.append(f"varrho = {bounds.varrho!r}")
         if bounds.d2_radius_sq is not None:
             lines.append(f"d2_radius_sq = {bounds.d2_radius_sq!r}")
             lines.append(f"d2_certified = {metrics.d2_certified}")
@@ -635,19 +621,26 @@ def write_metrics(
     lines.append(f"envelope_violations = {metrics.envelope_violations}")
     lines.append(f"chattering_index = {metrics.chattering_index!r}")
     lines.append(f"assumption2_violations = {traj.assumption2_violations}")
-    lines.append(f"verdict = {'certified' if certified else 'not certified'}")
+    lines.append(f"verdict = {verdict.label}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_plot_script(path: str, header: list, topology: Topology, system: LinearSystem) -> None:
+def write_plot_script(path: str, topology: Topology, traj: Trajectory) -> None:
     """gnuplot script: one panel per state component, plus adaptive gains."""
-    n = system.n
-    m = topology.n_followers
-    order = _user_order(topology)
-    col = {name: idx + 1 for idx, name in enumerate(header)}
-    d_names = [name for name in header if name.startswith("d_")]
-    panels = n + (1 if d_names else 0)
+    followers = set(topology.follower_labels)
+    state_series = {}  # component -> one series per agent, in file order
+    d_series = []
+    for idx, (name, _col) in enumerate(trajectory_columns(topology, traj), start=1):
+        state = re.fullmatch(r"x(\d+)_(\d+)", name)
+        if state:
+            dash = 4 if int(state[1]) in followers else 1
+            state_series.setdefault(state[2], []).append(
+                f'"trajectory.csv" using 1:{idx} with lines dashtype {dash} title "{name}"'
+            )
+        elif name.startswith("d_"):
+            d_series.append(f'"trajectory.csv" using 1:{idx} with lines title "{name}"')
+    panels = len(state_series) + (1 if d_series else 0)
 
     lines = [
         "# gnuplot script generated alongside trajectory.csv",
@@ -659,24 +652,12 @@ def write_plot_script(path: str, header: list, topology: Topology, system: Linea
         "set multiplot layout %d,1" % panels,
         'set xlabel "t [s]"',
     ]
-    for comp in range(1, n + 1):
+    for comp, series in state_series.items():
         lines.append(f'set title "state component {comp} (followers dash-dot, leaders solid)"')
-        series = []
-        for canon, label in order:
-            name = f"x{label}_{comp}"
-            dash = 4 if canon < m else 1
-            series.append(
-                f'"trajectory.csv" using 1:{col[name]} with lines dashtype {dash} '
-                f'title "{name}"'
-            )
         lines.append("plot " + ", \\\n     ".join(series))
-    if d_names:
+    if d_series:
         lines.append('set title "adaptive coupling gains"')
-        series = [
-            f'"trajectory.csv" using 1:{col[name]} with lines title "{name}"'
-            for name in d_names
-        ]
-        lines.append("plot " + ", \\\n     ".join(series))
+        lines.append("plot " + ", \\\n     ".join(d_series))
     lines.append("unset multiplot")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -722,7 +703,7 @@ def cmd_synth(path: str, **overrides) -> int:
     parsed = load_scenario(path, **overrides)
     part = partition_laplacian(parsed.topology)
     gains = _synthesize(parsed, part)
-    lmi_max = float(sym_eigs(lmi_matrix(parsed.system.A, parsed.system.B, gains.P)).values[-1])
+    lmi_max = float(sym_eigs(lmi_matrix(parsed.system.A, parsed.system.B, gains.P))[-1])
     print("P =")
     print(_fmt_matrix(gains.P))
     print("K =")
@@ -762,15 +743,9 @@ def cmd_bound(path: str, **overrides) -> int:
     cfg = parsed.controller
     part = partition_laplacian(parsed.topology)
     gains = _synthesize(parsed, part)
-    bounds = compute_bound_report(
-        gains,
-        part,
-        parsed.topology.n_followers,
-        cfg.kappa,
-        parsed.gammas,
-        phis=cfg.phis,
-        taus=cfg.taus,
-    )
+    bounds = compute_bound_report(gains, part, cfg, parsed.gammas)
+    if cfg.kind == ADAPTIVE and bounds.d2_radius_sq is None:
+        raise VarrhoTooLarge(bounds.varrho, gains.alpha)
     print(f"alpha = {_fmt(gains.alpha)}")
     print(f"envelope offset b/alpha = {_fmt(bounds.envelope_offset)}")
     print(f"D1 radius^2 = {_fmt(bounds.d1_radius_sq)}")
@@ -787,51 +762,23 @@ def cmd_simulate(path: str, out_dir: str, **overrides) -> int:
     part = partition_laplacian(parsed.topology)
     gains = _synthesize(parsed, part)
 
-    d2_uncertifiable = False
-    try:
-        bounds = compute_bound_report(
-            gains,
-            part,
-            parsed.topology.n_followers,
-            cfg.kappa,
-            parsed.gammas,
-            phis=cfg.phis,
-            taus=cfg.taus,
-        )
-    except VarrhoTooLarge as exc:
-        print(f"note: {exc}")
-        d2_uncertifiable = True
-        bounds = compute_bound_report(
-            gains,
-            part,
-            parsed.topology.n_followers,
-            cfg.kappa,
-            parsed.gammas,
-        )
+    bounds = compute_bound_report(gains, part, cfg, parsed.gammas)
+    if cfg.kind == ADAPTIVE and bounds.d2_radius_sq is None:
+        print(f"note: {VarrhoTooLarge(bounds.varrho, gains.alpha)}")
 
     scn = _build_scenario(parsed)
     traj = integrate(scn, gains, part)
     metrics = compute_metrics(traj, bounds, gains, tail_fraction=parsed.tail_fraction)
-
-    if cfg.kind == CONTINUOUS_STATIC:
-        certified = metrics.d1_certified
-    elif cfg.kind == ADAPTIVE:
-        certified = bool(metrics.d2_certified) and not d2_uncertifiable
-    else:
-        # The ideal discontinuous law and the observer-based law assert no
-        # finite residual radius; nothing to gate on.
-        certified = True
+    verdict = run_verdict(cfg.kind, metrics, traj)
 
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "trajectory.csv")
-    header = write_trajectory_csv(csv_path, parsed.topology, parsed.system, traj)
+    write_trajectory_csv(csv_path, parsed.topology, traj)
     write_metrics(
         os.path.join(out_dir, "metrics.txt"),
-        parsed, gains, part, bounds, metrics, traj, certified,
+        parsed, gains, part, bounds, metrics, traj, verdict,
     )
-    write_plot_script(
-        os.path.join(out_dir, "plot.gp"), header, parsed.topology, parsed.system
-    )
+    write_plot_script(os.path.join(out_dir, "plot.gp"), parsed.topology, traj)
 
     print(f"integrated {len(traj.times)} steps of h = {parsed.h} ({cfg.kind})")
     print(f"tail sup |xi|^2 = {_fmt(metrics.tail_sup_xi_sq)}")
@@ -849,8 +796,10 @@ def cmd_simulate(path: str, out_dir: str, **overrides) -> int:
     print(f"chattering index = {_fmt(metrics.chattering_index)}")
     print(f"leader bound violations = {traj.assumption2_violations}")
     print(f"wrote {csv_path}, metrics.txt, plot.gp")
-    print(f"verdict: {'certified' if certified else 'not certified'}")
-    return 0 if certified else 5
+    if verdict.reason is not None:
+        print(f"reason: {verdict.reason}")
+    print(f"verdict: {verdict.label}")
+    return 0 if verdict.certified else 5
 
 
 def default_scenario() -> str:
@@ -978,7 +927,7 @@ def main(argv=None) -> int:
     except BadTolerance as exc:
         print(f"bad CONTAIN_TOL: {exc}", file=sys.stderr)
         return 1
-    except ScenarioParseError as exc:
+    except (ScenarioParseError, HorizonTooLong) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 1
     except BadAdjacency as exc:
@@ -992,6 +941,12 @@ def main(argv=None) -> int:
         return 2
     except NotControllable as exc:
         print(f"not controllable: {exc}", file=sys.stderr)
+        return 3
+    except NotObservable as exc:
+        print(f"not observable: {exc}", file=sys.stderr)
+        return 3
+    except (Singular, NoConvergence, NonPositiveAlpha) as exc:
+        print(f"synthesis failed: {exc}", file=sys.stderr)
         return 3
     except VarrhoTooLarge as exc:
         print(f"adaptive leakage too fast: {exc}", file=sys.stderr)

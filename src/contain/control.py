@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
 from .matlib import as_matrix
-from .synthesis import GainSet
+if TYPE_CHECKING:
+    from .synthesis import GainSet
 
 
 class MissingState(ValueError):

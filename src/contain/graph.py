@@ -218,7 +218,7 @@ def partition_laplacian(topology: Topology) -> LaplacianPartition:
     l1 = lap[:m, :m]
     l2 = lap[:m, m:]
     w = _hull_weights(l1, l2)
-    lambda_min = float(sym_eigs(l1).values[0])
+    lambda_min = float(sym_eigs(l1)[0])
     return LaplacianPartition(
         L=_freeze(lap),
         L1=_freeze(l1),

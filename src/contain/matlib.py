@@ -116,28 +116,19 @@ def frobenius(a) -> float:
     return float(np.sqrt(np.sum(arr * arr)))
 
 
-@dataclass
-class SymEigResult:
-    values: np.ndarray   # ascending
-    vectors: np.ndarray  # columns, unit norm, deterministic sign
+def sym_eigs(s) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix.
 
-
-def sym_eigs(s) -> SymEigResult:
-    """Eigendecomposition of a symmetric matrix.
-
-    Values come back ascending. Each eigenvector is normalized and its sign is
-    fixed so the entry of largest magnitude (first such entry on ties) is
-    positive, which makes the output reproducible run to run.
+    Raises NotSymmetric when s differs from its transpose by more than TOL.sym.
+    Uses eigh rather than eigvalsh: the two differ in the last bit on some
+    inputs (lambda_min(L1) of the default graph), and that value feeds the
+    closed-loop dynamics.
     """
     arr = _square(s, "s")
     skew = float(np.max(np.abs(arr - arr.T)))
     if skew > TOL.sym:
         raise NotSymmetric(f"matrix is not symmetric: max |s - s.T| = {skew:.3e}")
-    sym = 0.5 * (arr + arr.T)
-    values, vectors = np.linalg.eigh(sym)
-    lead = np.argmax(np.abs(vectors), axis=0)
-    flip = vectors[lead, np.arange(vectors.shape[1])] < 0.0
-    return SymEigResult(values, np.where(flip, -vectors, vectors))
+    return np.linalg.eigh(0.5 * (arr + arr.T))[0]
 
 
 def solve_linear(a, rhs) -> np.ndarray:
@@ -215,7 +206,7 @@ def is_hurwitz(f) -> bool:
         w = lyap_solve(f.T, np.eye(n))
     except Singular:
         return False
-    return float(sym_eigs(w).values[0]) > TOL.eig
+    return float(sym_eigs(w)[0]) > TOL.eig
 
 
 def _rank(m: np.ndarray, tol: float) -> int:
@@ -282,7 +273,7 @@ def care_solve(a, b, q, return_residuals: bool = False):
     skew = float(np.max(np.abs(q - q.T)))
     if skew > TOL.sym:
         raise NotSymmetric(f"q is not symmetric: max |q - q.T| = {skew:.3e}")
-    if float(sym_eigs(q).values[0]) <= TOL.eig:
+    if float(sym_eigs(q)[0]) <= TOL.eig:
         raise ValueError("q must be positive definite")
     if not is_controllable(a, b):
         raise NotControllable("(a, b) fails the controllability rank test")

@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from .control import ADAPTIVE, ControllerConfig
 from .graph import LaplacianPartition
 from .matlib import (
     NotControllable,
@@ -34,6 +35,12 @@ class NonPositiveAlpha(RuntimeError):
 
 class VarrhoTooLarge(ValueError):
     """varrho = max(phi_i tau_i) is not below alpha, so no adaptive residual set."""
+
+    def __init__(self, varrho: float, alpha: float):
+        super().__init__(
+            f"varrho = {varrho:.6g} must be below alpha = {alpha:.6g}; "
+            "reduce phi_i tau_i or redesign P"
+        )
 
 
 class NotObservable(ValueError):
@@ -64,9 +71,10 @@ class BoundReport:
     """Residual-set radii and the scalars they were computed from.
 
     d1_radius_sq bounds the squared containment error for the saturated static
-    controller; d2_radius_sq (adaptive designs, requires varrho < alpha) bounds
-    it for the adaptive one. envelope_offset is the steady-state level b/alpha
-    of the Lyapunov envelope.
+    controller; d2_radius_sq bounds it for the adaptive one, and is None when
+    varrho >= alpha or the controller is not adaptive. varrho is set for every
+    adaptive controller. envelope_offset is the steady-state level b/alpha of
+    the Lyapunov envelope.
     """
 
     d1_radius_sq: float
@@ -141,8 +149,8 @@ def compute_alpha(a, b, p) -> float:
     Raises NonPositiveAlpha when the inequality fails for this P.
     """
     lmi = lmi_matrix(a, b, p)
-    lmi_max = float(sym_eigs(lmi).values[-1])
-    p_max = float(sym_eigs(p).values[-1])
+    lmi_max = float(sym_eigs(lmi)[-1])
+    p_max = float(sym_eigs(p)[-1])
     alpha = -lmi_max / p_max
     if alpha <= 0.0:
         raise NonPositiveAlpha(
@@ -166,62 +174,6 @@ def compute_varrho(phis, taus) -> float:
     if phis.shape != taus.shape or phis.ndim != 1 or phis.size == 0:
         raise ValueError("phis and taus must be equal-length nonempty vectors")
     return float(np.max(phis * taus))
-
-
-def bound_D1(
-    alpha: float,
-    p,
-    n_followers: int,
-    kappa: float,
-    gamma_max: float,
-    lambda_min_l1: float,
-) -> float:
-    """Residual radius^2 for the saturated static controller.
-
-    D1 = 2 lambda_max(P) M kappa gamma_max / (alpha lambda_min(L1)); kappa = 0
-    (the ideal discontinuous limit) gives 0.
-    """
-    if alpha <= 0.0 or n_followers <= 0 or gamma_max <= 0.0 or lambda_min_l1 <= 0.0:
-        raise ValueError("alpha, M, gamma_max and lambda_min(L1) must be positive")
-    if kappa < 0.0:
-        raise ValueError("kappa must be nonnegative")
-    p_max = float(sym_eigs(as_matrix(p, "p")).values[-1])
-    return 2.0 * p_max * n_followers * kappa * gamma_max / (alpha * lambda_min_l1)
-
-
-def bound_D2(
-    alpha: float,
-    p,
-    n_followers: int,
-    kappa: float,
-    beta: float,
-    phis,
-    taus,
-    lambda_min_l1: float,
-) -> tuple[float, float]:
-    """Residual radius^2 for the adaptive controller, with its varrho.
-
-    D2 = lambda_max(P) / (lambda_min(L1) (alpha - varrho)) *
-         (sum_i beta^2 phi_i + M kappa / 2)
-
-    Raises VarrhoTooLarge when varrho >= alpha.
-    """
-    if alpha <= 0.0 or n_followers <= 0 or beta <= 0.0 or lambda_min_l1 <= 0.0:
-        raise ValueError("alpha, M, beta and lambda_min(L1) must be positive")
-    if kappa < 0.0:
-        raise ValueError("kappa must be nonnegative")
-    phis = np.asarray(phis, dtype=float)
-    if phis.size != n_followers:
-        raise ValueError(f"expected {n_followers} phi values, got {phis.size}")
-    varrho = compute_varrho(phis, taus)
-    if varrho >= alpha:
-        raise VarrhoTooLarge(
-            f"varrho = {varrho:.6g} must be below alpha = {alpha:.6g}; "
-            "reduce phi_i tau_i or redesign P"
-        )
-    p_max = float(sym_eigs(as_matrix(p, "p")).values[-1])
-    total = float(beta * beta * np.sum(phis)) + 0.5 * n_followers * kappa
-    return p_max / (lambda_min_l1 * (alpha - varrho)) * total, varrho
 
 
 def solve_observer_L(a, c) -> np.ndarray:
@@ -261,42 +213,37 @@ def synthesize(
 
 
 def compute_bound_report(
-    gains: GainSet,
-    part: LaplacianPartition,
-    n_followers: int,
-    kappa: Optional[float],
-    gammas,
-    phis=None,
-    taus=None,
+    gains: GainSet, part: LaplacianPartition, controller: ControllerConfig, gammas
 ) -> BoundReport:
-    """Assemble the residual-set certificate for a synthesized design.
+    """Residual-set certificate of a synthesized design under its controller.
 
-    phis/taus present means an adaptive design; VarrhoTooLarge propagates so
-    callers can decide whether an uncertifiable D2 is fatal.
+    With M followers, kappa the boundary-layer width (0 for the ideal
+    discontinuous law) and lambda_max(P) taken once:
+
+        D1 = 2 lambda_max(P) M kappa gamma_max / (alpha lambda_min(L1))
+        D2 = lambda_max(P) / (lambda_min(L1) (alpha - varrho)) *
+             (sum_i beta^2 phi_i + M kappa / 2)
+
+    D2 exists only for an adaptive controller with varrho < alpha. Both radii
+    assume every leader input stays within its bound gamma_j.
     """
+    lam = part.lambda_min_L1
     gammas = [float(g) for g in gammas]
-    if not gammas:
-        raise EmptyGammas("need at least one leader input bound")
+    beta = compute_beta(gammas, lam)
     gamma_max = max(gammas)
-    kappa_eff = 0.0 if kappa is None else float(kappa)
-    d1 = bound_D1(
-        gains.alpha, gains.P, n_followers, kappa_eff, gamma_max, part.lambda_min_L1
-    )
-    beta = compute_beta(gammas, part.lambda_min_L1)
-    offset = n_followers * kappa_eff * gamma_max / gains.alpha
-    d2 = None
-    varrho = None
-    if phis is not None and taus is not None:
-        d2, varrho = bound_D2(
-            gains.alpha,
-            gains.P,
-            n_followers,
-            kappa_eff,
-            beta,
-            phis,
-            taus,
-            part.lambda_min_L1,
-        )
+    if gains.alpha <= 0.0 or min(gammas) <= 0.0:
+        raise ValueError("alpha and the leader input bounds must be positive")
+    n_followers = part.L1.shape[0]
+    kappa = 0.0 if controller.kappa is None else float(controller.kappa)
+    p_max = float(sym_eigs(gains.P)[-1])
+    d1 = 2.0 * p_max * n_followers * kappa * gamma_max / (gains.alpha * lam)
+    offset = n_followers * kappa * gamma_max / gains.alpha
+    d2 = varrho = None
+    if controller.kind == ADAPTIVE:
+        varrho = compute_varrho(controller.phis, controller.taus)
+        if varrho < gains.alpha:
+            total = float(beta * beta * np.sum(controller.phis)) + 0.5 * n_followers * kappa
+            d2 = p_max / (lam * (gains.alpha - varrho)) * total
     return BoundReport(
         d1_radius_sq=d1,
         beta=beta,
@@ -321,8 +268,6 @@ __all__ = [
     "compute_alpha",
     "compute_beta",
     "compute_varrho",
-    "bound_D1",
-    "bound_D2",
     "solve_observer_L",
     "synthesize",
     "compute_bound_report",

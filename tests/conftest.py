@@ -76,11 +76,7 @@ class DefaultRun:
         parsed = cli.parse_scenario(cli.default_scenario(), controller=kind, kappa=kappa)
         part = partition_laplacian(parsed.topology)
         gains = cli._synthesize(parsed, part)
-        cfg = parsed.controller
-        bounds = compute_bound_report(
-            gains, part, parsed.topology.n_followers, cfg.kappa,
-            parsed.gammas, phis=cfg.phis, taus=cfg.taus,
-        )
+        bounds = compute_bound_report(gains, part, parsed.controller, parsed.gammas)
         scn = cli._build_scenario(parsed)
         traj = integrate(scn, gains, part)
         metrics = compute_metrics(traj, bounds, gains,

@@ -34,7 +34,7 @@ def test_criterion_01_gamma_crosscheck():
 
 def test_criterion_02_lmi_certificate():
     p = solve_P(A2, B2)
-    lmi_max = float(sym_eigs(lmi_matrix(A2, B2, p)).values[-1])
+    lmi_max = float(sym_eigs(lmi_matrix(A2, B2, p))[-1])
     alpha = compute_alpha(A2, B2, p)
     check(2, lmi_max < -1e-6 and alpha > 0.0,
           f"lambda_max(LMI) = {lmi_max:.6f}, alpha = {alpha:.6f}")

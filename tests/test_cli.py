@@ -14,7 +14,8 @@ from contain.cli import (
     parse_scenario,
     write_trajectory_csv,
 )
-from contain.matlib import TOL
+from contain.matlib import TOL, NoConvergence
+from contain.synthesis import NonPositiveAlpha
 
 CHAIN_TEXT = """\
 [system]
@@ -327,30 +328,27 @@ def test_load_scenario_applies_overrides(tmp_path):
     assert parsed.h == 0.005
 
 
-def _write_csv_per_cell(path, topology, system, traj):
+def _write_csv_per_cell(path, topology, traj):
     """Reference writer: one repr(float(...)) per cell, row by row."""
-    header = cli.trajectory_header(topology, system, traj)
-    cols = cli._trajectory_columns(topology, system, traj)
+    pairs = cli.trajectory_columns(topology, traj)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(name for name, _ in pairs) + "\n")
         for k in range(len(traj.times)):
-            fh.write(",".join(repr(float(col[k])) for col in cols) + "\n")
-    return header
+            fh.write(",".join(repr(float(col[k])) for _, col in pairs) + "\n")
 
 
 @pytest.mark.parametrize("run_name", ["cont_run", "disc_run", "adaptive_run", "observer_run"])
 def test_csv_writer_matches_per_cell_reference(run_name, request, tmp_path):
     # 20 000 rows span five write chunks; adaptive adds d_i, observer v columns
     run = request.getfixturevalue(run_name)
-    args = (run.parsed.topology, run.parsed.system, run.traj)
-    header = write_trajectory_csv(str(tmp_path / "chunked.csv"), *args)
-    assert header == _write_csv_per_cell(str(tmp_path / "cells.csv"), *args)
+    write_trajectory_csv(str(tmp_path / "chunked.csv"), run.parsed.topology, run.traj)
+    _write_csv_per_cell(str(tmp_path / "cells.csv"), run.parsed.topology, run.traj)
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
 
-def assert_one_line_error(capsys, rc, prefix, *words):
+def assert_one_line_error(capsys, rc, prefix, *words, code=1):
     err = capsys.readouterr().err
-    assert rc == 1
+    assert rc == code
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1, err
@@ -401,3 +399,76 @@ def test_malformed_contain_tol(tmp_path, capsys, monkeypatch, spec):
     assert_one_line_error(capsys, rc, "bad CONTAIN_TOL:")
     # the spec is checked whole before any field is assigned
     assert dataclasses.astuple(TOL) == before
+
+
+@pytest.mark.parametrize("kind", ["discontinuous_static", "observer_based", "continuous_static"])
+def test_leader_bound_violation_is_not_certified(tmp_path, capsys, kind):
+    # the leader input 2 sin(t) breaks its declared bound gamma = 1
+    text = CHAIN_TEXT.replace("2.gain = 0", "2.gain = 0\n2.sinusoids = 1:2:1:0")
+    out_dir = tmp_path / "out"
+    rc = main(["simulate", chain_file(tmp_path, text), "--controller", kind, "--out", str(out_dir)])
+    stdout = capsys.readouterr().out.splitlines()
+    assert rc == 5
+    assert stdout[-1] == "verdict: not certified"
+    assert stdout[-2].startswith("reason: ") and "leader input samples exceed" in stdout[-2]
+    assert "verdict = not certified" in (out_dir / "metrics.txt").read_text()
+
+
+@pytest.mark.parametrize("command,edits,args,prefix", [
+    ("synth", [("C = 1 0; 0 1", "C = 0 0")], ["--controller", "observer_based"], "not observable:"),
+    ("bound", [("A = 0 1; -1 1", "A = 0 1; -1e6 1"), ("B = 0; 1", "B = 0; 1e-6")], [],
+     "synthesis failed: Lyapunov operator is singular"),
+])
+def test_synthesis_failure_exits_3_with_one_line(tmp_path, capsys, command, edits, args, prefix):
+    text = default_scenario()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    rc = main([command, chain_file(tmp_path, text), *args])
+    assert_one_line_error(capsys, rc, prefix, code=3)
+
+
+@pytest.mark.parametrize("error", [
+    NoConvergence("Riccati iteration stalled"),
+    NonPositiveAlpha("lambda_max of the design inequality is 1e-3 (must be < 0)"),
+])
+def test_synthesis_errors_map_to_exit_3(tmp_path, capsys, monkeypatch, error):
+    def fail(*_args, **_kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "synthesize", fail)
+    rc = main(["bound", chain_file(tmp_path)])
+    assert_one_line_error(capsys, rc, "synthesis failed:", str(error), code=3)
+
+
+@pytest.mark.parametrize("command", ["validate", "bound"])
+@pytest.mark.parametrize("weight,words", [
+    ("1 0; 0 -1", "must be positive definite"),
+    ("1 2; 3 4", "not symmetric"),
+    ("1 0 0; 0 1 0; 0 0 1", "must be 2x2, got 3x3"),
+])
+def test_are_weight_checked_at_parse(tmp_path, capsys, command, weight, words):
+    text = default_scenario().replace("are_weight = 4 0; 0 1", f"are_weight = {weight}")
+    rc = main([command, chain_file(tmp_path, text)])
+    assert_one_line_error(capsys, rc, "scenario error: [controller].are_weight:", words)
+
+
+def test_step_budget_exits_1_with_one_line(tmp_path, capsys):
+    rc = main(["simulate", chain_file(tmp_path), "--h", "1e-300", "--out", str(tmp_path / "out")])
+    assert_one_line_error(capsys, rc, "scenario error:", "recorded values")
+    assert not (tmp_path / "out").exists()
+
+
+def test_plot_script_reads_the_csv_columns(tmp_path):
+    text = CHAIN_TEXT.replace(
+        "kind = continuous_static\nkappa = 0.1",
+        "kind = adaptive\nkappa = 0.1\ntaus = 1\nphis = 0.1\nd0 = 0",
+    )
+    out_dir = tmp_path / "out"
+    assert main(["simulate", chain_file(tmp_path, text), "--out", str(out_dir)]) == 0
+    header = (out_dir / "trajectory.csv").read_text().splitlines()[0].split(",")
+    series = [line for line in (out_dir / "plot.gp").read_text().splitlines() if "using 1:" in line]
+    # follower 1 dash-dot, leader 2 solid, then the adaptive gain
+    assert [(header[int(line.split("using 1:")[1].split()[0]) - 1], "dashtype 4" in line) for line in series] == [
+        ("x1_1", True), ("x2_1", False), ("d_1", False)
+    ]

@@ -33,11 +33,7 @@ def test_as_matrix_rejects_bad_input():
 
 
 def test_sym_eigs_frozen_two_by_two():
-    res = sym_eigs([[2.0, 1.0], [1.0, 2.0]])
-    assert np.allclose(res.values, [1.0, 3.0])
-    s = 1.0 / math.sqrt(2.0)
-    assert np.allclose(res.vectors[:, 0], [s, -s])
-    assert np.allclose(res.vectors[:, 1], [s, s])
+    assert np.allclose(sym_eigs([[2.0, 1.0], [1.0, 2.0]]), [1.0, 3.0])
 
 
 def test_sym_eigs_properties_random():
@@ -46,41 +42,24 @@ def test_sym_eigs_properties_random():
         n = int(rng.integers(1, 7))
         m = rng.standard_normal((n, n))
         s = m + m.T
-        res = sym_eigs(s)
-        assert np.all(np.diff(res.values) >= -1e-12)
-        for j in range(n):
-            v = res.vectors[:, j]
-            assert abs(np.linalg.norm(v) - 1.0) < 1e-10
-            assert np.linalg.norm(s @ v - res.values[j] * v) < 1e-8 * (1 + frobenius(s))
-        assert np.allclose(res.vectors.T @ res.vectors, np.eye(n), atol=1e-10)
+        values = sym_eigs(s)
+        assert np.all(np.diff(values) >= -1e-12)
+        assert abs(np.sum(values) - np.trace(s)) < 1e-10 * (1 + frobenius(s))
+        for lam in values:
+            # each value makes s - lam I singular
+            assert np.linalg.svd(s - lam * np.eye(n), compute_uv=False)[-1] < 1e-8 * (1 + frobenius(s))
 
 
-def test_sym_eigs_sign_convention_is_deterministic():
-    res = sym_eigs([[0.0, 1.0], [1.0, 0.0]])
-    for j in range(2):
-        col = res.vectors[:, j]
-        assert col[int(np.argmax(np.abs(col)))] > 0.0
-
-
-def test_sym_eigs_sign_matches_per_column_loop():
-    def loop_signs(vectors):
-        vectors = vectors.copy()
-        for j in range(vectors.shape[1]):
-            col = vectors[:, j]
-            lead = int(np.argmax(np.abs(col)))
-            if col[lead] < 0.0:
-                vectors[:, j] = -col
-        return vectors
-
-    rng = np.random.default_rng(17)
-    # each of the first three has a column whose largest magnitude is tied
-    cases = [np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[2.0, 1.0], [1.0, 2.0]]), np.ones((4, 4))]
-    for _ in range(50):
+def test_sym_eigs_returns_ascending_values_of_eigh():
+    # eigh, not eigvalsh: the two differ in the last bit on some inputs, and
+    # lambda_min(L1) feeds the closed-loop dynamics
+    rng = np.random.default_rng(5)
+    for _ in range(20):
         m = rng.standard_normal((int(rng.integers(1, 9)),) * 2)
-        cases.append(m + m.T)
-    for s in cases:
-        raw = np.linalg.eigh(0.5 * (s + s.T)).eigenvectors
-        assert np.array_equal(sym_eigs(s).vectors, loop_signs(raw))
+        s = m + m.T
+        values = sym_eigs(s)
+        assert isinstance(values, np.ndarray)
+        assert np.array_equal(values, np.linalg.eigh(0.5 * (s + s.T))[0])
 
 
 def test_sym_eigs_rejects_asymmetric():
@@ -132,7 +111,7 @@ def test_lyap_solve_residual_and_symmetry():
         res = f @ x + x @ f.T + np.eye(n)
         assert frobenius(res) < 1e-8
         assert frobenius(x - x.T) < 1e-8
-        assert sym_eigs(0.5 * (x + x.T)).values[0] > 0.0
+        assert sym_eigs(0.5 * (x + x.T))[0] > 0.0
 
 
 def test_lyap_solve_singular_pair():
@@ -186,7 +165,7 @@ def test_care_random_pairs_stabilize():
         x = care_solve(a, b, np.eye(n))
         res = a.T @ x + x @ a - x @ b @ b.T @ x + np.eye(n)
         assert frobenius(res) < 1e-9
-        assert sym_eigs(x).values[0] > 0.0
+        assert sym_eigs(x)[0] > 0.0
         assert is_hurwitz(a - b @ (b.T @ x))
 
 

@@ -1,9 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from contain.control import (
+    KINDS,
     ControllerConfig,
     LeaderInputSpec,
     LinearSystem,
@@ -11,14 +13,19 @@ from contain.control import (
 )
 from contain.graph import build_topology, partition_laplacian
 from contain.sim import (
+    MAX_RECORDED_VALUES,
+    HorizonTooLong,
+    Metrics,
     NonFiniteState,
     Scenario,
+    Verdict,
     compute_metrics,
     containment_error,
     integrate,
     lyapunov_v1,
     make_evaluator,
     rk4_step,
+    run_verdict,
 )
 from contain.synthesis import compute_bound_report, synthesize
 
@@ -132,7 +139,7 @@ def test_lyapunov_v1_matches_dense_form():
 def test_continuous_run_converges_and_certifies():
     scn, gains, part = chain_scenario()
     traj = integrate(scn, gains, part)
-    bounds = compute_bound_report(gains, part, 1, 0.1, [1.0])
+    bounds = compute_bound_report(gains, part, scn.controller, [1.0])
     metrics = compute_metrics(traj, bounds, gains)
     assert traj.xi_norm[-1] < 1e-2
     assert metrics.d1_certified
@@ -146,8 +153,7 @@ def test_continuous_run_converges_and_certifies():
 def test_adaptive_run_gains_stay_bounded():
     scn, gains, part = chain_scenario(kind="adaptive")
     traj = integrate(scn, gains, part)
-    bounds = compute_bound_report(gains, part, 1, 0.1, [1.0],
-                                  phis=[0.1], taus=[1.0])
+    bounds = compute_bound_report(gains, part, scn.controller, [1.0])
     metrics = compute_metrics(traj, bounds, gains)
     assert traj.adaptive_gains is not None
     assert np.isfinite(traj.adaptive_gains).all()
@@ -228,8 +234,57 @@ def test_scenario_validation():
 def test_tail_window_fraction():
     scn, gains, part = chain_scenario(t_end=1.0, h=0.01)
     traj = integrate(scn, gains, part)
-    bounds = compute_bound_report(gains, part, 1, 0.1, [1.0])
+    bounds = compute_bound_report(gains, part, scn.controller, [1.0])
     # with tail_fraction 0.5 the sup is taken over t >= 0.495, i.e. half the rows
     m_half = compute_metrics(traj, bounds, gains, tail_fraction=0.5)
     m_tiny = compute_metrics(traj, bounds, gains, tail_fraction=0.01)
     assert m_tiny.tail_sup_xi_sq <= m_half.tail_sup_xi_sq
+
+
+def test_run_verdict_rule():
+    def metrics(d1, d2):
+        return Metrics(tail_sup_xi_sq=0.1, d1_certified=d1, envelope_violations=0,
+                       chattering_index=0.0, d2_certified=d2)
+
+    clean = SimpleNamespace(assumption2_violations=0)
+    assert run_verdict("continuous_static", metrics(True, None), clean) == Verdict(True)
+    assert run_verdict("continuous_static", metrics(False, None), clean) == Verdict(False)
+    assert run_verdict("adaptive", metrics(True, True), clean) == Verdict(True)
+    assert run_verdict("adaptive", metrics(True, False), clean) == Verdict(False)
+    # varrho >= alpha leaves no D2, so no adaptive certificate
+    assert run_verdict("adaptive", metrics(True, None), clean) == Verdict(False)
+    # the discontinuous and observer-based laws assert no radius
+    for kind in ("discontinuous_static", "observer_based"):
+        assert run_verdict(kind, metrics(False, None), clean) == Verdict(True)
+    # a leader input over its bound voids every certificate
+    for kind in KINDS:
+        verdict = run_verdict(kind, metrics(True, True), SimpleNamespace(assumption2_violations=3))
+        assert not verdict.certified
+        assert verdict.reason.startswith("3 leader input samples exceed")
+    assert (Verdict(True).label, Verdict(False).label) == ("certified", "not certified")
+
+
+def test_step_budget_admits_the_default_horizon_ring():
+    m = 510
+    adjacency = np.zeros((m + 2, m + 2))
+    for i in range(m):
+        adjacency[i, (i + 1) % m] = adjacency[(i + 1) % m, i] = 1.0
+    adjacency[0, m] = adjacency[m // 2, m + 1] = 1.0
+    leader = LeaderInputSpec(feedback_gain=np.zeros((1, 2)), sinusoids=(), gamma=1.0)
+
+    def ring(t_end):
+        return Scenario(
+            system=LinearSystem(A=[[0.0, 1.0], [-1.0, 1.0]], B=[[0.0], [1.0]], C=np.eye(2)),
+            topology=build_topology(adjacency),
+            controller=ControllerConfig(kind="adaptive", kappa=0.1, taus=[5.0] * m,
+                                        phis=[0.005] * m, d0=[0.0] * m),
+            leader_specs=(leader, leader), x0=np.zeros((m + 2, 2)), t_end=t_end, h=1e-3,
+        )
+
+    # 20 000 steps of 512 states, 512 inputs and 510 adaptive gains
+    assert 20_000 * (512 * 3 + 510) <= MAX_RECORDED_VALUES
+    ring(20.0)
+    with pytest.raises(HorizonTooLong):
+        ring(100.0)
+    with pytest.raises(HorizonTooLong):
+        ring(math.inf)

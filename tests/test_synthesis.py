@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from contain.control import LinearSystem
+from contain.control import ControllerConfig, LinearSystem
 from contain.graph import build_topology, partition_laplacian
 from contain.matlib import frobenius, is_hurwitz, sym_eigs
 from contain.synthesis import (
     EmptyGammas,
     VarrhoTooLarge,
-    bound_D1,
-    bound_D2,
     compute_alpha,
     compute_beta,
     compute_bound_report,
@@ -37,8 +35,8 @@ def test_solve_P_scalar_oracle():
 def test_solve_P_satisfies_lmi():
     p = solve_P(A2, B2)
     lmi = lmi_matrix(A2, B2, p)
-    assert sym_eigs(lmi).values[-1] < -1e-6
-    assert sym_eigs(p).values[0] > 0.0
+    assert sym_eigs(lmi)[-1] < -1e-6
+    assert sym_eigs(p)[0] > 0.0
 
 
 def test_solve_P_frozen_oscillator():
@@ -105,25 +103,45 @@ def test_varrho_is_max_product():
     assert compute_varrho([0.1, 0.001], [1.0, 30.0]) == pytest.approx(0.1)
 
 
+def three_agent_design():
+    topo = build_topology([[0, 1, 1], [1, 0, 1], [0, 0, 0]])
+    part = partition_laplacian(topo)
+    system = LinearSystem(A=A2, B=B2, C=np.eye(2))
+    return part, synthesize(system, part, [3.0])
+
+
+def adaptive_config(phi, tau):
+    return ControllerConfig(kind="adaptive", kappa=0.1, taus=[tau] * 2, phis=[phi] * 2, d0=[0.0] * 2)
+
+
 def test_bound_D1_positive_and_monotone_in_kappa():
-    p = solve_P(A2, B2)
-    alpha = compute_alpha(A2, B2, p)
-    lam = 0.5857864376269045
-    d_small = bound_D1(alpha, p, 6, 0.05, 6.0, lam)
-    d_big = bound_D1(alpha, p, 6, 0.1, 6.0, lam)
-    assert 0.0 < d_small < d_big
+    part, gains = three_agent_design()
+    p_max = float(np.linalg.eigvalsh(gains.P)[-1])
+    radii = []
+    for kappa in (0.05, 0.1):
+        cfg = ControllerConfig(kind="continuous_static", kappa=kappa)
+        radii.append(compute_bound_report(gains, part, cfg, [3.0]).d1_radius_sq)
+        # D1 = 2 lambda_max(P) M kappa gamma_max / (alpha lambda_min(L1)), M = 2
+        assert radii[-1] == pytest.approx(
+            2.0 * p_max * 2 * kappa * 3.0 / (gains.alpha * part.lambda_min_L1)
+        )
+    assert 0.0 < radii[0] < radii[1]
+    # the ideal discontinuous law has no boundary layer, so D1 = 0
+    disc = compute_bound_report(gains, part, ControllerConfig(kind="discontinuous_static"), [3.0])
+    assert disc.d1_radius_sq == 0.0
 
 
 def test_bound_D2_requires_slow_leakage():
-    p = solve_P(A2, B2)
-    alpha = compute_alpha(A2, B2, p)
-    lam = 0.5857864376269045
-    beta = compute_beta([6.0, 4.0], lam)
-    d2, varrho = bound_D2(alpha, p, 6, 0.1, beta, [0.005] * 6, [5.0] * 6, lam)
-    assert varrho == pytest.approx(0.025)
-    assert d2 > 0.0
-    with pytest.raises(VarrhoTooLarge):
-        bound_D2(alpha, p, 6, 0.1, beta, [1.0] * 6, [5.0] * 6, lam)
+    part, gains = three_agent_design()
+    rep = compute_bound_report(gains, part, adaptive_config(0.005, 5.0), [3.0])
+    assert rep.varrho == pytest.approx(0.025)
+    assert rep.d2_radius_sq > 0.0
+    # varrho >= alpha: no adaptive residual set, but varrho is still reported
+    fast = compute_bound_report(gains, part, adaptive_config(1.0, 5.0), [3.0])
+    assert fast.varrho == pytest.approx(5.0) and fast.varrho >= gains.alpha
+    assert fast.d2_radius_sq is None
+    assert fast.d1_radius_sq == rep.d1_radius_sq
+    assert str(VarrhoTooLarge(fast.varrho, gains.alpha)).startswith("varrho = 5 must be below alpha")
 
 
 def test_observer_gain_stabilizes_estimator():
@@ -155,19 +173,16 @@ def test_synthesize_with_custom_weight_changes_gain():
     heavy = synthesize(system, part, [1.0], are_weight=np.diag([4.0, 1.0]))
     assert frobenius(heavy.K) > frobenius(plain.K)
     lmi = lmi_matrix(A2, B2, heavy.P)
-    assert sym_eigs(lmi).values[-1] < -1e-6
+    assert sym_eigs(lmi)[-1] < -1e-6
 
 
 def test_bound_report_fields():
-    topo = build_topology([[0, 1, 1], [1, 0, 1], [0, 0, 0]])
-    part = partition_laplacian(topo)
-    system = LinearSystem(A=A2, B=B2, C=np.eye(2))
-    gains = synthesize(system, part, [3.0])
-    rep = compute_bound_report(gains, part, 2, 0.1, [3.0])
+    part, gains = three_agent_design()
+    rep = compute_bound_report(gains, part, ControllerConfig(kind="continuous_static", kappa=0.1), [3.0])
     assert rep.d1_radius_sq > 0.0
     assert rep.envelope_offset > 0.0
     assert rep.d2_radius_sq is None
-    rep2 = compute_bound_report(gains, part, 2, 0.1, [3.0],
-                                phis=[0.01, 0.01], taus=[2.0, 2.0])
+    assert rep.varrho is None
+    rep2 = compute_bound_report(gains, part, adaptive_config(0.01, 2.0), [3.0])
     assert rep2.varrho == pytest.approx(0.02)
     assert rep2.d2_radius_sq > 0.0
