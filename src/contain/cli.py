@@ -53,7 +53,6 @@ from .matlib import (
     sym_eigs,
 )
 from .sim import (
-    HorizonTooLong,
     Metrics,
     NonFiniteState,
     Scenario,
@@ -258,26 +257,13 @@ def _sinusoids(value: _Value, field: str, n_channels: int) -> tuple:
     return tuple(out)
 
 
-@dataclass
-class ParsedScenario:
-    """A scenario file after parsing and overrides, before synthesis."""
-
-    system: LinearSystem
-    topology: Topology
-    controller: ControllerConfig
-    c1_scale: float
-    c2_scale: float
-    are_weight: Optional[np.ndarray]
-    leader_specs: tuple          # canonical leader order
-    x0_user: np.ndarray          # rows in file (user) order
-    v0_user: Optional[np.ndarray]
-    t_end: float
-    h: float
-    tail_fraction: float
-
-    @property
-    def gammas(self) -> list:
-        return [spec.gamma for spec in self.leader_specs]
+def _scalars(sections, section: str, keys) -> dict:
+    """The finite numbers given for those keys of a section; absent keys are left out."""
+    return {
+        key: _scalar(value, f"[{section}].{key}")
+        for key in keys
+        if (value := _get(sections, section, key)) is not None
+    }
 
 
 def parse_scenario(
@@ -287,8 +273,14 @@ def parse_scenario(
     kappa: Optional[float] = None,
     h: Optional[float] = None,
     t_end: Optional[float] = None,
-) -> ParsedScenario:
-    """Parse scenario text and apply command-line overrides."""
+) -> Scenario:
+    """Parse scenario text and apply command-line overrides.
+
+    Syntax and the checks whose message names something the runtime types
+    cannot (a line, a leader, a 1-based channel) are made here; every other
+    rule is checked once, by ControllerConfig, LeaderInputSpec or Scenario,
+    and reported as a ScenarioParseError.
+    """
     for name, value in (("--kappa", kappa), ("--h", h), ("--t-end", t_end)):
         if value is not None and not math.isfinite(value):
             raise ScenarioParseError(f"expected a finite number, got {value!r}", field=name)
@@ -327,43 +319,17 @@ def parse_scenario(
             field="[controller].kind",
         )
 
-    kappa_value = _get(sections, "controller", "kappa")
-    file_kappa = (
-        _scalar(kappa_value, "[controller].kappa") if kappa_value is not None else None
-    )
-    eff_kappa = kappa if kappa is not None else file_kappa
+    params = _scalars(sections, "controller", ("kappa", "c1_scale", "c2_scale"))
+    if kappa is not None:
+        params["kappa"] = kappa
     if kind == DISCONTINUOUS_STATIC:
-        eff_kappa = None
-
-    taus = phis = d0 = None
+        params.pop("kappa", None)
     if kind == ADAPTIVE:
-        taus = _vector(_require(sections, "controller", "taus"), "[controller].taus")
-        phis = _vector(_require(sections, "controller", "phis"), "[controller].phis")
+        for key in ("taus", "phis"):
+            params[key] = _vector(_require(sections, "controller", key), f"[controller].{key}")
         d0_value = _get(sections, "controller", "d0")
-        d0 = (
-            _vector(d0_value, "[controller].d0")
-            if d0_value is not None
-            else np.zeros(m)
-        )
-        for name, vec in (("taus", taus), ("phis", phis), ("d0", d0)):
-            if vec.shape != (m,):
-                raise ScenarioParseError(
-                    f"{name} must list one value per follower ({m}), got {vec.shape[0]}",
-                    field=f"[controller].{name}",
-                )
-    try:
-        controller = ControllerConfig(kind=kind, kappa=eff_kappa, taus=taus, phis=phis, d0=d0)
-    except ValueError as exc:
-        raise ScenarioParseError(str(exc), field="[controller]") from None
-
-    def scale(key):
-        value = _get(sections, "controller", key)
-        return _scalar(value, f"[controller].{key}") if value is not None else 1.0
-
-    c1_scale = scale("c1_scale")
-    c2_scale = scale("c2_scale")
+        params["d0"] = _vector(d0_value, "[controller].d0") if d0_value is not None else np.zeros(m)
     weight_value = _get(sections, "controller", "are_weight")
-    are_weight = None
     if weight_value is not None:
         where = "[controller].are_weight"
         are_weight = _matrix(weight_value, where)
@@ -377,6 +343,11 @@ def parse_scenario(
             raise ScenarioParseError(str(exc), field=where) from None
         if not positive:
             raise ScenarioParseError("must be positive definite", field=where)
+        params["are_weight"] = are_weight
+    try:
+        controller = ControllerConfig(kind=kind, **params)
+    except ValueError as exc:
+        raise ScenarioParseError(str(exc), field="[controller]") from None
 
     if "leaders" not in sections:
         raise ScenarioParseError("missing section [leaders]", field="leaders")
@@ -415,10 +386,6 @@ def parse_scenario(
                 field=f"[leaders].{label}.gamma",
             )
         gamma = _scalar(fields["gamma"], f"[leaders].{label}.gamma")
-        if gamma <= 0.0:
-            raise ScenarioParseError(
-                "gamma must be positive", field=f"[leaders].{label}.gamma"
-            )
         if "gain" in fields:
             gain = _matrix(fields["gain"], f"[leaders].{label}.gain")
             if gain.shape != (system.p, n):
@@ -433,95 +400,46 @@ def parse_scenario(
             if "sinusoids" in fields
             else ()
         )
-        leader_specs.append(
-            LeaderInputSpec(feedback_gain=gain, sinusoids=sins, gamma=gamma)
-        )
+        try:
+            leader_specs.append(LeaderInputSpec(feedback_gain=gain, sinusoids=sins, gamma=gamma))
+        except ValueError as exc:
+            raise ScenarioParseError(str(exc), field=f"[leaders].{label}") from None
+
+    def canonical(rows):
+        """File-order agent rows in canonical order; Scenario rejects a wrong row count."""
+        return rows[list(topology.user_positions)] if len(rows) == n_agents else rows
 
     x0 = _matrix(_require(sections, "sim", "x0"), "[sim].x0")
-    if x0.shape != (n_agents, n):
-        raise ScenarioParseError(
-            f"x0 must be {n_agents}x{n} (one row per agent), got {x0.shape[0]}x{x0.shape[1]}",
-            field="[sim].x0",
-        )
     v0_value = _get(sections, "sim", "v0")
     v0 = _matrix(v0_value, "[sim].v0") if v0_value is not None else None
-    if v0 is not None and v0.shape != (n_agents, n):
-        raise ScenarioParseError(
-            f"v0 must be {n_agents}x{n}, got {v0.shape[0]}x{v0.shape[1]}",
-            field="[sim].v0",
+    if kind == OBSERVER_BASED:
+        v0 = np.zeros((n_agents, n)) if v0 is None else canonical(v0)
+    elif v0 is not None:
+        # only the observer-based law reads v0, so Scenario never sees this one
+        if v0.shape != (n_agents, n):
+            raise ScenarioParseError(
+                f"v0 must be {n_agents}x{n}, got {v0.shape[0]}x{v0.shape[1]}", field="[sim].v0"
+            )
+        v0 = None
+    grid = _scalars(sections, "sim", ("t_end", "h", "tail_fraction"))
+    grid.update((key, value) for key, value in (("t_end", t_end), ("h", h)) if value is not None)
+    try:
+        return Scenario(
+            system=system,
+            topology=topology,
+            controller=controller,
+            leader_specs=tuple(leader_specs),
+            x0=canonical(x0),
+            v0=v0,
+            **grid,
         )
-    if kind == OBSERVER_BASED and v0 is None:
-        v0 = np.zeros((n_agents, n))
-
-    def sim_scalar(key, default):
-        value = _get(sections, "sim", key)
-        return _scalar(value, f"[sim].{key}") if value is not None else default
-
-    eff_t_end = t_end if t_end is not None else sim_scalar("t_end", 20.0)
-    eff_h = h if h is not None else sim_scalar("h", 1e-3)
-    tail_fraction = sim_scalar("tail_fraction", 0.2)
-    if eff_h <= 0.0:
-        raise ScenarioParseError("h must be positive", field="[sim].h")
-    if eff_t_end < eff_h:
-        raise ScenarioParseError("t_end must be at least h", field="[sim].t_end")
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ScenarioParseError(
-            "tail_fraction must be in (0, 1]", field="[sim].tail_fraction"
-        )
-
-    return ParsedScenario(
-        system=system,
-        topology=topology,
-        controller=controller,
-        c1_scale=c1_scale,
-        c2_scale=c2_scale,
-        are_weight=are_weight,
-        leader_specs=tuple(leader_specs),
-        x0_user=x0,
-        v0_user=v0,
-        t_end=eff_t_end,
-        h=eff_h,
-        tail_fraction=tail_fraction,
-    )
+    except ValueError as exc:
+        raise ScenarioParseError(str(exc)) from None
 
 
-def load_scenario(path: str, **overrides) -> ParsedScenario:
+def load_scenario(path: str, **overrides) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_scenario(fh.read(), **overrides)
-
-
-# ---------------------------------------------------------------------------
-# runtime assembly
-
-
-def _build_scenario(parsed: ParsedScenario) -> Scenario:
-    perm = list(parsed.topology.user_positions)
-    x0 = parsed.x0_user[perm]
-    v0 = None
-    if parsed.controller.kind == OBSERVER_BASED:
-        v0 = parsed.v0_user[perm]
-    return Scenario(
-        system=parsed.system,
-        topology=parsed.topology,
-        controller=parsed.controller,
-        leader_specs=parsed.leader_specs,
-        x0=x0,
-        v0=v0,
-        t_end=parsed.t_end,
-        h=parsed.h,
-    )
-
-
-def _synthesize(parsed: ParsedScenario, part) -> GainSet:
-    return synthesize(
-        parsed.system,
-        part,
-        parsed.gammas,
-        are_weight=parsed.are_weight,
-        c1_scale=parsed.c1_scale,
-        c2_scale=parsed.c2_scale,
-        with_observer=parsed.controller.kind == OBSERVER_BASED,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +505,7 @@ def write_trajectory_csv(path: str, topology: Topology, traj: Trajectory) -> Non
 
 def write_metrics(
     path: str,
-    parsed: ParsedScenario,
+    scn: Scenario,
     gains: GainSet,
     part,
     bounds: BoundReport,
@@ -595,12 +513,12 @@ def write_metrics(
     traj: Trajectory,
     verdict: Verdict,
 ) -> None:
-    cfg = parsed.controller
+    cfg = scn.controller
     lines = [
         f"kind = {cfg.kind}",
         f"steps = {len(traj.times)}",
-        f"h = {parsed.h!r}",
-        f"t_end = {parsed.t_end!r}",
+        f"h = {scn.h!r}",
+        f"t_end = {scn.t_end!r}",
         f"alpha = {gains.alpha!r}",
         f"lambda_min_L1 = {part.lambda_min_L1!r}",
         f"beta = {bounds.beta!r}",
@@ -668,8 +586,7 @@ def write_plot_script(path: str, topology: Topology, traj: Trajectory) -> None:
 
 
 def cmd_validate(path: str, **overrides) -> int:
-    parsed = load_scenario(path, **overrides)
-    topo = parsed.topology
+    topo = load_scenario(path, **overrides).topology
     print(f"agents: {topo.n_agents} (followers {topo.n_followers}, leaders {topo.n_leaders})")
     print("follower labels:", " ".join(str(x) for x in topo.follower_labels))
     print("leader labels:", " ".join(str(x) for x in topo.leader_labels))
@@ -700,10 +617,10 @@ def _gains_sidecar_path(scenario_path: str) -> str:
 
 
 def cmd_synth(path: str, **overrides) -> int:
-    parsed = load_scenario(path, **overrides)
-    part = partition_laplacian(parsed.topology)
-    gains = _synthesize(parsed, part)
-    lmi_max = float(sym_eigs(lmi_matrix(parsed.system.A, parsed.system.B, gains.P))[-1])
+    scn = load_scenario(path, **overrides)
+    part = partition_laplacian(scn.topology)
+    gains = synthesize(scn.system, part, scn.gammas, scn.controller)
+    lmi_max = float(sym_eigs(lmi_matrix(scn.system.A, scn.system.B, gains.P))[-1])
     print("P =")
     print(_fmt_matrix(gains.P))
     print("K =")
@@ -739,11 +656,11 @@ def cmd_synth(path: str, **overrides) -> int:
 
 
 def cmd_bound(path: str, **overrides) -> int:
-    parsed = load_scenario(path, **overrides)
-    cfg = parsed.controller
-    part = partition_laplacian(parsed.topology)
-    gains = _synthesize(parsed, part)
-    bounds = compute_bound_report(gains, part, cfg, parsed.gammas)
+    scn = load_scenario(path, **overrides)
+    cfg = scn.controller
+    part = partition_laplacian(scn.topology)
+    gains = synthesize(scn.system, part, scn.gammas, cfg)
+    bounds = compute_bound_report(gains, part, cfg, scn.gammas)
     if cfg.kind == ADAPTIVE and bounds.d2_radius_sq is None:
         raise VarrhoTooLarge(bounds.varrho, gains.alpha)
     print(f"alpha = {_fmt(gains.alpha)}")
@@ -757,30 +674,29 @@ def cmd_bound(path: str, **overrides) -> int:
 
 
 def cmd_simulate(path: str, out_dir: str, **overrides) -> int:
-    parsed = load_scenario(path, **overrides)
-    cfg = parsed.controller
-    part = partition_laplacian(parsed.topology)
-    gains = _synthesize(parsed, part)
+    scn = load_scenario(path, **overrides)
+    cfg = scn.controller
+    part = partition_laplacian(scn.topology)
+    gains = synthesize(scn.system, part, scn.gammas, cfg)
 
-    bounds = compute_bound_report(gains, part, cfg, parsed.gammas)
+    bounds = compute_bound_report(gains, part, cfg, scn.gammas)
     if cfg.kind == ADAPTIVE and bounds.d2_radius_sq is None:
         print(f"note: {VarrhoTooLarge(bounds.varrho, gains.alpha)}")
 
-    scn = _build_scenario(parsed)
     traj = integrate(scn, gains, part)
-    metrics = compute_metrics(traj, bounds, gains, tail_fraction=parsed.tail_fraction)
+    metrics = compute_metrics(traj, bounds, gains, scn.tail_fraction)
     verdict = run_verdict(cfg.kind, metrics, traj)
 
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "trajectory.csv")
-    write_trajectory_csv(csv_path, parsed.topology, traj)
+    write_trajectory_csv(csv_path, scn.topology, traj)
     write_metrics(
         os.path.join(out_dir, "metrics.txt"),
-        parsed, gains, part, bounds, metrics, traj, verdict,
+        scn, gains, part, bounds, metrics, traj, verdict,
     )
-    write_plot_script(os.path.join(out_dir, "plot.gp"), parsed.topology, traj)
+    write_plot_script(os.path.join(out_dir, "plot.gp"), scn.topology, traj)
 
-    print(f"integrated {len(traj.times)} steps of h = {parsed.h} ({cfg.kind})")
+    print(f"integrated {len(traj.times)} steps of h = {scn.h} ({cfg.kind})")
     print(f"tail sup |xi|^2 = {_fmt(metrics.tail_sup_xi_sq)}")
     print(f"D1 radius^2 = {_fmt(bounds.d1_radius_sq)} (certified: {metrics.d1_certified})")
     if cfg.kind == ADAPTIVE:
@@ -927,7 +843,7 @@ def main(argv=None) -> int:
     except BadTolerance as exc:
         print(f"bad CONTAIN_TOL: {exc}", file=sys.stderr)
         return 1
-    except (ScenarioParseError, HorizonTooLong) as exc:
+    except ScenarioParseError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 1
     except BadAdjacency as exc:

@@ -95,8 +95,8 @@ class LeaderInputSpec:
         gain = as_matrix(self.feedback_gain, "feedback_gain")
         object.__setattr__(self, "feedback_gain", gain)
         object.__setattr__(self, "sinusoids", tuple(self.sinusoids))
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be a finite number > 0, got {self.gamma!r}")
         for s in self.sinusoids:
             if not 0 <= s.channel < gain.shape[0]:
                 raise ValueError(f"sinusoid channel {s.channel} out of range")
@@ -104,17 +104,31 @@ class LeaderInputSpec:
 
 @dataclass(frozen=True, eq=False)
 class ControllerConfig:
-    """Which law the followers run and its parameters; the gains come from synthesis."""
+    """Which law the followers run, its parameters and its design parameters.
+
+    The design parameters are read by synthesis: c1_scale and c2_scale (>= 1)
+    multiply the certified floors of the coupling gains c1 and c2, and
+    are_weight is the Riccati state weight (identity when None). The gains
+    themselves come from synthesis.
+    """
 
     kind: str
     kappa: Optional[float] = None
     taus: Optional[np.ndarray] = None
     phis: Optional[np.ndarray] = None
     d0: Optional[np.ndarray] = None
+    c1_scale: float = 1.0
+    c2_scale: float = 1.0
+    are_weight: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown controller kind {self.kind!r}")
+        for name, scale in (("c1_scale", self.c1_scale), ("c2_scale", self.c2_scale)):
+            if not 1.0 <= scale < math.inf:
+                raise ValueError(f"{name} must be a finite number >= 1, got {scale!r}")
+        if self.are_weight is not None:
+            object.__setattr__(self, "are_weight", as_matrix(self.are_weight, "are_weight"))
         if self.kind != DISCONTINUOUS_STATIC:
             if self.kappa is None or not 0.0 < self.kappa < math.inf:
                 raise ValueError(f"{self.kind} requires a finite kappa > 0")
@@ -123,7 +137,10 @@ class ControllerConfig:
             phis = np.asarray(self.phis, dtype=float)
             d0 = np.asarray(self.d0, dtype=float)
             if taus.ndim != 1 or phis.shape != taus.shape or d0.shape != taus.shape:
-                raise ValueError("taus, phis and d0 must be equal-length vectors")
+                raise ValueError(
+                    "taus, phis and d0 must be equal-length vectors, got shapes "
+                    f"{taus.shape}, {phis.shape} and {d0.shape}"
+                )
             if not np.all(taus > 0.0):
                 raise ValueError("taus must be positive")
             if not np.all(phis >= 0.0):

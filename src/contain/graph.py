@@ -78,13 +78,12 @@ class Assumption1Report:
 class LaplacianPartition:
     """Laplacian blocks for a leader-follower network.
 
-    L is the full N x N Laplacian; with followers first it has the shape
-    [[L1, L2], [0, 0]]. W = -L1^-1 L2 maps leader states to the hull points
-    the followers are steered to, and lambda_min_L1 is the smallest eigenvalue
-    of L1 (positive exactly when the standing assumption holds).
+    With followers first the N x N Laplacian has the shape [[L1, L2], [0, 0]].
+    W = -L1^-1 L2 maps leader states to the hull points the followers are
+    steered to, and lambda_min_L1 is the smallest eigenvalue of L1 (positive
+    exactly when the standing assumption holds).
     """
 
-    L: np.ndarray
     L1: np.ndarray
     L2: np.ndarray
     W: np.ndarray
@@ -220,7 +219,6 @@ def partition_laplacian(topology: Topology) -> LaplacianPartition:
     w = _hull_weights(l1, l2)
     lambda_min = float(sym_eigs(l1)[0])
     return LaplacianPartition(
-        L=_freeze(lap),
         L1=_freeze(l1),
         L2=_freeze(l2),
         W=_freeze(w),

@@ -209,24 +209,6 @@ def is_hurwitz(f) -> bool:
     return float(sym_eigs(w)[0]) > TOL.eig
 
 
-def _rank(m: np.ndarray, tol: float) -> int:
-    a = m.astype(float).copy()
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot_row = r + int(np.argmax(np.abs(a[r:, c])))
-        if abs(a[pivot_row, c]) <= tol:
-            continue
-        if pivot_row != r:
-            a[[r, pivot_row]] = a[[pivot_row, r]]
-        factors = a[r + 1:, c] / a[r, c]
-        a[r + 1:, c:] -= np.outer(factors, a[r, c:])
-        r += 1
-    return r
-
-
 def controllability_matrix(a, b) -> np.ndarray:
     a = _square(a, "a")
     b = as_matrix(b, "b")
@@ -241,9 +223,12 @@ def controllability_matrix(a, b) -> np.ndarray:
 
 
 def is_controllable(a, b) -> bool:
+    """Kalman rank test: the controllability matrix has full row rank.
+
+    Singular values at or below TOL.solve * ||ctrb||_F count as zero.
+    """
     ctrb = controllability_matrix(a, b)
-    tol = TOL.solve * frobenius(ctrb)
-    return _rank(ctrb, tol) == ctrb.shape[0]
+    return np.linalg.matrix_rank(ctrb, tol=TOL.solve * frobenius(ctrb)) == ctrb.shape[0]
 
 
 def care_solve(a, b, q, return_residuals: bool = False):

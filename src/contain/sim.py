@@ -55,7 +55,7 @@ from .synthesis import BoundReport, GainSet
 
 # Largest recording integrate may allocate, in float64 values: the states and
 # inputs of every step (0.8 GB). A 20 s run of the 510-follower adaptive ring
-# at h = 1e-3 records about 41 million.
+# at the default step h records about 41 million.
 MAX_RECORDED_VALUES = 10**8
 
 
@@ -75,10 +75,14 @@ class NonFiniteState(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Everything needed to run one closed-loop simulation.
+    """Everything needed to run one closed-loop simulation and certify it.
 
-    x0 (and v0 for observer designs) are in canonical followers-first order;
-    the CLI permutes user-ordered input before building one of these.
+    x0 (and v0, which only the observer-based law reads) hold one row per
+    agent in canonical followers-first order; parse_scenario permutes the
+    file's rows before building one of these. The recorded grid has
+    round(t_end / h) steps, and the certified tail is the final tail_fraction
+    of it. The rules that tie the parts together (shapes, counts, the
+    recording budget) and those on the grid are checked here, once.
     """
 
     system: LinearSystem
@@ -89,12 +93,15 @@ class Scenario:
     v0: Optional[np.ndarray] = None
     t_end: float = 20.0
     h: float = 1e-3
+    tail_fraction: float = 0.2
 
     def __post_init__(self):
         if self.h <= 0.0:
             raise ValueError("h must be positive")
         if self.t_end < self.h:
-            raise ValueError("t_end must be at least one step h")
+            raise ValueError("t_end must be at least h")
+        if not 0.0 < self.tail_fraction <= 1.0:
+            raise ValueError("tail_fraction must be in (0, 1]")
         n = self.system.n
         n_agents = self.topology.n_agents
         m = self.topology.n_followers
@@ -107,12 +114,7 @@ class Scenario:
                 f"t_end / h = {steps:.6g} steps recording {width} values each exceed "
                 f"the limit of {MAX_RECORDED_VALUES} recorded values; raise h or shorten t_end"
             )
-        x0 = np.asarray(self.x0, dtype=float)
-        if x0.shape != (n_agents, n):
-            raise ValueError(f"x0 must be {(n_agents, n)}, got {x0.shape}")
-        if not np.isfinite(x0).all():
-            raise ValueError("x0 contains non-finite entries")
-        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "x0", _agent_rows(self.x0, "x0", n_agents, n))
         object.__setattr__(self, "leader_specs", tuple(self.leader_specs))
         if len(self.leader_specs) != n_agents - m:
             raise ValueError(
@@ -127,14 +129,30 @@ class Scenario:
         if kind == OBSERVER_BASED:
             if self.v0 is None:
                 raise ValueError("observer-based scenario needs v0")
-            v0 = np.asarray(self.v0, dtype=float)
-            if v0.shape != (n_agents, n):
-                raise ValueError(f"v0 must be {(n_agents, n)}, got {v0.shape}")
-            object.__setattr__(self, "v0", v0)
+            object.__setattr__(self, "v0", _agent_rows(self.v0, "v0", n_agents, n))
         elif self.v0 is not None:
             raise ValueError("v0 only makes sense for observer-based scenarios")
         if kind == ADAPTIVE and self.controller.d0.shape != (m,):
-            raise ValueError(f"d0 must have length {m}")
+            raise ValueError(
+                f"taus, phis and d0 must list one value per follower ({m}), "
+                f"got {self.controller.d0.shape[0]}"
+            )
+
+    @property
+    def gammas(self) -> list:
+        """The leaders' declared input bounds gamma_j, in canonical order."""
+        return [spec.gamma for spec in self.leader_specs]
+
+
+def _agent_rows(rows, name: str, n_agents: int, n: int) -> np.ndarray:
+    """rows as a finite (n_agents, n) float array, or ValueError naming it."""
+    arr = np.asarray(rows, dtype=float)
+    if arr.shape != (n_agents, n):
+        got = "x".join(map(str, arr.shape))
+        raise ValueError(f"{name} must be {n_agents}x{n} (one row per agent), got {got}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return arr
 
 
 @dataclass(eq=False)
@@ -146,7 +164,6 @@ class Trajectory:
     leader_states: np.ndarray        # (S, N-M, n)
     follower_inputs: np.ndarray      # (S, M, p)
     leader_inputs: np.ndarray        # (S, N-M, p)
-    xi: np.ndarray                   # (S, M*n)
     xi_norm: np.ndarray              # (S,)
     v1: np.ndarray                   # (S,)
     assumption2_violations: int
@@ -272,8 +289,6 @@ def integrate(scn: Scenario, gains: GainSet, part: LaplacianPartition) -> Trajec
     h = scn.h
 
     steps = int(round(scn.t_end / h))
-    if steps < 1:
-        raise ValueError("horizon shorter than one step")
 
     pieces = [scn.x0.reshape(-1)]
     if cfg.kind == ADAPTIVE:
@@ -288,7 +303,7 @@ def integrate(scn: Scenario, gains: GainSet, part: LaplacianPartition) -> Trajec
         return evaluate(t, y)[0]
 
     p_inv = solve_linear(gains.P, np.eye(n))
-    gammas = np.array([spec.gamma for spec in scn.leader_specs])
+    gammas = np.array(scn.gammas)
 
     times = np.arange(steps) * h
     y_rec = np.empty((steps, y.shape[0]))
@@ -310,7 +325,6 @@ def integrate(scn: Scenario, gains: GainSet, part: LaplacianPartition) -> Trajec
             leader_states=xl,
             follower_inputs=uf_rec[:upto],
             leader_inputs=ul,
-            xi=xi,
             xi_norm=row_norms(xi),
             v1=lyapunov_v1(xi, part, gains.P, p_inv),
             assumption2_violations=int(np.count_nonzero(row_norms(ul) > gammas)),
@@ -346,7 +360,7 @@ def compute_metrics(
     traj: Trajectory,
     bounds: BoundReport,
     gains: GainSet,
-    tail_fraction: float = 0.2,
+    tail_fraction: float,
 ) -> Metrics:
     """Certification metrics over a completed trajectory.
 

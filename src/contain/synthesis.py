@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .control import ADAPTIVE, ControllerConfig
+from .control import ADAPTIVE, OBSERVER_BASED, ControllerConfig
 from .graph import LaplacianPartition
 from .matlib import (
     NotControllable,
@@ -112,26 +112,19 @@ def compute_Gamma(k) -> np.ndarray:
     return k.T @ k
 
 
-def coupling_gains(
-    part: LaplacianPartition,
-    gammas,
-    c1_scale: float = 1.0,
-    c2_scale: float = 1.0,
-) -> tuple[float, float]:
+def coupling_gains(part: LaplacianPartition, gammas, controller: ControllerConfig) -> tuple[float, float]:
     """Static coupling gains c1 = c1_scale / lambda_min(L1), c2 = c2_scale * max gamma.
 
-    The scales must be >= 1 so both gains stay at or above their certified
-    floors.
+    The controller's scales are >= 1, so both gains stay at or above their
+    certified floors.
     """
     gammas = [float(g) for g in gammas]
     if not gammas:
         raise EmptyGammas("need at least one leader input bound")
     if any(g <= 0.0 for g in gammas):
         raise ValueError("leader input bounds must be positive")
-    if c1_scale < 1.0 or c2_scale < 1.0:
-        raise ValueError("c1_scale and c2_scale must be >= 1")
-    c1 = c1_scale / part.lambda_min_L1
-    c2 = c2_scale * max(gammas)
+    c1 = controller.c1_scale / part.lambda_min_L1
+    c2 = controller.c2_scale * max(gammas)
     return c1, c2
 
 
@@ -192,23 +185,18 @@ def solve_observer_L(a, c) -> np.ndarray:
     return l_obs
 
 
-def synthesize(
-    system,
-    part: LaplacianPartition,
-    gammas,
-    *,
-    are_weight=None,
-    c1_scale: float = 1.0,
-    c2_scale: float = 1.0,
-    with_observer: bool = False,
-) -> GainSet:
-    """One-call synthesis: P, K, Gamma, coupling gains, alpha, optional L_obs."""
-    p = solve_P(system.A, system.B, are_weight)
+def synthesize(system, part: LaplacianPartition, gammas, controller: ControllerConfig) -> GainSet:
+    """One-call synthesis: P, K, Gamma, coupling gains, alpha, and L_obs for
+    the observer-based law.
+
+    The Riccati weight and the coupling-gain scales come from the controller.
+    """
+    p = solve_P(system.A, system.B, controller.are_weight)
     k = compute_K(p, system.B)
     gamma_mat = compute_Gamma(k)
-    c1, c2 = coupling_gains(part, gammas, c1_scale, c2_scale)
+    c1, c2 = coupling_gains(part, gammas, controller)
     alpha = compute_alpha(system.A, system.B, p)
-    l_obs = solve_observer_L(system.A, system.C) if with_observer else None
+    l_obs = solve_observer_L(system.A, system.C) if controller.kind == OBSERVER_BASED else None
     return GainSet(P=p, K=k, Gamma=gamma_mat, c1=c1, c2=c2, alpha=alpha, L_obs=l_obs)
 
 

@@ -12,7 +12,7 @@ from contain import cli
 from contain.graph import build_topology, partition_laplacian
 from contain.matlib import controllability_matrix, is_controllable
 from contain.sim import compute_metrics, integrate
-from contain.synthesis import compute_bound_report
+from contain.synthesis import compute_bound_report, synthesize
 
 
 def random_a1_topology(rng, n_max=10):
@@ -73,15 +73,12 @@ class DefaultRun:
     """One synthesized and simulated instance of the built-in scenario."""
 
     def __init__(self, kind, kappa=0.1):
-        parsed = cli.parse_scenario(cli.default_scenario(), controller=kind, kappa=kappa)
-        part = partition_laplacian(parsed.topology)
-        gains = cli._synthesize(parsed, part)
-        bounds = compute_bound_report(gains, part, parsed.controller, parsed.gammas)
-        scn = cli._build_scenario(parsed)
+        scn = cli.parse_scenario(cli.default_scenario(), controller=kind, kappa=kappa)
+        part = partition_laplacian(scn.topology)
+        gains = synthesize(scn.system, part, scn.gammas, scn.controller)
+        bounds = compute_bound_report(gains, part, scn.controller, scn.gammas)
         traj = integrate(scn, gains, part)
-        metrics = compute_metrics(traj, bounds, gains,
-                                  tail_fraction=parsed.tail_fraction)
-        self.parsed = parsed
+        metrics = compute_metrics(traj, bounds, gains, scn.tail_fraction)
         self.part = part
         self.gains = gains
         self.bounds = bounds

@@ -15,6 +15,7 @@ from contain.cli import (
     write_trajectory_csv,
 )
 from contain.matlib import TOL, NoConvergence
+from contain.sim import Scenario
 from contain.synthesis import NonPositiveAlpha
 
 CHAIN_TEXT = """\
@@ -48,16 +49,18 @@ def chain_file(tmp_path, text=CHAIN_TEXT, name="chain.scn"):
 
 
 def test_parse_default_scenario_roundtrip():
-    parsed = parse_scenario(default_scenario())
-    assert parsed.controller.kind == "adaptive"
-    assert parsed.controller.kappa == 0.1
-    assert parsed.topology.n_followers == 6
-    assert parsed.gammas == [6.0, 4.0]
-    assert parsed.t_end == 20.0
-    assert parsed.h == 0.001
-    assert parsed.x0_user.shape == (8, 2)
-    assert parsed.are_weight is not None
-    assert np.allclose(parsed.are_weight, [[4.0, 0.0], [0.0, 1.0]])
+    scn = parse_scenario(default_scenario())
+    assert isinstance(scn, Scenario)
+    assert scn.controller.kind == "adaptive"
+    assert scn.controller.kappa == 0.1
+    assert scn.topology.n_followers == 6
+    assert scn.gammas == [6.0, 4.0]
+    assert scn.t_end == 20.0
+    assert scn.h == 0.001
+    assert scn.x0.shape == (8, 2)
+    assert scn.v0 is None
+    assert scn.controller.are_weight is not None
+    assert np.allclose(scn.controller.are_weight, [[4.0, 0.0], [0.0, 1.0]])
 
 
 def test_parse_overrides_win():
@@ -74,7 +77,8 @@ def test_parse_chain_minimal():
     assert parsed.system.n == 1
     assert parsed.topology.leader_labels == (2,)
     assert parsed.controller.taus is None
-    assert parsed.c1_scale == 1.0
+    assert parsed.controller.c1_scale == 1.0
+    assert parsed.controller.are_weight is None
     assert parsed.tail_fraction == 0.2
 
 
@@ -341,8 +345,8 @@ def _write_csv_per_cell(path, topology, traj):
 def test_csv_writer_matches_per_cell_reference(run_name, request, tmp_path):
     # 20 000 rows span five write chunks; adaptive adds d_i, observer v columns
     run = request.getfixturevalue(run_name)
-    write_trajectory_csv(str(tmp_path / "chunked.csv"), run.parsed.topology, run.traj)
-    _write_csv_per_cell(str(tmp_path / "cells.csv"), run.parsed.topology, run.traj)
+    write_trajectory_csv(str(tmp_path / "chunked.csv"), run.scenario.topology, run.traj)
+    _write_csv_per_cell(str(tmp_path / "cells.csv"), run.scenario.topology, run.traj)
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
 
@@ -389,6 +393,53 @@ def test_adaptive_parameters_out_of_range(tmp_path, capsys, command, params, nam
         argv += ["--out", str(tmp_path / "out")]
     assert_one_line_error(capsys, main(argv), "scenario error:", "[controller]", name)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "synth", "bound", "simulate"])
+@pytest.mark.parametrize("line,name", [("c1_scale = 0.5", "c1_scale"), ("c2_scale = 0.999", "c2_scale")])
+def test_coupling_scales_below_one_rejected(tmp_path, capsys, command, line, name):
+    # a scale below 1 would put c1 or c2 under its certified floor
+    text = CHAIN_TEXT.replace("kappa = 0.1", "kappa = 0.1\n" + line)
+    argv = [command, chain_file(tmp_path, text)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "out")]
+    assert_one_line_error(capsys, main(argv), "scenario error: [controller]:", name, ">= 1")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edit,args,words", [
+    (("x0 = -2; 0", "x0 = -2"), [], "x0 must be 2x1 (one row per agent), got 1x1"),
+    (("x0 = -2; 0", "x0 = -2 1; 0 1"), [], "x0 must be 2x1 (one row per agent), got 2x2"),
+    (("h = 0.01", "h = 0"), [], "h must be positive"),
+    (None, ["--t-end", "0.001"], "t_end must be at least h"),
+    (("h = 0.01", "h = 0.01\ntail_fraction = 1.5"), [], "tail_fraction must be in (0, 1]"),
+    (("kappa = 0.1", "kappa = 0.1\ntaus = 1 1\nphis = 0 0\nd0 = 0 0"), ["--controller", "adaptive"],
+     "taus, phis and d0 must list one value per follower (1), got 2"),
+    (("2.gamma = 1", "2.gamma = 0"), [], "[leaders].2: gamma must be a finite number > 0"),
+    # every command builds the Scenario, so the recording budget holds for validate too
+    (None, ["--h", "1e-300"], "recorded values"),
+])
+def test_scenario_rules_exit_1_naming_the_key(tmp_path, capsys, edit, args, words):
+    text = CHAIN_TEXT if edit is None else CHAIN_TEXT.replace(*edit)
+    rc = main(["validate", chain_file(tmp_path, text), *args])
+    assert_one_line_error(capsys, rc, "scenario error:", words)
+
+
+def test_parse_permutes_agent_rows_into_canonical_order():
+    # the leader is agent 1 in the file; canonical order puts follower 2 first
+    text = CHAIN_TEXT.replace("adjacency = 0 1; 0 0", "adjacency = 0 0; 1 0")
+    text = text.replace("2.gain", "1.gain").replace("2.gamma", "1.gamma")
+    text = text.replace("x0 = -2; 0", "x0 = 5; -2\nv0 = 0.5; -1")
+    scn = parse_scenario(text, controller="observer_based")
+    assert scn.topology.labels == (2, 1)
+    assert scn.x0.tolist() == [[-2.0], [5.0]]
+    assert scn.v0.tolist() == [[-1.0], [0.5]]
+    # only the observer-based law reads v0; a v0 of the wrong shape is still rejected
+    assert parse_scenario(text).v0 is None
+    with pytest.raises(ScenarioParseError, match="v0 must be 2x1"):
+        parse_scenario(text.replace("v0 = 0.5; -1", "v0 = 0.5"))
+    # absent v0 starts every observer at zero
+    assert parse_scenario(CHAIN_TEXT, controller="observer_based").v0.tolist() == [[0.0], [0.0]]
 
 
 @pytest.mark.parametrize("spec", ["abc", "solve=1e-8,nope=3", "solve=1e-8,pivot=nan", "-1"])

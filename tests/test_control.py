@@ -222,6 +222,12 @@ def test_leader_input_combines_feedback_and_sinusoids():
     assert np.allclose(u2, [2.0])
 
 
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+def test_leader_input_spec_requires_a_finite_positive_gamma(gamma):
+    with pytest.raises(ValueError, match="gamma must be a finite number > 0"):
+        LeaderInputSpec(feedback_gain=np.zeros((1, 2)), sinusoids=(), gamma=gamma)
+
+
 def test_controller_config_validation():
     with pytest.raises(ValueError):
         ControllerConfig(kind="continuous_static")  # no kappa

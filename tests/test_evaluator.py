@@ -206,21 +206,19 @@ CHAIN_LEADER = LeaderInputSpec(
 
 
 def default_setup(kind, t_end=20.0):
-    parsed = cli.parse_scenario(cli.default_scenario(), controller=kind, t_end=t_end)
-    part = partition_laplacian(parsed.topology)
-    gains = cli._synthesize(parsed, part)
-    return cli._build_scenario(parsed), gains, part
+    scn = cli.parse_scenario(cli.default_scenario(), controller=kind, t_end=t_end)
+    part = partition_laplacian(scn.topology)
+    return scn, synthesize(scn.system, part, scn.gammas, scn.controller), part
 
 
 def chain_setup(kind, t_end=20.0):
     part = partition_laplacian(CHAIN)
-    gains = synthesize(CHAIN_SYSTEM, part, [CHAIN_LEADER.gamma],
-                       with_observer=(kind == OBSERVER_BASED))
     extra = {}
     if kind == ADAPTIVE:
         extra = dict(taus=[5.0, 2.0, 1.0], phis=[0.005, 0.1, 0.0], d0=[0.0, 1.0, 3.0])
     cfg = ControllerConfig(kind=kind, kappa=None if kind == DISCONTINUOUS_STATIC else 0.1,
                            **extra)
+    gains = synthesize(CHAIN_SYSTEM, part, [CHAIN_LEADER.gamma], cfg)
     x0 = np.array([[2.0, -1.0], [-1.5, 0.5], [0.5, 2.5], [1.0, 0.0]])
     scn = Scenario(system=CHAIN_SYSTEM, topology=CHAIN, controller=cfg,
                    leader_specs=(CHAIN_LEADER,), x0=x0,
@@ -411,7 +409,8 @@ def test_integrate_matches_oracle_run(kind, topology, steps, monkeypatch):
     # xi, V1 and the leader-bound count are derived after the loop; they never
     # feed back into the dynamics, so a stated tolerance is enough for them
     xi, xi_norm, v1, violations = oracle_derived(traj, scn, gains, part)
-    assert np.allclose(traj.xi, xi, rtol=1e-6, atol=0.0)
+    recorded_xi = sim.containment_error(traj.follower_states, traj.leader_states, part)
+    assert np.allclose(recorded_xi, xi, rtol=1e-6, atol=0.0)
     assert np.allclose(traj.xi_norm, xi_norm, rtol=1e-6, atol=0.0)
     assert np.allclose(traj.v1, v1, rtol=1e-6, atol=0.0)
     assert traj.assumption2_violations == violations

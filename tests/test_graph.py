@@ -124,8 +124,9 @@ def test_laplacian_block_structure():
     topo = build_topology(RING8)
     part = partition_laplacian(topo)
     m = topo.n_followers
-    assert np.allclose(part.L.sum(axis=1), 0.0, atol=1e-12)
-    assert np.allclose(part.L[m:], 0.0)
+    # follower rows of the Laplacian [L1 L2] sum to zero; the leader rows are zero
+    assert np.allclose(part.L1.sum(axis=1) + part.L2.sum(axis=1), 0.0, atol=1e-12)
+    assert part.L1.shape == (m, m) and part.L2.shape == (m, topo.n_leaders)
     assert np.allclose(part.L1, part.L1.T)
     assert np.all(part.L2 <= 0.0)
 

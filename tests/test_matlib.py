@@ -140,6 +140,25 @@ def test_is_controllable_detects_deficiency():
     assert not is_controllable(np.eye(2), [[1.0], [1.0]])
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+def test_is_controllable_on_constructed_pairs(n):
+    # for each k < n: A block upper triangular, B zero on the last n - k states,
+    # so no input reaches them; a random similarity hides the structure
+    rng = np.random.default_rng(n)
+    for k in range(1, n):
+        a = rng.standard_normal((n, n))
+        a[k:, :k] = 0.0
+        b = np.zeros((n, int(rng.integers(1, 4))))
+        b[:k] = rng.standard_normal((k, b.shape[1]))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        t = q * np.exp(rng.uniform(-1.0, 1.0, n))  # condition number below e^2
+        t_inv = np.linalg.inv(t)
+        assert not is_controllable(t @ a @ t_inv, t @ b), k
+        # the same A with an input on every state is controllable
+        b[k:] = rng.standard_normal((n - k, b.shape[1]))
+        assert is_controllable(t @ a @ t_inv, t @ b), k
+
+
 def test_care_scalar_oracles():
     x = care_solve([[0.0]], [[1.0]], [[1.0]])
     assert np.allclose(x, [[1.0]], atol=1e-12)

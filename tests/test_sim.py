@@ -38,8 +38,6 @@ HOLD = LeaderInputSpec(feedback_gain=np.zeros((1, 1)), sinusoids=(), gamma=1.0)
 def chain_scenario(kind="continuous_static", kappa=0.1, t_end=2.0, h=0.01,
                    x0=(-2.0, 0.0), leader=HOLD, **extra):
     part = partition_laplacian(CHAIN1D)
-    gains = synthesize(SYS1D, part, [leader.gamma],
-                       with_observer=(kind == "observer_based"))
     if kind == "adaptive":
         cfg = ControllerConfig(kind=kind, kappa=kappa,
                                taus=extra.get("taus", [1.0]),
@@ -49,6 +47,7 @@ def chain_scenario(kind="continuous_static", kappa=0.1, t_end=2.0, h=0.01,
         cfg = ControllerConfig(kind=kind)
     else:
         cfg = ControllerConfig(kind=kind, kappa=kappa)
+    gains = synthesize(SYS1D, part, [leader.gamma], cfg)
     scn = Scenario(
         system=SYS1D, topology=CHAIN1D, controller=cfg, leader_specs=(leader,),
         x0=np.array(x0, dtype=float).reshape(2, 1),
@@ -139,8 +138,8 @@ def test_lyapunov_v1_matches_dense_form():
 def test_continuous_run_converges_and_certifies():
     scn, gains, part = chain_scenario()
     traj = integrate(scn, gains, part)
-    bounds = compute_bound_report(gains, part, scn.controller, [1.0])
-    metrics = compute_metrics(traj, bounds, gains)
+    bounds = compute_bound_report(gains, part, scn.controller, scn.gammas)
+    metrics = compute_metrics(traj, bounds, gains, scn.tail_fraction)
     assert traj.xi_norm[-1] < 1e-2
     assert metrics.d1_certified
     assert metrics.envelope_violations == 0
@@ -153,8 +152,8 @@ def test_continuous_run_converges_and_certifies():
 def test_adaptive_run_gains_stay_bounded():
     scn, gains, part = chain_scenario(kind="adaptive")
     traj = integrate(scn, gains, part)
-    bounds = compute_bound_report(gains, part, scn.controller, [1.0])
-    metrics = compute_metrics(traj, bounds, gains)
+    bounds = compute_bound_report(gains, part, scn.controller, scn.gammas)
+    metrics = compute_metrics(traj, bounds, gains, scn.tail_fraction)
     assert traj.adaptive_gains is not None
     assert np.isfinite(traj.adaptive_gains).all()
     assert np.all(traj.adaptive_gains >= 0.0)
@@ -210,8 +209,6 @@ def test_integrate_is_deterministic():
 
 
 def test_scenario_validation():
-    part = partition_laplacian(CHAIN1D)
-    gains = synthesize(SYS1D, part, [1.0])
     cfg = ControllerConfig(kind="continuous_static", kappa=0.1)
     with pytest.raises(ValueError):
         Scenario(system=SYS1D, topology=CHAIN1D, controller=cfg,
@@ -229,6 +226,20 @@ def test_scenario_validation():
         # v0 given to a state-feedback design
         Scenario(system=SYS1D, topology=CHAIN1D, controller=cfg,
                  leader_specs=(HOLD,), x0=np.zeros((2, 1)), v0=np.zeros((2, 1)))
+
+
+def test_scenario_defaults_gammas_and_tail_fraction():
+    leaders = (HOLD, LeaderInputSpec(feedback_gain=np.zeros((1, 1)), sinusoids=(), gamma=2.5))
+    three = build_topology([[0, 1, 1], [0, 0, 0], [0, 0, 0]])
+    cfg = ControllerConfig(kind="continuous_static", kappa=0.1)
+    scn = Scenario(system=SYS1D, topology=three, controller=cfg, leader_specs=leaders,
+                   x0=np.zeros((3, 1)))
+    assert (scn.t_end, scn.h, scn.tail_fraction) == (20.0, 1e-3, 0.2)
+    assert scn.gammas == [1.0, 2.5]
+    for bad in (0.0, -0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="tail_fraction"):
+            Scenario(system=SYS1D, topology=three, controller=cfg, leader_specs=leaders,
+                     x0=np.zeros((3, 1)), tail_fraction=bad)
 
 
 def test_tail_window_fraction():

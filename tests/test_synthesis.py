@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from contain.synthesis import (
 
 A2 = np.array([[0.0, 1.0], [-1.0, 1.0]])
 B2 = np.array([[0.0], [1.0]])
+STATIC = ControllerConfig(kind="continuous_static", kappa=0.1)
 
 
 def test_solve_P_scalar_oracle():
@@ -81,16 +83,21 @@ def test_gamma_is_gram_of_K():
 def test_coupling_gains_defaults_and_floors():
     topo = build_topology([[0, 1, 1], [1, 0, 1], [0, 0, 0]])
     part = partition_laplacian(topo)
-    c1, c2 = coupling_gains(part, [2.0, 5.0])
+    plain = ControllerConfig(kind="continuous_static", kappa=0.1)
+    c1, c2 = coupling_gains(part, [2.0, 5.0], plain)
     assert abs(c1 - 1.0 / part.lambda_min_L1) < 1e-12
     assert c2 == 5.0
-    c1b, c2b = coupling_gains(part, [2.0, 5.0], c1_scale=2.0, c2_scale=1.5)
+    scaled = ControllerConfig(kind="continuous_static", kappa=0.1, c1_scale=2.0, c2_scale=1.5)
+    c1b, c2b = coupling_gains(part, [2.0, 5.0], scaled)
     assert abs(c1b - 2.0 * c1) < 1e-12
     assert c2b == 7.5
     with pytest.raises(EmptyGammas):
-        coupling_gains(part, [])
-    with pytest.raises(ValueError):
-        coupling_gains(part, [1.0], c1_scale=0.5)
+        coupling_gains(part, [], plain)
+    # the floors hold because the controller rejects scales below 1
+    for scales in (dict(c1_scale=0.5), dict(c2_scale=0.999), dict(c1_scale=math.nan),
+                   dict(c2_scale=math.inf)):
+        with pytest.raises(ValueError, match="must be a finite number >= 1"):
+            ControllerConfig(kind="continuous_static", kappa=0.1, **scales)
 
 
 def test_beta_picks_the_larger_scale():
@@ -107,7 +114,7 @@ def three_agent_design():
     topo = build_topology([[0, 1, 1], [1, 0, 1], [0, 0, 0]])
     part = partition_laplacian(topo)
     system = LinearSystem(A=A2, B=B2, C=np.eye(2))
-    return part, synthesize(system, part, [3.0])
+    return part, synthesize(system, part, [3.0], STATIC)
 
 
 def adaptive_config(phi, tau):
@@ -153,14 +160,14 @@ def test_synthesize_end_to_end():
     topo = build_topology([[0, 1, 1], [1, 0, 1], [0, 0, 0]])
     part = partition_laplacian(topo)
     system = LinearSystem(A=A2, B=B2, C=np.eye(2))
-    gains = synthesize(system, part, [3.0])
+    gains = synthesize(system, part, [3.0], STATIC)
     assert gains.alpha > 0.0
     assert gains.c1 >= 1.0 / part.lambda_min_L1 - 1e-12
     assert gains.c2 == 3.0
     assert np.allclose(gains.Gamma, gains.K.T @ gains.K)
     assert np.allclose(gains.K @ gains.P, -B2.T, atol=1e-9)
     assert gains.L_obs is None
-    with_obs = synthesize(system, part, [3.0], with_observer=True)
+    with_obs = synthesize(system, part, [3.0], ControllerConfig(kind="observer_based", kappa=0.1))
     assert with_obs.L_obs is not None
     assert is_hurwitz(A2 + with_obs.L_obs @ np.eye(2))
 
@@ -169,8 +176,8 @@ def test_synthesize_with_custom_weight_changes_gain():
     topo = build_topology([[0, 1, 1], [1, 0, 1], [0, 0, 0]])
     part = partition_laplacian(topo)
     system = LinearSystem(A=A2, B=B2, C=np.eye(2))
-    plain = synthesize(system, part, [1.0])
-    heavy = synthesize(system, part, [1.0], are_weight=np.diag([4.0, 1.0]))
+    plain = synthesize(system, part, [1.0], STATIC)
+    heavy = synthesize(system, part, [1.0], replace(STATIC, are_weight=np.diag([4.0, 1.0])))
     assert frobenius(heavy.K) > frobenius(plain.K)
     lmi = lmi_matrix(A2, B2, heavy.P)
     assert sym_eigs(lmi)[-1] < -1e-6
