@@ -5,8 +5,9 @@ values may continue on indented lines (matrix rows). The full grammar is
 documented in the README and the built-in default file (contain default).
 
 Exit codes: 0 success / certified; 1 parse or input error; 2 standing-assumption
-failure; 3 not controllable or another synthesis failure; 4 adaptive leakage
-too fast (varrho >= alpha); 5 bounds not certified by the run; 6 state diverged.
+failure; 3 not controllable or another synthesis failure, including a design or
+radius that overflows; 4 adaptive leakage too fast (varrho >= alpha); 5 bounds
+not certified by the run; 6 state diverged.
 """
 
 from __future__ import annotations
@@ -46,10 +47,11 @@ from .matlib import (
     TOL,
     BadTolerance,
     NoConvergence,
+    NonFinite,
     NotControllable,
     NotSymmetric,
     Singular,
-    apply_tolerance_env,
+    apply_tolerance_overrides,
     sym_eigs,
 )
 from .sim import (
@@ -69,7 +71,6 @@ from .synthesis import (
     NotObservable,
     VarrhoTooLarge,
     compute_bound_report,
-    lmi_matrix,
     synthesize,
 )
 
@@ -619,8 +620,7 @@ def _gains_sidecar_path(scenario_path: str) -> str:
 def cmd_synth(path: str, **overrides) -> int:
     scn = load_scenario(path, **overrides)
     part = partition_laplacian(scn.topology)
-    gains = synthesize(scn.system, part, scn.gammas, scn.controller)
-    lmi_max = float(sym_eigs(lmi_matrix(scn.system.A, scn.system.B, gains.P))[-1])
+    gains = synthesize(scn, part)
     print("P =")
     print(_fmt_matrix(gains.P))
     print("K =")
@@ -630,7 +630,7 @@ def cmd_synth(path: str, **overrides) -> int:
     print(f"c1 = {_fmt(gains.c1)}  (lambda_min(L1) = {_fmt(part.lambda_min_L1)})")
     print(f"c2 = {_fmt(gains.c2)}")
     print(f"alpha = {_fmt(gains.alpha)}")
-    print(f"lambda_max(A P + P A' - 2 B B') = {_fmt(lmi_max)}  (certificate: < 0)")
+    print(f"lambda_max(A P + P A' - 2 B B') = {_fmt(gains.lmi_lambda_max)}  (certificate: < 0)")
     if gains.L_obs is not None:
         print("L_obs =")
         print(_fmt_matrix(gains.L_obs))
@@ -642,7 +642,7 @@ def cmd_synth(path: str, **overrides) -> int:
         "c1": gains.c1,
         "c2": gains.c2,
         "alpha": gains.alpha,
-        "lmi_lambda_max": lmi_max,
+        "lmi_lambda_max": gains.lmi_lambda_max,
         "L_obs": None if gains.L_obs is None else gains.L_obs.tolist(),
     }
     try:
@@ -659,8 +659,8 @@ def cmd_bound(path: str, **overrides) -> int:
     scn = load_scenario(path, **overrides)
     cfg = scn.controller
     part = partition_laplacian(scn.topology)
-    gains = synthesize(scn.system, part, scn.gammas, cfg)
-    bounds = compute_bound_report(gains, part, cfg, scn.gammas)
+    gains = synthesize(scn, part)
+    bounds = compute_bound_report(scn, part, gains)
     if cfg.kind == ADAPTIVE and bounds.d2_radius_sq is None:
         raise VarrhoTooLarge(bounds.varrho, gains.alpha)
     print(f"alpha = {_fmt(gains.alpha)}")
@@ -677,9 +677,9 @@ def cmd_simulate(path: str, out_dir: str, **overrides) -> int:
     scn = load_scenario(path, **overrides)
     cfg = scn.controller
     part = partition_laplacian(scn.topology)
-    gains = synthesize(scn.system, part, scn.gammas, cfg)
+    gains = synthesize(scn, part)
 
-    bounds = compute_bound_report(gains, part, cfg, scn.gammas)
+    bounds = compute_bound_report(scn, part, gains)
     if cfg.kind == ADAPTIVE and bounds.d2_radius_sq is None:
         print(f"note: {VarrhoTooLarge(bounds.varrho, gains.alpha)}")
 
@@ -819,10 +819,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# An overflow surfaces as a non-finite value that a check names in one line
+# (or as a non-finite state or metric), never as a numpy warning.
+@np.errstate(all="ignore")
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        apply_tolerance_env()
+        apply_tolerance_overrides(os.environ.get("CONTAIN_TOL", ""))
         if args.command == "default":
             return cmd_default(args.out)
         overrides = dict(
@@ -861,7 +864,7 @@ def main(argv=None) -> int:
     except NotObservable as exc:
         print(f"not observable: {exc}", file=sys.stderr)
         return 3
-    except (Singular, NoConvergence, NonPositiveAlpha) as exc:
+    except (Singular, NoConvergence, NonPositiveAlpha, NonFinite) as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)
         return 3
     except VarrhoTooLarge as exc:

@@ -71,10 +71,6 @@ class LinearSystem:
     def p(self) -> int:
         return self.B.shape[1]
 
-    @property
-    def q(self) -> int:
-        return self.C.shape[0]
-
 
 class Sinusoid(NamedTuple):
     channel: int
@@ -147,6 +143,8 @@ class ControllerConfig:
                 raise ValueError("phis must be nonnegative")
             if not np.all(d0 >= 0.0):
                 raise ValueError("d0 (initial adaptive gains) must be nonnegative")
+            if not np.isfinite(phis * taus).all():
+                raise ValueError("phi_i tau_i overflows; each product must be finite")
             object.__setattr__(self, "taus", taus)
             object.__setattr__(self, "phis", phis)
             object.__setattr__(self, "d0", d0)

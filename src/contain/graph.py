@@ -2,8 +2,8 @@
 
 Agents whose adjacency row is all zero are leaders (they listen to nobody);
 everyone else is a follower. Internally agents are stored followers-first in
-"canonical" order; `labels` remembers the caller's names so results can be
-reported back in the original terms.
+"canonical" order; `labels` remembers each agent's 1-based row in the
+caller's matrix so results can be reported back in the original terms.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class Topology:
     """Validated network in canonical (followers-first) order.
 
     adjacency: N x N binary matrix, row i listing who agent i hears.
-    labels: user label of each canonical index (followers first, then leaders).
+    labels: 1-based user row of each canonical index (followers first, then leaders).
     user_positions: original row index of each canonical agent.
     """
 
@@ -96,7 +96,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def build_topology(adjacency, labels=None) -> Topology:
+def build_topology(adjacency) -> Topology:
     """Validate an adjacency matrix and reorder agents followers-first.
 
     Raises BadAdjacency for structural problems, NoLeader when no row is zero,
@@ -114,15 +114,6 @@ def build_topology(adjacency, labels=None) -> Topology:
     if np.any(np.diag(arr) != 0.0):
         raise BadAdjacency("adjacency must have a zero diagonal (no self-loops)")
 
-    if labels is None:
-        labels = tuple(range(1, n + 1))
-    else:
-        labels = tuple(labels)
-        if len(labels) != n:
-            raise BadAdjacency(f"expected {n} labels, got {len(labels)}")
-        if len(set(labels)) != n:
-            raise BadAdjacency("labels must be unique")
-
     is_leader = [not arr[i].any() for i in range(n)]
     followers = [i for i in range(n) if not is_leader[i]]
     leaders = [i for i in range(n) if is_leader[i]]
@@ -135,7 +126,7 @@ def build_topology(adjacency, labels=None) -> Topology:
     canonical = arr[np.ix_(perm, perm)]
     return Topology(
         adjacency=_freeze(canonical),
-        labels=tuple(labels[i] for i in perm),
+        labels=tuple(i + 1 for i in perm),
         user_positions=tuple(perm),
         n_followers=len(followers),
     )

@@ -10,7 +10,6 @@ Riccati) are implemented here.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,10 @@ class NotControllable(ValueError):
 
 class NoConvergence(RuntimeError):
     """Iteration hit its cap before meeting the residual tolerance."""
+
+
+class NonFinite(ValueError):
+    """A matrix or design quantity holds inf or nan, as an overflow leaves it."""
 
 
 class BadTolerance(ValueError):
@@ -86,12 +89,6 @@ def apply_tolerance_overrides(text: str) -> None:
         setattr(TOL, name, value)
 
 
-def apply_tolerance_env(var: str = "CONTAIN_TOL") -> None:
-    text = os.environ.get(var)
-    if text:
-        apply_tolerance_overrides(text)
-
-
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-D float64 array, raising ValueError otherwise."""
     arr = np.asarray(a, dtype=float)
@@ -100,7 +97,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if arr.size == 0:
         raise ValueError(f"{name} is empty")
     if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFinite(f"{name} contains non-finite entries")
     return arr
 
 

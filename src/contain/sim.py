@@ -126,6 +126,8 @@ class Scenario:
                     f"leader feedback gain must be {(self.system.p, n)}, "
                     f"got {spec.feedback_gain.shape}"
                 )
+            if not all(np.isfinite(abs(s.omega) * self.t_end + abs(s.phase)) for s in spec.sinusoids):
+                raise ValueError("leader sinusoid phase omega t + phase overflows before t_end")
         if kind == OBSERVER_BASED:
             if self.v0 is None:
                 raise ValueError("observer-based scenario needs v0")
@@ -193,13 +195,8 @@ def containment_error(
     return diff.reshape(diff.shape[:-2] + (-1,))
 
 
-def lyapunov_v1(xi: np.ndarray, part: LaplacianPartition, p: np.ndarray, p_inv=None):
-    """V1 = 0.5 xi.T (L1 (x) P^-1) xi, for one xi or a stack of them (S, M*n).
-
-    P^-1 is solved on demand; pass p_inv to amortize it across a run.
-    """
-    if p_inv is None:
-        p_inv = solve_linear(p, np.eye(p.shape[0]))
+def lyapunov_v1(xi: np.ndarray, part: LaplacianPartition, p_inv: np.ndarray):
+    """V1 = 0.5 xi.T (L1 (x) P^-1) xi, for one xi or a stack of them (S, M*n)."""
     xi = np.asarray(xi, dtype=float)
     block = xi.reshape(xi.shape[:-1] + (part.L1.shape[0], -1))
     weighted = block * (part.L1 @ block @ p_inv)
@@ -326,7 +323,7 @@ def integrate(scn: Scenario, gains: GainSet, part: LaplacianPartition) -> Trajec
             follower_inputs=uf_rec[:upto],
             leader_inputs=ul,
             xi_norm=row_norms(xi),
-            v1=lyapunov_v1(xi, part, gains.P, p_inv),
+            v1=lyapunov_v1(xi, part, p_inv),
             assumption2_violations=int(np.count_nonzero(row_norms(ul) > gammas)),
             adaptive_gains=extra if cfg.kind == ADAPTIVE else None,
             observer_states=(

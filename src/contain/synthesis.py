@@ -8,25 +8,17 @@ common follower gain -B.T P^-1 and Gamma = K.T K drives the adaptive update.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .control import ADAPTIVE, OBSERVER_BASED, ControllerConfig
+from .control import ADAPTIVE, OBSERVER_BASED
 from .graph import LaplacianPartition
-from .matlib import (
-    NotControllable,
-    as_matrix,
-    care_solve,
-    is_hurwitz,
-    solve_linear,
-    sym_eigs,
-)
-
-
-class EmptyGammas(ValueError):
-    """No leader input bounds were supplied."""
+from .matlib import NonFinite, NotControllable, care_solve, is_hurwitz, solve_linear, sym_eigs
+if TYPE_CHECKING:
+    from .sim import Scenario
 
 
 class NonPositiveAlpha(RuntimeError):
@@ -53,8 +45,10 @@ class GainSet:
 
     P is symmetric positive definite with A P + P A.T - 2 B B.T < 0,
     K = -B.T P^-1, Gamma = K.T K, c1 >= 1/lambda_min(L1), c2 >= max gamma_j,
-    alpha is the certified Lyapunov decay rate, and L_obs (observer designs
-    only) makes A + L_obs C Hurwitz.
+    alpha is the certified Lyapunov decay rate, p_lambda_max and
+    lmi_lambda_max are lambda_max(P) and lambda_max(A P + P A.T - 2 B B.T)
+    as compute_alpha found them, and L_obs (observer designs only) makes
+    A + L_obs C Hurwitz.
     """
 
     P: np.ndarray
@@ -63,6 +57,8 @@ class GainSet:
     c1: float
     c2: float
     alpha: float
+    p_lambda_max: float
+    lmi_lambda_max: float
     L_obs: Optional[np.ndarray] = None
 
 
@@ -90,8 +86,6 @@ def solve_P(a, b, q=None) -> np.ndarray:
     q defaults to the identity. Raises NotControllable when (a, b) cannot be
     stabilized this way.
     """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
     if q is None:
         q = np.eye(a.shape[0])
     x = care_solve(a, b, q)
@@ -99,82 +93,34 @@ def solve_P(a, b, q=None) -> np.ndarray:
     return 0.5 * (p + p.T)
 
 
-def compute_K(p, b) -> np.ndarray:
-    """Follower feedback gain K = -B.T P^-1."""
-    p = as_matrix(p, "p")
-    b = as_matrix(b, "b")
-    return -solve_linear(p, b).T
-
-
 def compute_Gamma(k) -> np.ndarray:
     """Adaptive weighting Gamma = K.T K (= P^-1 B B.T P^-1)."""
-    k = as_matrix(k, "k")
     return k.T @ k
-
-
-def coupling_gains(part: LaplacianPartition, gammas, controller: ControllerConfig) -> tuple[float, float]:
-    """Static coupling gains c1 = c1_scale / lambda_min(L1), c2 = c2_scale * max gamma.
-
-    The controller's scales are >= 1, so both gains stay at or above their
-    certified floors.
-    """
-    gammas = [float(g) for g in gammas]
-    if not gammas:
-        raise EmptyGammas("need at least one leader input bound")
-    if any(g <= 0.0 for g in gammas):
-        raise ValueError("leader input bounds must be positive")
-    c1 = controller.c1_scale / part.lambda_min_L1
-    c2 = controller.c2_scale * max(gammas)
-    return c1, c2
 
 
 def lmi_matrix(a, b, p) -> np.ndarray:
     """The design inequality left-hand side A P + P A.T - 2 B B.T."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    p = as_matrix(p, "p")
     return a @ p + p @ a.T - 2.0 * (b @ b.T)
 
 
-def compute_alpha(a, b, p) -> float:
+def compute_alpha(a, b, p) -> tuple[float, float, float]:
     """Certified decay rate alpha = -lambda_max(A P + P A.T - 2 B B.T) / lambda_max(P).
 
-    Raises NonPositiveAlpha when the inequality fails for this P.
+    Returns (alpha, lambda_max of the inequality, lambda_max(P)). Raises
+    NonPositiveAlpha when the inequality fails for this P.
     """
-    lmi = lmi_matrix(a, b, p)
-    lmi_max = float(sym_eigs(lmi)[-1])
+    lmi_max = float(sym_eigs(lmi_matrix(a, b, p))[-1])
     p_max = float(sym_eigs(p)[-1])
     alpha = -lmi_max / p_max
     if alpha <= 0.0:
         raise NonPositiveAlpha(
             f"lambda_max of the design inequality is {lmi_max:.3e} (must be < 0)"
         )
-    return alpha
-
-
-def compute_beta(gammas, lambda_min_l1: float) -> float:
-    """Adaptive-gain ceiling beta = max(max gamma_j, 1/lambda_min(L1))."""
-    gammas = [float(g) for g in gammas]
-    if not gammas:
-        raise EmptyGammas("need at least one leader input bound")
-    return max(max(gammas), 1.0 / lambda_min_l1)
-
-
-def compute_varrho(phis, taus) -> float:
-    """Leakage rate varrho = max_i phi_i tau_i."""
-    phis = np.asarray(phis, dtype=float)
-    taus = np.asarray(taus, dtype=float)
-    if phis.shape != taus.shape or phis.ndim != 1 or phis.size == 0:
-        raise ValueError("phis and taus must be equal-length nonempty vectors")
-    return float(np.max(phis * taus))
+    return alpha, lmi_max, p_max
 
 
 def solve_observer_L(a, c) -> np.ndarray:
     """Output-injection gain L with A + L C Hurwitz, via the dual Riccati solve."""
-    a = as_matrix(a, "a")
-    c = as_matrix(c, "c")
-    if c.shape[1] != a.shape[0]:
-        raise ValueError(f"c has {c.shape[1]} columns, expected {a.shape[0]}")
     try:
         x = care_solve(a.T, c.T, np.eye(a.shape[0]))
     except NotControllable:
@@ -185,77 +131,86 @@ def solve_observer_L(a, c) -> np.ndarray:
     return l_obs
 
 
-def synthesize(system, part: LaplacianPartition, gammas, controller: ControllerConfig) -> GainSet:
-    """One-call synthesis: P, K, Gamma, coupling gains, alpha, and L_obs for
-    the observer-based law.
+def _finite(name: str, value):
+    """value, or NonFinite naming the design quantity that overflowed."""
+    if value is not None and not math.isfinite(value):
+        raise NonFinite(f"{name} overflowed to {value!r}")
+    return value
+
+
+def synthesize(scn: Scenario, part: LaplacianPartition) -> GainSet:
+    """One-call synthesis: P, K = -B.T P^-1, Gamma, the coupling gains
+    c1 = c1_scale / lambda_min(L1) and c2 = c2_scale * max gamma_j, alpha, and
+    L_obs for the observer-based law.
 
     The Riccati weight and the coupling-gain scales come from the controller.
     """
-    p = solve_P(system.A, system.B, controller.are_weight)
-    k = compute_K(p, system.B)
-    gamma_mat = compute_Gamma(k)
-    c1, c2 = coupling_gains(part, gammas, controller)
-    alpha = compute_alpha(system.A, system.B, p)
-    l_obs = solve_observer_L(system.A, system.C) if controller.kind == OBSERVER_BASED else None
-    return GainSet(P=p, K=k, Gamma=gamma_mat, c1=c1, c2=c2, alpha=alpha, L_obs=l_obs)
+    system, cfg = scn.system, scn.controller
+    p = solve_P(system.A, system.B, cfg.are_weight)
+    k = -solve_linear(p, system.B).T
+    alpha, lmi_max, p_max = compute_alpha(system.A, system.B, p)
+    return GainSet(
+        P=p,
+        K=k,
+        Gamma=compute_Gamma(k),
+        c1=_finite("c1", cfg.c1_scale / part.lambda_min_L1),
+        c2=_finite("c2", cfg.c2_scale * max(scn.gammas)),
+        alpha=alpha,
+        p_lambda_max=p_max,
+        lmi_lambda_max=lmi_max,
+        L_obs=solve_observer_L(system.A, system.C) if cfg.kind == OBSERVER_BASED else None,
+    )
 
 
-def compute_bound_report(
-    gains: GainSet, part: LaplacianPartition, controller: ControllerConfig, gammas
-) -> BoundReport:
+def compute_bound_report(scn: Scenario, part: LaplacianPartition, gains: GainSet) -> BoundReport:
     """Residual-set certificate of a synthesized design under its controller.
 
     With M followers, kappa the boundary-layer width (0 for the ideal
-    discontinuous law) and lambda_max(P) taken once:
+    discontinuous law), beta = max(max gamma_j, 1/lambda_min(L1)) and
+    varrho = max_i phi_i tau_i:
 
         D1 = 2 lambda_max(P) M kappa gamma_max / (alpha lambda_min(L1))
         D2 = lambda_max(P) / (lambda_min(L1) (alpha - varrho)) *
              (sum_i beta^2 phi_i + M kappa / 2)
 
     D2 exists only for an adaptive controller with varrho < alpha. Both radii
-    assume every leader input stays within its bound gamma_j.
+    assume every leader input stays within its bound gamma_j. A radius or
+    envelope offset that overflows raises NonFinite.
     """
+    cfg = scn.controller
     lam = part.lambda_min_L1
-    gammas = [float(g) for g in gammas]
-    beta = compute_beta(gammas, lam)
-    gamma_max = max(gammas)
-    if gains.alpha <= 0.0 or min(gammas) <= 0.0:
-        raise ValueError("alpha and the leader input bounds must be positive")
+    gamma_max = max(scn.gammas)
+    beta = max(gamma_max, 1.0 / lam)
     n_followers = part.L1.shape[0]
-    kappa = 0.0 if controller.kappa is None else float(controller.kappa)
-    p_max = float(sym_eigs(gains.P)[-1])
+    kappa = 0.0 if cfg.kappa is None else float(cfg.kappa)
+    p_max = gains.p_lambda_max
     d1 = 2.0 * p_max * n_followers * kappa * gamma_max / (gains.alpha * lam)
     offset = n_followers * kappa * gamma_max / gains.alpha
     d2 = varrho = None
-    if controller.kind == ADAPTIVE:
-        varrho = compute_varrho(controller.phis, controller.taus)
+    if cfg.kind == ADAPTIVE:
+        varrho = float(np.max(cfg.phis * cfg.taus))
         if varrho < gains.alpha:
-            total = float(beta * beta * np.sum(controller.phis)) + 0.5 * n_followers * kappa
+            total = float(beta * beta * np.sum(cfg.phis)) + 0.5 * n_followers * kappa
             d2 = p_max / (lam * (gains.alpha - varrho)) * total
     return BoundReport(
-        d1_radius_sq=d1,
+        d1_radius_sq=_finite("D1 radius^2", d1),
         beta=beta,
-        envelope_offset=offset,
-        d2_radius_sq=d2,
+        envelope_offset=_finite("envelope offset b/alpha", offset),
+        d2_radius_sq=_finite("D2 radius^2", d2),
         varrho=varrho,
     )
 
 
 __all__ = [
-    "EmptyGammas",
     "NonPositiveAlpha",
     "VarrhoTooLarge",
     "NotObservable",
     "GainSet",
     "BoundReport",
     "solve_P",
-    "compute_K",
     "compute_Gamma",
-    "coupling_gains",
     "lmi_matrix",
     "compute_alpha",
-    "compute_beta",
-    "compute_varrho",
     "solve_observer_L",
     "synthesize",
     "compute_bound_report",

@@ -1,9 +1,12 @@
-"""Shared fixtures: random problem generators and the default-scenario runs.
+"""Shared fixtures: random problem generators, a warning-checking cli.main and
+the default-scenario runs.
 
 The five closed-loop runs of the built-in scenario are expensive (several
 seconds each), so they are session-scoped and shared between the behavioral
 tests and the acceptance suite.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +23,8 @@ def random_a1_topology(rng, n_max=10):
 
     Followers get an undirected subgraph in which everyone is tied, directly
     or through other followers, to at least one leader. Rows are returned in
-    a shuffled (user) order so canonicalization gets exercised too.
+    a shuffled (user) order so canonicalization gets exercised too; agent i
+    of that order is canonical agent perm[i].
     """
     n = int(rng.integers(3, n_max + 1))
     n_leaders = int(rng.integers(1, min(3, n - 1) + 1))
@@ -44,9 +48,7 @@ def random_a1_topology(rng, n_max=10):
             if rng.random() < 0.2:
                 adj[i, j] = 1.0
     perm = rng.permutation(n)
-    shuffled = adj[np.ix_(perm, perm)]
-    labels = [int(p) + 1 for p in perm]
-    return shuffled, labels
+    return adj[np.ix_(perm, perm)]
 
 
 def random_controllable_pair(rng, n_max=4):
@@ -69,14 +71,23 @@ def random_controllable_pair(rng, n_max=4):
             return a, b
 
 
+def main_without_warnings(argv):
+    """main(argv), failing on any warning it emits (pytest's capture would hide it)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(argv)
+    assert not caught, [str(w.message) for w in caught]
+    return rc
+
+
 class DefaultRun:
     """One synthesized and simulated instance of the built-in scenario."""
 
     def __init__(self, kind, kappa=0.1):
         scn = cli.parse_scenario(cli.default_scenario(), controller=kind, kappa=kappa)
         part = partition_laplacian(scn.topology)
-        gains = synthesize(scn.system, part, scn.gammas, scn.controller)
-        bounds = compute_bound_report(gains, part, scn.controller, scn.gammas)
+        gains = synthesize(scn, part)
+        bounds = compute_bound_report(scn, part, gains)
         traj = integrate(scn, gains, part)
         metrics = compute_metrics(traj, bounds, gains, scn.tail_fraction)
         self.part = part

@@ -9,9 +9,9 @@ import numpy as np
 
 from contain import cli
 from contain.graph import build_topology, check_assumption1, partition_laplacian
-from contain.matlib import care_solve, frobenius, is_hurwitz, sym_eigs
+from contain.matlib import care_solve, frobenius, is_hurwitz
 from contain.sim import rk4_step
-from contain.synthesis import compute_alpha, compute_Gamma, lmi_matrix, solve_P
+from contain.synthesis import compute_alpha, compute_Gamma, solve_P
 from conftest import random_a1_topology, random_controllable_pair
 
 A2 = np.array([[0.0, 1.0], [-1.0, 1.0]])
@@ -34,8 +34,7 @@ def test_criterion_01_gamma_crosscheck():
 
 def test_criterion_02_lmi_certificate():
     p = solve_P(A2, B2)
-    lmi_max = float(sym_eigs(lmi_matrix(A2, B2, p))[-1])
-    alpha = compute_alpha(A2, B2, p)
+    alpha, lmi_max, _ = compute_alpha(A2, B2, p)
     check(2, lmi_max < -1e-6 and alpha > 0.0,
           f"lambda_max(LMI) = {lmi_max:.6f}, alpha = {alpha:.6f}")
 
@@ -61,8 +60,7 @@ def test_criterion_04_laplacian_partition_properties():
     w_min = np.inf
     row_err = 0.0
     for _ in range(200):
-        adj, labels = random_a1_topology(rng)
-        topo = build_topology(adj, labels=labels)
+        topo = build_topology(random_a1_topology(rng))
         assert check_assumption1(topo).passed
         part = partition_laplacian(topo)
         lam_min = min(lam_min, part.lambda_min_L1)

@@ -16,7 +16,9 @@ from contain.cli import (
 )
 from contain.matlib import TOL, NoConvergence
 from contain.sim import Scenario
+from contain import synthesis
 from contain.synthesis import NonPositiveAlpha
+from conftest import main_without_warnings
 
 CHAIN_TEXT = """\
 [system]
@@ -383,6 +385,7 @@ def test_non_finite_numbers_rejected_at_parse(tmp_path, capsys, command, edit, a
     ("taus = 0\nphis = 0.1\nd0 = 0", "taus"),
     ("taus = 1\nphis = -0.1\nd0 = 0", "phis"),
     ("taus = 1\nphis = 0.1\nd0 = -1", "d0"),
+    ("taus = 5\nphis = 1e308\nd0 = 0", "phi_i tau_i"),
 ])
 def test_adaptive_parameters_out_of_range(tmp_path, capsys, command, params, name):
     text = CHAIN_TEXT.replace(
@@ -391,7 +394,7 @@ def test_adaptive_parameters_out_of_range(tmp_path, capsys, command, params, nam
     argv = [command, chain_file(tmp_path, text)]
     if command == "simulate":
         argv += ["--out", str(tmp_path / "out")]
-    assert_one_line_error(capsys, main(argv), "scenario error:", "[controller]", name)
+    assert_one_line_error(capsys, main_without_warnings(argv), "scenario error:", "[controller]", name)
     assert not (tmp_path / "out").exists()
 
 
@@ -418,6 +421,7 @@ def test_coupling_scales_below_one_rejected(tmp_path, capsys, command, line, nam
     (("2.gamma = 1", "2.gamma = 0"), [], "[leaders].2: gamma must be a finite number > 0"),
     # every command builds the Scenario, so the recording budget holds for validate too
     (None, ["--h", "1e-300"], "recorded values"),
+    (("2.gain = 0", "2.gain = 0\n2.sinusoids = 1:1:1e308:0"), [], "omega t + phase overflows"),
 ])
 def test_scenario_rules_exit_1_naming_the_key(tmp_path, capsys, edit, args, words):
     text = CHAIN_TEXT if edit is None else CHAIN_TEXT.replace(*edit)
@@ -469,14 +473,43 @@ def test_leader_bound_violation_is_not_certified(tmp_path, capsys, kind):
     ("synth", [("C = 1 0; 0 1", "C = 0 0")], ["--controller", "observer_based"], "not observable:"),
     ("bound", [("A = 0 1; -1 1", "A = 0 1; -1e6 1"), ("B = 0; 1", "B = 0; 1e-6")], [],
      "synthesis failed: Lyapunov operator is singular"),
+    # designs that overflow, and radii that do: an infinite radius certifies nothing
+    ("bound", [("A = 0 1; -1 1", "A = 0 1; -1e308 1")], [], "synthesis failed:"),
+    ("bound", [("are_weight = 4 0; 0 1", "are_weight = 1e200 0; 0 1")], [], "synthesis failed:"),
+    ("bound", [("7.gamma = 6", "7.gamma = 1e308")], [], "synthesis failed: D1 radius^2 overflowed"),
+    ("simulate", [("kappa = 0.1", "kappa = 1e308")], ["--t-end", "0.01"],
+     "synthesis failed: D1 radius^2 overflowed"),
 ])
 def test_synthesis_failure_exits_3_with_one_line(tmp_path, capsys, command, edits, args, prefix):
     text = default_scenario()
     for old, new in edits:
         assert old in text
         text = text.replace(old, new)
-    rc = main([command, chain_file(tmp_path, text), *args])
+    if command == "simulate":
+        args = [*args, "--out", str(tmp_path / "out")]
+    rc = main_without_warnings([command, chain_file(tmp_path, text), *args])
     assert_one_line_error(capsys, rc, prefix, code=3)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "bound", "simulate"])
+def test_certificate_eigenvalues_taken_once(tmp_path, monkeypatch, command):
+    # besides the are_weight check at parse, a command eigen-solves exactly two
+    # matrices, A P + P A' - 2 B B' and P, whichever of them it prints
+    solved = []
+
+    def counting_sym_eigs(s):
+        solved.append(s)
+        return sym_eigs(s)
+
+    sym_eigs = synthesis.sym_eigs
+    monkeypatch.setattr(synthesis, "sym_eigs", counting_sym_eigs)
+    monkeypatch.setattr(cli, "sym_eigs", counting_sym_eigs)
+    args = ["--out", str(tmp_path / "out"), "--t-end", "0.01"] if command == "simulate" else []
+    assert main([command, chain_file(tmp_path, default_scenario()), *args]) in (0, 5)
+    weight, lmi, p = solved
+    assert weight.tolist() == [[4.0, 0.0], [0.0, 1.0]]
+    assert sym_eigs(lmi)[-1] < 0.0 < sym_eigs(p)[0]
 
 
 @pytest.mark.parametrize("error", [
@@ -523,3 +556,4 @@ def test_plot_script_reads_the_csv_columns(tmp_path):
     assert [(header[int(line.split("using 1:")[1].split()[0]) - 1], "dashtype 4" in line) for line in series] == [
         ("x1_1", True), ("x2_1", False), ("d_1", False)
     ]
+

@@ -22,7 +22,8 @@ from contain.synthesis import GainSet
 
 def make_gains(k_row=(-1.0, -2.0), c1=1.0, c2=2.0):
     k = np.array([list(k_row)])
-    return GainSet(P=np.eye(len(k_row)), K=k, Gamma=k.T @ k, c1=c1, c2=c2, alpha=1.0)
+    return GainSet(P=np.eye(len(k_row)), K=k, Gamma=k.T @ k, c1=c1, c2=c2, alpha=1.0,
+                   p_lambda_max=1.0, lmi_lambda_max=-1.0)
 
 
 # a 3-follower chain hanging off one leader
@@ -256,4 +257,4 @@ def test_linear_system_validation():
     with pytest.raises(ValueError):
         LinearSystem(A=np.eye(2), B=np.zeros((2, 1)), C=np.zeros((1, 3)))
     sys2 = LinearSystem(A=np.eye(2), B=np.zeros((2, 1)), C=np.zeros((1, 2)))
-    assert (sys2.n, sys2.p, sys2.q) == (2, 1, 1)
+    assert (sys2.n, sys2.p, sys2.C.shape[0]) == (2, 1, 1)

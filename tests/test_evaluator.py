@@ -208,7 +208,7 @@ CHAIN_LEADER = LeaderInputSpec(
 def default_setup(kind, t_end=20.0):
     scn = cli.parse_scenario(cli.default_scenario(), controller=kind, t_end=t_end)
     part = partition_laplacian(scn.topology)
-    return scn, synthesize(scn.system, part, scn.gammas, scn.controller), part
+    return scn, synthesize(scn, part), part
 
 
 def chain_setup(kind, t_end=20.0):
@@ -218,13 +218,12 @@ def chain_setup(kind, t_end=20.0):
         extra = dict(taus=[5.0, 2.0, 1.0], phis=[0.005, 0.1, 0.0], d0=[0.0, 1.0, 3.0])
     cfg = ControllerConfig(kind=kind, kappa=None if kind == DISCONTINUOUS_STATIC else 0.1,
                            **extra)
-    gains = synthesize(CHAIN_SYSTEM, part, [CHAIN_LEADER.gamma], cfg)
     x0 = np.array([[2.0, -1.0], [-1.5, 0.5], [0.5, 2.5], [1.0, 0.0]])
     scn = Scenario(system=CHAIN_SYSTEM, topology=CHAIN, controller=cfg,
                    leader_specs=(CHAIN_LEADER,), x0=x0,
                    v0=np.zeros((4, 2)) if kind == OBSERVER_BASED else None,
                    t_end=t_end, h=1e-3)
-    return scn, gains, part
+    return scn, synthesize(scn, part), part
 
 
 SETUPS = {"default": default_setup, "chain": chain_setup}

@@ -132,26 +132,23 @@ def test_laplacian_block_structure():
 
 
 def test_labels_and_user_positions_roundtrip():
-    labels = ["lead", "a", "b"]
     adj = np.array([
         [0, 0, 0],
         [1, 0, 1],
         [0, 1, 0],
     ], dtype=float)
-    topo = build_topology(adj, labels=labels)
-    assert topo.leader_labels == ("lead",)
-    assert topo.follower_labels == ("a", "b")
-    # canonical row i came from user row user_positions[i]
+    topo = build_topology(adj)
+    assert topo.leader_labels == (1,)
+    assert topo.follower_labels == (2, 3)
+    # canonical row i came from user row user_positions[i], labelled 1..N
     for i, pos in enumerate(topo.user_positions):
-        lab = labels[pos]
-        assert topo.labels[i] == lab
+        assert topo.labels[i] == pos + 1
 
 
 def test_random_topologies_partition_cleanly():
     rng = np.random.default_rng(23)
     for _ in range(60):
-        adj, labels = random_a1_topology(rng)
-        topo = build_topology(adj, labels=labels)
+        topo = build_topology(random_a1_topology(rng))
         report = check_assumption1(topo)
         assert report.passed, report
         part = partition_laplacian(topo)
@@ -224,7 +221,7 @@ def _random_digraph(rng):
         adj[:m, m:] = rng.random((m, n_leaders)) < rng.uniform(0.0, 0.3)
     np.fill_diagonal(adj, 0.0)
     perm = rng.permutation(n)
-    return adj[np.ix_(perm, perm)], [f"a{p}" for p in perm]
+    return adj[np.ix_(perm, perm)]
 
 
 def test_assumption1_matches_loop_reference_on_random_digraphs():
@@ -232,9 +229,8 @@ def test_assumption1_matches_loop_reference_on_random_digraphs():
     seen = {"asymmetric": 0, "unreachable": 0, "passed": 0}
     checked = 0
     while checked < 300:
-        adj, labels = _random_digraph(rng)
         try:
-            topo = build_topology(adj, labels=labels)
+            topo = build_topology(_random_digraph(rng))
         except NoFollower:
             continue
         report = check_assumption1(topo)

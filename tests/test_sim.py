@@ -47,14 +47,13 @@ def chain_scenario(kind="continuous_static", kappa=0.1, t_end=2.0, h=0.01,
         cfg = ControllerConfig(kind=kind)
     else:
         cfg = ControllerConfig(kind=kind, kappa=kappa)
-    gains = synthesize(SYS1D, part, [leader.gamma], cfg)
     scn = Scenario(
         system=SYS1D, topology=CHAIN1D, controller=cfg, leader_specs=(leader,),
         x0=np.array(x0, dtype=float).reshape(2, 1),
         v0=np.zeros((2, 1)) if kind == "observer_based" else None,
         t_end=t_end, h=h,
     )
-    return scn, gains, part
+    return scn, synthesize(scn, part), part
 
 
 def test_rk4_exact_on_cubic_rate():
@@ -125,20 +124,20 @@ def test_lyapunov_v1_matches_dense_form():
     ])
     part = partition_laplacian(topo)
     rng = np.random.default_rng(3)
-    p = np.array([[2.0, 0.5], [0.5, 1.0]])
+    p_inv = np.linalg.inv(np.array([[2.0, 0.5], [0.5, 1.0]]))
     xi = rng.standard_normal(4)
-    dense = 0.5 * xi @ np.kron(part.L1, np.linalg.inv(p)) @ xi
-    assert lyapunov_v1(xi, part, p) == pytest.approx(dense)
-    assert lyapunov_v1(np.zeros(4), part, p) == 0.0
+    dense = 0.5 * xi @ np.kron(part.L1, p_inv) @ xi
+    assert lyapunov_v1(xi, part, p_inv) == pytest.approx(dense)
+    assert lyapunov_v1(np.zeros(4), part, p_inv) == 0.0
     # a stack of xi rows gives one V1 per row
-    stacked = lyapunov_v1(np.stack([xi, np.zeros(4), 2.0 * xi]), part, p)
+    stacked = lyapunov_v1(np.stack([xi, np.zeros(4), 2.0 * xi]), part, p_inv)
     assert stacked == pytest.approx([dense, 0.0, 4.0 * dense])
 
 
 def test_continuous_run_converges_and_certifies():
     scn, gains, part = chain_scenario()
     traj = integrate(scn, gains, part)
-    bounds = compute_bound_report(gains, part, scn.controller, scn.gammas)
+    bounds = compute_bound_report(scn, part, gains)
     metrics = compute_metrics(traj, bounds, gains, scn.tail_fraction)
     assert traj.xi_norm[-1] < 1e-2
     assert metrics.d1_certified
@@ -152,7 +151,7 @@ def test_continuous_run_converges_and_certifies():
 def test_adaptive_run_gains_stay_bounded():
     scn, gains, part = chain_scenario(kind="adaptive")
     traj = integrate(scn, gains, part)
-    bounds = compute_bound_report(gains, part, scn.controller, scn.gammas)
+    bounds = compute_bound_report(scn, part, gains)
     metrics = compute_metrics(traj, bounds, gains, scn.tail_fraction)
     assert traj.adaptive_gains is not None
     assert np.isfinite(traj.adaptive_gains).all()
@@ -245,7 +244,7 @@ def test_scenario_defaults_gammas_and_tail_fraction():
 def test_tail_window_fraction():
     scn, gains, part = chain_scenario(t_end=1.0, h=0.01)
     traj = integrate(scn, gains, part)
-    bounds = compute_bound_report(gains, part, scn.controller, [1.0])
+    bounds = compute_bound_report(scn, part, gains)
     # with tail_fraction 0.5 the sup is taken over t >= 0.495, i.e. half the rows
     m_half = compute_metrics(traj, bounds, gains, tail_fraction=0.5)
     m_tiny = compute_metrics(traj, bounds, gains, tail_fraction=0.01)
