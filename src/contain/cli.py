@@ -4,10 +4,10 @@ Scenario files are plain text with [section] headers and key = value entries;
 values may continue on indented lines (matrix rows). The full grammar is
 documented in the README and the built-in default file (contain default).
 
-Exit codes: 0 success / certified; 1 parse or input error; 2 standing-assumption
-failure; 3 not controllable or another synthesis failure, including a design or
-radius that overflows; 4 adaptive leakage too fast (varrho >= alpha); 5 bounds
-not certified by the run; 6 state diverged.
+Exit codes: 0 success / certified; 1 usage, parse or input error; 2
+standing-assumption failure; 3 not controllable or another synthesis failure,
+including a design or radius that overflows; 4 adaptive leakage too fast
+(varrho >= alpha); 5 bounds not certified by the run; 6 state diverged.
 """
 
 from __future__ import annotations
@@ -165,38 +165,38 @@ def _require(sections, section, key) -> _Value:
 
 
 def _matrix(value: _Value, field: str) -> np.ndarray:
-    rows = []
-    row_lines = []
-    width = None
-    for text, lineno in value.fragments:
-        for piece in text.split(";"):
-            piece = piece.strip()
-            if not piece:
-                continue
-            try:
-                row = [float(tok) for tok in piece.split()]
-            except ValueError:
-                raise ScenarioParseError(
-                    f"bad number in matrix row {piece!r}", line=lineno, field=field
-                ) from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ScenarioParseError(
-                    f"ragged matrix row (expected {width} entries, got {len(row)})",
-                    line=lineno,
-                    field=field,
-                )
-            rows.append(row)
-            row_lines.append(lineno)
+    rows = [
+        (piece, lineno)
+        for text, lineno in value.fragments
+        for piece in map(str.strip, text.split(";"))
+        if piece
+    ]
     if not rows:
         raise ScenarioParseError("empty matrix", line=value.line, field=field)
-    mat = np.array(rows, dtype=float)
+    mat = None
+    for i, (piece, lineno) in enumerate(rows):
+        try:
+            # numpy's str -> float64 cast accepts and rounds exactly the tokens
+            # float() does, without making a Python float per entry
+            row = np.array(piece.split(), dtype=float)
+        except ValueError:
+            raise ScenarioParseError(
+                f"bad number in matrix row {piece!r}", line=lineno, field=field
+            ) from None
+        if mat is None:
+            mat = np.empty((len(rows), row.size))
+        elif row.size != mat.shape[1]:
+            raise ScenarioParseError(
+                f"ragged matrix row (expected {mat.shape[1]} entries, got {row.size})",
+                line=lineno,
+                field=field,
+            )
+        mat[i] = row
     finite = np.isfinite(mat).all(axis=1)
     if not finite.all():
         bad = int(np.argmin(finite))
         raise ScenarioParseError(
-            f"non-finite number in matrix row {bad + 1}", line=row_lines[bad], field=field
+            f"non-finite number in matrix row {bad + 1}", line=rows[bad][1], field=field
         )
     return mat
 
@@ -307,6 +307,8 @@ def parse_scenario(
     system = LinearSystem(A=a, B=b, C=c)
 
     adjacency = _matrix(_require(sections, "graph", "adjacency"), "[graph].adjacency")
+    # N^2 tokens, most of a large file's text: drop it before the topology copies the matrix
+    del sections["graph"]["adjacency"]
     topology = build_topology(adjacency)
     m = topology.n_followers
     n_agents = topology.n_agents
@@ -489,18 +491,21 @@ def trajectory_columns(topology: Topology, traj: Trajectory) -> list:
     return pairs
 
 
-# Rows converted to Python floats at a time: bounds the transient list of
-# floats, which for a whole 20 s observer run would be about 26 MB.
-_CSV_CHUNK_ROWS = 4096
+# Values converted to Python floats at a time, whatever the row width: a chunk
+# is a whole number of rows (at least one), and it and its list of floats take
+# about 2.5 MB. The 2 047-column rows of the 510-follower ring fit 32 to a
+# chunk, the 41-column observer rows of the default scenario 1 598.
+_CSV_CHUNK_VALUES = 1 << 16
 
 
 def write_trajectory_csv(path: str, topology: Topology, traj: Trajectory) -> None:
     """Write the CSV; values use shortest round-trip decimals."""
     names, cols = zip(*trajectory_columns(topology, traj))
+    chunk_rows = max(1, _CSV_CHUNK_VALUES // len(cols))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
-        for start in range(0, len(traj.times), _CSV_CHUNK_ROWS):
-            block = np.column_stack([col[start:start + _CSV_CHUNK_ROWS] for col in cols])
+        for start in range(0, len(traj.times), chunk_rows):
+            block = np.column_stack([col[start:start + chunk_rows] for col in cols])
             fh.writelines(",".join(map(repr, row)) + "\n" for row in block.tolist())
 
 
@@ -794,8 +799,21 @@ def cmd_default(out: Optional[str]) -> int:
 # argument parsing and dispatch
 
 
+class UsageError(Exception):
+    """Bad command line: an unknown flag or command, a missing or malformed argument."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse that raises UsageError instead of printing usage and exiting 2,
+    which the exit-code table gives to topology failures. Subcommand parsers
+    are built from the same class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="contain",
         description="Containment control for linear multi-agent systems with bounded-input leaders.",
     )
@@ -823,8 +841,8 @@ def _build_parser() -> argparse.ArgumentParser:
 # (or as a non-finite state or metric), never as a numpy warning.
 @np.errstate(all="ignore")
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         apply_tolerance_overrides(os.environ.get("CONTAIN_TOL", ""))
         if args.command == "default":
             return cmd_default(args.out)
@@ -843,6 +861,9 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(args.scenario, args.out, **overrides)
         raise AssertionError(f"unhandled command {args.command}")
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
     except BadTolerance as exc:
         print(f"bad CONTAIN_TOL: {exc}", file=sys.stderr)
         return 1

@@ -91,7 +91,7 @@ class LaplacianPartition:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, dtype=float)
+    """arr, made read-only in place; callers pass arrays only they hold."""
     arr.setflags(write=False)
     return arr
 
@@ -109,14 +109,14 @@ def build_topology(adjacency) -> Topology:
     n = arr.shape[0]
     if arr.shape[1] != n:
         raise BadAdjacency(f"adjacency must be square, got {arr.shape}")
-    if not np.isin(arr, (0.0, 1.0)).all():
+    if not ((arr == 0.0) | (arr == 1.0)).all():
         raise BadAdjacency("adjacency entries must be 0 or 1")
     if np.any(np.diag(arr) != 0.0):
         raise BadAdjacency("adjacency must have a zero diagonal (no self-loops)")
 
-    is_leader = [not arr[i].any() for i in range(n)]
-    followers = [i for i in range(n) if not is_leader[i]]
-    leaders = [i for i in range(n) if is_leader[i]]
+    is_leader = ~arr.any(axis=1)
+    followers = np.flatnonzero(~is_leader).tolist()
+    leaders = np.flatnonzero(is_leader).tolist()
     if not leaders:
         raise NoLeader("no agent has an empty neighbor set")
     if not followers:
@@ -201,12 +201,13 @@ def partition_laplacian(topology: Topology) -> LaplacianPartition:
             )
         raise AssumptionViolated("; ".join(parts))
 
-    adj = topology.adjacency
-    m = topology.n_followers
-    degrees = adj.sum(axis=1)
-    lap = np.diag(degrees) - adj
-    l1 = lap[:m, :m]
-    l2 = lap[:m, m:]
+    # The follower rows of the Laplacian diag(degrees) - adjacency, entry for
+    # entry: 0.0 - a_ij off the diagonal (+0.0, never -0.0) and the degree on it.
+    rows = topology.adjacency[:topology.n_followers]
+    m = rows.shape[0]
+    l1 = 0.0 - rows[:, :m]
+    np.fill_diagonal(l1, rows.sum(axis=1))
+    l2 = 0.0 - rows[:, m:]
     w = _hull_weights(l1, l2)
     lambda_min = float(sym_eigs(l1)[0])
     return LaplacianPartition(

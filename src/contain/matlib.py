@@ -108,9 +108,23 @@ def _square(a, name: str) -> np.ndarray:
     return arr
 
 
+@np.errstate(over="ignore")
 def frobenius(a) -> float:
+    """||a||_F as sqrt(sum(a * a)) whenever that sum is finite.
+
+    The tolerances and the Riccati shift that read it keep those bits. Only a
+    sum that overflows (entries above about 1e154) falls back to the
+    max-scaled form, which is inf only when ||a||_F itself overflows.
+    """
     arr = np.asarray(a, dtype=float)
-    return float(np.sqrt(np.sum(arr * arr)))
+    total = float(np.sum(arr * arr))
+    if math.isfinite(total):
+        return math.sqrt(total)
+    scale = float(np.max(np.abs(arr)))
+    if not math.isfinite(scale):
+        return scale  # a holds inf (or nan, which max passes on)
+    scaled = arr / scale
+    return scale * math.sqrt(float(np.sum(scaled * scaled)))
 
 
 def sym_eigs(s) -> np.ndarray:

@@ -28,7 +28,8 @@ shows in the reported metrics. Two rules keep the arithmetic bit-identical:
   (w / kappa) * d, never w * (1 / ||w||) or w * (d / kappa).
 
 xi, |xi|, V1 and the leader-bound count never feed back into the dynamics;
-they are derived from the recorded states after the loop.
+they are derived from the recorded states after the loop, a bounded chunk of
+steps at a time.
 """
 
 from __future__ import annotations
@@ -203,6 +204,33 @@ def lyapunov_v1(xi: np.ndarray, part: LaplacianPartition, p_inv: np.ndarray):
     return 0.5 * np.sum(weighted.reshape(xi.shape), axis=-1)
 
 
+# Values of xi derived at a time from a recording: each chunk of steps makes a
+# few temporaries of this many values (xi, W x_l and the V1 products), 0.5 MB
+# each, whatever the horizon or the follower count.
+_DERIVED_CHUNK_VALUES = 1 << 16
+
+
+def _derived_series(xf, xl, ul, part: LaplacianPartition, p_inv: np.ndarray, gammas):
+    """|xi| and V1 of every recorded step, and the number of leader input
+    samples above their bound gamma_j, taken a chunk of steps at a time.
+
+    A step goes through the same stacked kernels whichever chunk holds it, so
+    the results do not depend on the chunk size.
+    """
+    steps = xf.shape[0]
+    chunk = max(1, _DERIVED_CHUNK_VALUES // (xf.shape[1] * xf.shape[2]))
+    xi_norm = np.empty(steps)
+    v1 = np.empty(steps)
+    violations = 0
+    for start in range(0, steps, chunk):
+        span = slice(start, start + chunk)
+        xi = containment_error(xf[span], xl[span], part)
+        xi_norm[span] = row_norms(xi)
+        v1[span] = lyapunov_v1(xi, part, p_inv)
+        violations += int(np.count_nonzero(row_norms(ul[span]) > gammas))
+    return xi_norm, v1, violations
+
+
 def make_evaluator(scn: Scenario, gains: GainSet):
     """Build evaluate(t, y) -> (ydot, follower inputs, leader inputs).
 
@@ -315,16 +343,16 @@ def integrate(scn: Scenario, gains: GainSet, part: LaplacianPartition) -> Trajec
         xl = rec[:, m * n:n_agents * n].reshape(upto, n_leaders, n)
         extra = rec[:, n_agents * n:]
         ul = ul_rec[:upto]
-        xi = containment_error(xf, xl, part)
+        xi_norm, v1, violations = _derived_series(xf, xl, ul, part, p_inv, gammas)
         return Trajectory(
             times=times[:upto],
             follower_states=xf,
             leader_states=xl,
             follower_inputs=uf_rec[:upto],
             leader_inputs=ul,
-            xi_norm=row_norms(xi),
-            v1=lyapunov_v1(xi, part, p_inv),
-            assumption2_violations=int(np.count_nonzero(row_norms(ul) > gammas)),
+            xi_norm=xi_norm,
+            v1=v1,
+            assumption2_violations=violations,
             adaptive_gains=extra if cfg.kind == ADAPTIVE else None,
             observer_states=(
                 extra.reshape(upto, n_agents, n) if cfg.kind == OBSERVER_BASED else None

@@ -6,7 +6,9 @@ seconds each), so they are session-scoped and shared between the behavioral
 tests and the acceptance suite.
 """
 
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,11 @@ from contain.graph import build_topology, partition_laplacian
 from contain.matlib import controllability_matrix, is_controllable
 from contain.sim import compute_metrics, integrate
 from contain.synthesis import compute_bound_report, synthesize
+
+# perfbench/ sits beside src/ at the repository root; its ring_scenario(M, seed)
+# is the benchmark's follower ring, the scale axis in M.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.workloads import ring_scenario  # noqa: E402,F401
 
 
 def random_a1_topology(rng, n_max=10):

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,10 +18,10 @@ from contain.cli import (
     write_trajectory_csv,
 )
 from contain.matlib import TOL, NoConvergence
-from contain.sim import Scenario
+from contain.sim import Scenario, Trajectory
 from contain import synthesis
 from contain.synthesis import NonPositiveAlpha
-from conftest import main_without_warnings
+from conftest import main_without_warnings, ring_scenario
 
 CHAIN_TEXT = """\
 [system]
@@ -106,6 +109,55 @@ def test_parse_error_cases():
     for text in cases:
         with pytest.raises(ScenarioParseError):
             parse_scenario(text)
+
+
+# tokens float() reads with a twist: underscores, signs of zero, subnormals,
+# ties and 17-digit values, the largest double, underflow to zero
+EDGE_TOKENS = [
+    "1_000", "1e1_0", "-0", "+0.0", "-0.0", ".5", "5.", "+1.5E+3", "4.9e-324",
+    "2.4703282292062328e-324", "2.2250738585072009e-308", "0.30000000000000004",
+    "9007199254740993", "1.7976931348623157e308", "-1.7976931348623157e308", "1e-400",
+]
+BAD_TOKENS = ["1__0", "_1", "1_", "0x10", "1d5", "1,5", "--1", "+-1", "nan(1)", "infinit", "1e"]
+
+
+def test_matrix_tokens_parse_as_float_does():
+    parsed = cli._matrix(cli._Value([(" ".join(EDGE_TOKENS), 3)]), "[system].A")
+    # bit for bit, the sign of every zero included
+    assert parsed.tobytes() == np.array([[float(tok) for tok in EDGE_TOKENS]]).tobytes()
+    for token in BAD_TOKENS:
+        with pytest.raises(ValueError):
+            float(token)
+        with pytest.raises(ScenarioParseError, match="bad number in matrix row"):
+            cli._matrix(cli._Value([("1 " + token, 3)]), "[system].A")
+
+
+@pytest.mark.parametrize("fragments,message", [
+    ([("1 2", 4), ("3 1__0", 5)], "line 5: [graph].adjacency: bad number in matrix row '3 1__0'"),
+    ([("1 2; 3", 4)], "line 4: [graph].adjacency: ragged matrix row (expected 2 entries, got 1)"),
+    ([("1 2", 4), ("3 4 5", 6)], "line 6: [graph].adjacency: ragged matrix row (expected 2 entries, got 3)"),
+    ([("1 2", 4), ("3 4; 1e400 1", 5)], "line 5: [graph].adjacency: non-finite number in matrix row 3"),
+    ([("1 2; -inf 0", 4), ("nan 1", 5)], "line 4: [graph].adjacency: non-finite number in matrix row 2"),
+    ([(" ; ", 4)], "line 4: [graph].adjacency: empty matrix"),
+])
+def test_matrix_errors_name_the_row_and_its_line(fragments, message):
+    with pytest.raises(ScenarioParseError) as info:
+        cli._matrix(cli._Value(fragments), "[graph].adjacency")
+    assert str(info.value) == message
+
+
+def test_parse_of_the_510_ring_stays_small():
+    # 262 144 adjacency entries go straight into float arrays: the matrix in
+    # file order plus its canonical copy are 4.2 MB, and nothing else that big
+    # is live at once
+    text = ring_scenario(510, 1)
+    tracemalloc.start()
+    try:
+        parse_scenario(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_adaptive_override_needs_taus():
@@ -343,13 +395,67 @@ def _write_csv_per_cell(path, topology, traj):
             fh.write(",".join(repr(float(col[k])) for _, col in pairs) + "\n")
 
 
-@pytest.mark.parametrize("run_name", ["cont_run", "disc_run", "adaptive_run", "observer_run"])
+@pytest.fixture(scope="module")
+def ring510_topology():
+    return parse_scenario(ring_scenario(510, 1)).topology
+
+
+def wide_trajectory(topology, steps, values):
+    """A Trajectory shaped like an adaptive run on `topology`, filled from values(shape)."""
+    m = topology.n_followers
+    return Trajectory(
+        times=np.arange(steps) * 1e-3,
+        follower_states=values((steps, m, 2)),
+        leader_states=values((steps, topology.n_leaders, 2)),
+        follower_inputs=values((steps, m, 1)),
+        leader_inputs=values((steps, topology.n_leaders, 1)),
+        xi_norm=values((steps,)),
+        v1=values((steps,)),
+        assumption2_violations=0,
+        adaptive_gains=values((steps, m)),
+    )
+
+
+@pytest.fixture
+def wide_run(ring510_topology):
+    """100 rows of 2 047 columns (the 510-follower adaptive ring), spread over
+    several chunks, with random values and the extremes of float64."""
+    rng = np.random.default_rng(4)
+    specials = np.array([-0.0, 5e-324, 1.7976931348623157e308, -1e-300, 0.1, 1e16])
+
+    def values(shape):
+        block = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+        block.flat[: specials.size] = specials[: block.size]
+        return block
+
+    return SimpleNamespace(
+        scenario=SimpleNamespace(topology=ring510_topology),
+        traj=wide_trajectory(ring510_topology, 100, values),
+    )
+
+
+@pytest.mark.parametrize("run_name", ["cont_run", "disc_run", "adaptive_run", "observer_run", "wide_run"])
 def test_csv_writer_matches_per_cell_reference(run_name, request, tmp_path):
-    # 20 000 rows span five write chunks; adaptive adds d_i, observer v columns
+    # the default runs' 20 000 rows and the 100 wide rows each span many write
+    # chunks; adaptive adds d_i, observer v columns
     run = request.getfixturevalue(run_name)
     write_trajectory_csv(str(tmp_path / "chunked.csv"), run.scenario.topology, run.traj)
     _write_csv_per_cell(str(tmp_path / "cells.csv"), run.scenario.topology, run.traj)
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
+def test_csv_writer_memory_does_not_grow_with_rows(ring510_topology):
+    # 2 047 values a row: chunks are sized by values, not rows, so the peak is
+    # one chunk's worth however many rows there are
+    for steps in (200, 2000):
+        traj = wide_trajectory(ring510_topology, steps, np.zeros)
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(os.devnull, ring510_topology, traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6, steps
 
 
 def assert_one_line_error(capsys, rc, prefix, *words, code=1):
@@ -479,6 +585,8 @@ def test_leader_bound_violation_is_not_certified(tmp_path, capsys, kind):
     ("bound", [("7.gamma = 6", "7.gamma = 1e308")], [], "synthesis failed: D1 radius^2 overflowed"),
     ("simulate", [("kappa = 0.1", "kappa = 1e308")], ["--t-end", "0.01"],
      "synthesis failed: D1 radius^2 overflowed"),
+    # (A, B) stays controllable when B is scaled up; it is B B' that overflows
+    ("bound", [("B = 0; 1", "B = 0; 1e200")], [], "synthesis failed:"),
 ])
 def test_synthesis_failure_exits_3_with_one_line(tmp_path, capsys, command, edits, args, prefix):
     text = default_scenario()
@@ -535,6 +643,28 @@ def test_are_weight_checked_at_parse(tmp_path, capsys, command, weight, words):
     text = default_scenario().replace("are_weight = 4 0; 0 1", f"are_weight = {weight}")
     rc = main([command, chain_file(tmp_path, text)])
     assert_one_line_error(capsys, rc, "scenario error: [controller].are_weight:", words)
+
+
+@pytest.mark.parametrize("argv,words", [
+    (["bound", "SCN", "--out", "x"], "contain: unrecognized arguments: --out x"),
+    (["bound", "SCN", "--h", "abc"], "contain bound: argument --h: invalid float value: 'abc'"),
+    (["simulate", "SCN", "--controller", "pid"], "argument --controller: invalid choice: 'pid'"),
+    (["validate"], "the following arguments are required: scenario"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    ([], "the following arguments are required: command"),
+], ids=["unknown-flag", "bad-number", "bad-choice", "no-scenario", "unknown-command", "no-command"])
+def test_usage_errors_exit_1_with_one_line(tmp_path, capsys, argv, words):
+    # exit 2 is a topology failure; a bad command line is an input error
+    argv = [chain_file(tmp_path) if arg == "SCN" else arg for arg in argv]
+    assert_one_line_error(capsys, main(argv), "usage error:", words)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: contain")
 
 
 def test_step_budget_exits_1_with_one_line(tmp_path, capsys):

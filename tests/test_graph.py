@@ -1,6 +1,4 @@
-import sys
 from collections import deque
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +15,7 @@ from contain.graph import (
     partition_laplacian,
 )
 from contain.matlib import solve_linear
-from conftest import random_a1_topology
-
-# perfbench/ sits beside src/ at the repository root.
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-from perfbench.workloads import ring_scenario  # noqa: E402
+from conftest import random_a1_topology, ring_scenario
 
 RING8 = np.array([
     [0, 1, 0, 0, 0, 1, 1, 0],
@@ -129,6 +123,33 @@ def test_laplacian_block_structure():
     assert part.L1.shape == (m, m) and part.L2.shape == (m, topo.n_leaders)
     assert np.allclose(part.L1, part.L1.T)
     assert np.all(part.L2 <= 0.0)
+
+
+def test_laplacian_blocks_are_the_full_laplacians_bit_for_bit():
+    # L1 and L2 come straight from the follower rows; each entry, zero signs
+    # included, is the one diag(degrees) - adjacency holds. A "-0" in the file
+    # parses to -0.0, which the 0/1 rule accepts.
+    rng = np.random.default_rng(21)
+    signed_zeros = np.where(RING8 == 0.0, -0.0, RING8)
+    np.fill_diagonal(signed_zeros, 0.0)
+    for adjacency in [RING8, signed_zeros] + [random_a1_topology(rng) for _ in range(20)]:
+        topo = build_topology(adjacency)
+        adj = topo.adjacency
+        m = topo.n_followers
+        lap = np.diag(adj.sum(axis=1)) - adj
+        part = partition_laplacian(topo)
+        assert part.L1.tobytes() == lap[:m, :m].tobytes()
+        assert part.L2.tobytes() == lap[:m, m:].tobytes()
+        for block in (adj, part.L1, part.L2, part.W):
+            assert not block.flags.writeable
+
+
+def test_build_topology_leaves_the_callers_matrix_alone():
+    adjacency = RING8.copy()
+    topo = build_topology(adjacency)
+    assert adjacency.flags.writeable
+    assert topo.adjacency is not adjacency
+    assert np.array_equal(adjacency, RING8)
 
 
 def test_labels_and_user_positions_roundtrip():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,35 @@ def test_is_controllable_on_constructed_pairs(n):
         # the same A with an input on every state is controllable
         b[k:] = rng.standard_normal((n - k, b.shape[1]))
         assert is_controllable(t @ a @ t_inv, t @ b), k
+
+
+def test_frobenius_keeps_the_plain_sum_bits():
+    # care_solve's shift 1 + ||a||_F and is_controllable's tolerance read
+    # these bits, so every sum that does not overflow keeps them
+    rng = np.random.default_rng(8)
+    for scale in (0.0, 1e-300, 1e-10, 1.0, 1e10, 1e150):
+        for shape in ((1, 1), (2, 3), (7, 7), (40, 40)):
+            a = scale * rng.standard_normal(shape)
+            assert frobenius(a) == float(np.sqrt(np.sum(a * a))), (scale, shape)
+
+
+def test_frobenius_falls_back_to_scaling_only_on_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert frobenius([[3e200, 4e200]]) == pytest.approx(5e200, rel=1e-15)
+        assert frobenius([[1e308, -1e308]]) == pytest.approx(math.sqrt(2.0) * 1e308, rel=1e-15)
+        assert frobenius([[1.7e308, 1.7e308]]) == math.inf
+        assert frobenius([[math.inf, 1.0]]) == math.inf
+        assert math.isnan(frobenius([[math.nan, 1e200]]))
+
+
+def test_is_controllable_with_a_huge_input_column():
+    # scaling B keeps (A, B) controllable, so the rank tolerance must not overflow
+    a = [[0.0, 1.0], [-1.0, 1.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_controllable(a, [[0.0], [1e200]])
+        assert is_controllable(a, [[0.0], [1.0]])
 
 
 def test_care_scalar_oracles():

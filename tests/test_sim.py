@@ -4,12 +4,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from contain import sim
+from contain.cli import default_scenario, parse_scenario
 from contain.control import (
     KINDS,
     ControllerConfig,
     LeaderInputSpec,
     LinearSystem,
     Sinusoid,
+    row_norms,
 )
 from contain.graph import build_topology, partition_laplacian
 from contain.sim import (
@@ -27,7 +30,9 @@ from contain.sim import (
     rk4_step,
     run_verdict,
 )
+from contain.matlib import solve_linear
 from contain.synthesis import compute_bound_report, synthesize
+from conftest import ring_scenario
 
 # one scalar follower pulled toward one constant leader
 CHAIN1D = build_topology([[0, 1], [0, 0]])
@@ -196,6 +201,32 @@ def test_divergence_raises_with_snapshot():
     assert exc.trajectory.xi_norm.shape == (exc.step,)
     assert exc.trajectory.v1.shape == (exc.step,)
     assert np.isfinite(exc.trajectory.xi_norm[0])
+
+
+@pytest.mark.parametrize("text,violated", [
+    # leader 7 breaks gamma = 0.5 within the first 0.1 s
+    (default_scenario().replace("7.gamma = 6", "7.gamma = 0.5"), True),
+    (ring_scenario(30, 1), False),
+], ids=["default", "ring30"])
+def test_derived_series_do_not_depend_on_the_chunk(monkeypatch, text, violated):
+    scn = parse_scenario(text, t_end=0.3)
+    part = partition_laplacian(scn.topology)
+    gains = synthesize(scn, part)
+    whole = integrate(scn, gains, part)
+    # 37 steps per chunk: boundaries fall mid-run and the last chunk is short
+    monkeypatch.setattr(sim, "_DERIVED_CHUNK_VALUES", 37 * scn.topology.n_followers * scn.system.n)
+    chunked = integrate(scn, gains, part)
+
+    # the same quantities over the whole recording at once
+    xi = containment_error(whole.follower_states, whole.leader_states, part)
+    p_inv = solve_linear(gains.P, np.eye(scn.system.n))
+    violations = int(np.count_nonzero(row_norms(whole.leader_inputs) > np.array(scn.gammas)))
+    assert np.array_equal(whole.follower_states, chunked.follower_states)
+    for traj in (whole, chunked):
+        assert np.array_equal(traj.xi_norm, row_norms(xi))
+        assert np.array_equal(traj.v1, lyapunov_v1(xi, part, p_inv))
+        assert traj.assumption2_violations == violations
+    assert (violations > 0) == violated
 
 
 def test_integrate_is_deterministic():
