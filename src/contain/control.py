@@ -14,7 +14,9 @@ anyone.
 The laws work on stacked rows, one per follower, but every matrix-vector
 product is a stacked matmul (K @ sigma[:, :, None]) and every norm a stacked
 dot, so each row rounds exactly as a single-vector evaluation would; see the
-sim module docstring for why that matters.
+sim module docstring for why that matters. follower_law and leader_input bind
+once to the caller's arrays and return a callable that refills buffers on
+each call; row_norms and saturate write into the caller's out= when given.
 """
 
 from __future__ import annotations
@@ -150,67 +152,126 @@ class ControllerConfig:
             object.__setattr__(self, "d0", d0)
 
 
-def row_norms(w: np.ndarray) -> np.ndarray:
+def row_norms(w: np.ndarray, out=None) -> np.ndarray:
     """Euclidean norm of every row of w (shape (..., p)), one BLAS dot per row.
 
     The stacked matmul runs the same per-vector dot as math.sqrt(w @ w) on a
-    single row, so batched and single-row callers round identically.
+    single row, so batched and single-row callers round identically. out, when
+    given, is the caller's array of shape w.shape[:-1] that receives the norms.
     """
-    return np.sqrt((w[..., None, :] @ w[..., :, None])[..., 0, 0])
+    return np.sqrt((w[..., None, :] @ w[..., :, None])[..., 0, 0], out=out)
 
 
-def saturate(w: np.ndarray, norm: np.ndarray, width: float, d=None) -> np.ndarray:
+def saturate(w: np.ndarray, norm: np.ndarray, width: float, d=None, out=None) -> np.ndarray:
     """Boundary-layer saturation of the rows of w (shape (..., p)).
 
     norm holds the row_norms of w and d the per-row gains (d = 1 when absent).
     A row is outside the layer when d ||w|| > width and gives w / ||w||;
     inside it gives (w / width) d. Width 0 is the discontinuous unit vector,
-    whose only inside rows are zero rows: they give +0.0.
+    whose only inside rows are zero rows: they give +0.0. out, when given, is
+    the caller's array of w's shape that receives the result.
 
     The divisions keep their scalar form, w / ||w|| and (w / width) d; a
-    reciprocal multiply rounds differently. Absent d skips the multiply by
-    one, which is exact anyway.
+    reciprocal multiply rounds differently. The rows outside the layer are
+    multiplied by one, and absent d skips that multiply; both are exact.
     """
     outside = (norm if d is None else d * norm) > width
+    # at width 0 the inside rows are zero rows: divided by one, then zeroed
+    unit = np.divide(w, np.where(outside, norm, width or 1.0)[..., None], out=out)
     if width == 0.0:
-        return np.where(outside[..., None], w / np.where(outside, norm, 1.0)[..., None], 0.0)
-    unit = w / np.where(outside, norm, width)[..., None]
-    if d is None:
-        return unit
-    return np.where(outside[..., None], unit, unit * d[..., None])
+        np.copyto(unit, 0.0, where=~outside[..., None])
+    elif d is not None:
+        unit *= np.where(outside, 1.0, d)[..., None]
+    return unit
 
 
-def follower_law(config: ControllerConfig, gains: GainSet, sigma: np.ndarray, d=None):
-    """Inputs of every follower from its relative state, under the configured law.
+def follower_law(config: ControllerConfig, gains: GainSet, sigma: np.ndarray, d=None,
+                 u=None, d_rate=None):
+    """Bind the configured law to the caller's buffers: law() -> (u, d_rate).
 
     Every law is u_i = g1 K sigma_i + g2 sat(K sigma_i; d, width): the static
     laws take g1 = c1, g2 = c2 and no d, the adaptive law g1 = g2 = d = d_i;
     the width is 0 for the discontinuous law and kappa otherwise. sigma is
-    M x n (one row per follower) and d the adaptive gain vector (adaptive law
-    only). Returns (u, d_rate): u is M x p and d_rate holds
-    d_i' = tau_i (-phi_i d_i + sigma_i.T Gamma sigma_i + ||K sigma_i||) for
-    the adaptive law, None otherwise. K sigma and its norms are computed once
-    and shared by the input and the gain rate.
+    the caller's M x n array of relative states (one row per follower) and d
+    its adaptive gain vector (adaptive law only); each law() call reads their
+    current contents and writes the inputs into u (M x p) and, for the
+    adaptive law, the gain rates
+    d_i' = tau_i (-phi_i d_i + sigma_i.T Gamma sigma_i + ||K sigma_i||) into
+    d_rate (M,). u and d_rate are the caller's arrays when given, else the
+    law's own; d_rate is None for the static laws. Every intermediate buffer,
+    view and constant is bound here, once. K sigma and its norms are computed
+    once per call and shared by the input and the gain rate.
     """
-    ks = (gains.K @ sigma[:, :, None])[:, :, 0]
-    norm = row_norms(ks)
+    if config.kind == ADAPTIVE and d is None:
+        raise MissingState("adaptive controller needs the adaptive gain vector")
+    m, n = sigma.shape
+    p = gains.K.shape[0]
     width = 0.0 if config.kind == DISCONTINUOUS_STATIC else config.kappa
+    sigma_col = sigma[:, :, None]
+    ks_col = np.empty((m, p, 1))
+    ks = ks_col[:, :, 0]
+    norm = np.empty(m)
+    sat = np.empty((m, p))
+    if u is None:
+        u = np.empty((m, p))
     if config.kind == ADAPTIVE:
-        if d is None:
-            raise MissingState("adaptive controller needs the adaptive gain vector")
         g1 = g2 = d[:, None]
+        sigma_row = sigma[:, None, :]
+        gamma_sigma = np.empty((m, n, 1))
+        quad_col = np.empty((m, 1, 1))
+        quad = quad_col[:, 0, 0]
+        if d_rate is None:
+            d_rate = np.empty(m)
+        taus = config.taus
+        neg_phis = -config.phis
     else:
-        g1, g2, d = gains.c1, gains.c2, None
-    u = g1 * ks + g2 * saturate(ks, norm, width, d)
-    if d is None:
-        return u, None
-    quad = (sigma[:, None, :] @ (gains.Gamma @ sigma[:, :, None]))[:, 0, 0]
-    return u, config.taus * (-config.phis * d + quad + norm)
+        g1, g2, d, d_rate = gains.c1, gains.c2, None, None
+
+    def law():
+        np.matmul(gains.K, sigma_col, out=ks_col)
+        row_norms(ks, out=norm)
+        np.multiply(g1, ks, out=u)
+        np.multiply(g2, saturate(ks, norm, width, d, out=sat), out=sat)
+        np.add(u, sat, out=u)
+        if d is not None:
+            np.matmul(gains.Gamma, sigma_col, out=gamma_sigma)
+            np.matmul(sigma_row, gamma_sigma, out=quad_col)
+            np.multiply(neg_phis, d, out=d_rate)
+            np.add(d_rate, quad, out=d_rate)
+            np.add(d_rate, norm, out=d_rate)
+            np.multiply(taus, d_rate, out=d_rate)
+        return u, d_rate
+
+    return law
 
 
-def leader_input(spec: LeaderInputSpec, x_j: np.ndarray, t: float) -> np.ndarray:
-    """Leader input: local feedback plus scheduled sinusoids."""
-    u = spec.feedback_gain @ x_j
-    for s in spec.sinusoids:
-        u[s.channel] += s.amplitude * math.sin(s.omega * t + s.phase)
-    return u
+def leader_input(specs, states: np.ndarray, out=None):
+    """Bind the leaders' inputs to the caller's (N-M) x n leader states:
+    inputs(t) -> (N-M) x p.
+
+    u_j(t) = feedback_gain_j @ x_j plus its scheduled sinusoids. The feedback
+    of every leader is one stacked matmul over the gains stacked here, with
+    the same per-row BLAS call as a single leader's gain @ x_j; each sinusoid
+    is then added to its channel in spec order. out, when given, is the
+    caller's C-contiguous (N-M) x p x 1 array that receives the inputs, else
+    the binding owns one; inputs(t) returns its (N-M) x p view.
+    """
+    gains = np.stack([spec.feedback_gain for spec in specs])
+    p = gains.shape[1]
+    u_col = np.empty(gains.shape[:2] + (1,)) if out is None else out
+    u = u_col[:, :, 0]
+    flat = u_col.reshape(-1)
+    states_col = states[:, :, None]
+    waves = [
+        (j * p + s.channel, s.amplitude, s.omega, s.phase)
+        for j, spec in enumerate(specs)
+        for s in spec.sinusoids
+    ]
+
+    def inputs(t: float) -> np.ndarray:
+        np.matmul(gains, states_col, out=u_col)
+        for i, amplitude, omega, phase in waves:
+            flat[i] += amplitude * math.sin(omega * t + phase)
+        return u
+
+    return inputs

@@ -133,13 +133,17 @@ def sym_eigs(s) -> np.ndarray:
     Raises NotSymmetric when s differs from its transpose by more than TOL.sym.
     Uses eigh rather than eigvalsh: the two differ in the last bit on some
     inputs (lambda_min(L1) of the default graph), and that value feeds the
-    closed-loop dynamics.
+    closed-loop dynamics. The skew check and eigh's input 0.5 (s + s.T) share
+    one scratch matrix.
     """
     arr = _square(s, "s")
-    skew = float(np.max(np.abs(arr - arr.T)))
+    work = np.subtract(arr, arr.T)
+    skew = float(np.max(np.abs(work, out=work)))
     if skew > TOL.sym:
         raise NotSymmetric(f"matrix is not symmetric: max |s - s.T| = {skew:.3e}")
-    return np.linalg.eigh(0.5 * (arr + arr.T))[0]
+    np.add(arr, arr.T, out=work)
+    work *= 0.5
+    return np.linalg.eigh(work)[0]
 
 
 def solve_linear(a, rhs) -> np.ndarray:
@@ -274,8 +278,14 @@ def care_solve(a, b, q, return_residuals: bool = False):
     if not is_controllable(a, b):
         raise NotControllable("(a, b) fails the controllability rank test")
 
+    with np.errstate(over="ignore"):
+        bbt = b @ b.T
+    if not np.isfinite(bbt).all():
+        raise NonFinite(
+            "B B' overflows: the Riccati input matrix B (C' for the observer) is too large"
+        )
     beta = 1.0 + frobenius(a)
-    z = lyap_solve(a + beta * np.eye(n), -2.0 * (b @ b.T))
+    z = lyap_solve(a + beta * np.eye(n), -2.0 * bbt)
     k = solve_linear(z, b).T  # b.T Z^-1, Z symmetric
     bound = TOL.solve * (1.0 + frobenius(q))
     residuals: list[float] = []

@@ -27,6 +27,14 @@ shows in the reported metrics. Two rules keep the arithmetic bit-identical:
 - the saturation divides as the scalar formulas do: w / ||w||, w / kappa and
   (w / kappa) * d, never w * (1 / ||w||) or w * (d / kappa).
 
+At 6 followers an evaluation costs numpy call overhead, not flops, so the
+evaluator binds its buffers and views once per run (make_evaluator) and a call
+is a short list of out= ufunc and matmul calls on them. An out= call runs the
+same kernel as the allocating call it replaces: each matmul writes into a
+C-contiguous buffer of the shape that call would return, so numpy picks the
+same BLAS dot or gemv. What the evaluator returns is fresh, never a view of
+its buffers. rk4_step sums its stages in place in the same order.
+
 xi, |xi|, V1 and the leader-bound count never feed back into the dynamics;
 they are derived from the recorded states after the loop, a bounded chunk of
 steps at a time.
@@ -234,17 +242,23 @@ def _derived_series(xf, xl, ul, part: LaplacianPartition, p_inv: np.ndarray, gam
 def make_evaluator(scn: Scenario, gains: GainSet):
     """Build evaluate(t, y) -> (ydot, follower inputs, leader inputs).
 
-    One call evaluates every follower at once. The agent states are read as
-    x = y[:N*n].reshape(N, n); the measured source is x, or the observer
-    states for the observer-based law. The relative states of all followers
-    come from one stacked expression, follower_law turns them into inputs and
-    adaptive gain rates, and the observer rate is one stacked expression too.
+    One call evaluates every follower at once. Everything fixed for the run is
+    bound here, once: a stage buffer that each call copies y into, every view
+    of it (the agent states x, x_f, x_l, the measured source, which is x or
+    the observer states, and the adaptive gains d), the buffers of every
+    intermediate, the law (follower_law) and the leader inputs
+    (leader_input), both bound to those views. A call is then a short list of
+    ufunc and matmul calls writing into those buffers, and it returns a fresh
+    ydot and fresh inputs: nothing it returns aliases the buffers or y. The
+    evaluator is not reentrant.
 
     The forms are chosen to round exactly as the per-follower formulas do
     (see the module docstring): sigma_i = deg_i s_i - a_i @ s row by row via
     rows @ s, and every matrix-vector product, K sigma_i, Gamma sigma_i and
     the observer's C, A, B and L_obs products, as a stacked matmul that runs
-    one BLAS gemv per row.
+    one BLAS gemv per row. Each matmul writes into a C-contiguous buffer of
+    the shape the allocating call would return, so numpy picks the same BLAS
+    call for it.
     """
     topo = scn.topology
     cfg = scn.controller
@@ -256,47 +270,98 @@ def make_evaluator(scn: Scenario, gains: GainSet):
     p = system.p
     adaptive = cfg.kind == ADAPTIVE
     observer = cfg.kind == OBSERVER_BASED
+    off_x = n_agents * n
     rows = topo.adjacency[:m, None, :]
-    degree = topo.adjacency[:m].sum(axis=1)[:, None]
+    # deg_i repeated over the n columns: the products of broadcasting the
+    # (M, 1) column, without broadcasting on every call
+    degree = np.repeat(topo.adjacency[:m].sum(axis=1)[:, None], n, axis=1)
     a_t = system.A.T.copy()
     b_t = system.B.T.copy()
-    specs = scn.leader_specs
-    off_x = n_agents * n
+
+    state = np.empty(off_x + (m if adaptive else 0) + (off_x if observer else 0))
+    x = state[:off_x].reshape(n_agents, n)
+    xf = x[:m]
+    xl = x[m:]
+    source = state[off_x:].reshape(n_agents, n) if observer else x
+    source_f = source[:m]
+    neighbours = np.empty((m, 1, n))
+    neighbour_sum = neighbours[:, 0]
+    sigma = np.empty((m, n))
+    # ydot = [x_f' | x_l' | d' (adaptive) | v' (observer)], written in place
+    # and copied out; the inputs of all agents share one (N, p, 1) buffer.
+    ydot = np.empty_like(state)
+    xdot_f = ydot[:m * n].reshape(m, n)
+    xdot_l = ydot[m * n:off_x].reshape(n_leaders, n)
+    bu_f = np.empty((m, n))
+    bu_l = np.empty((n_leaders, n))
+    u_col = np.empty((n_agents, p, 1))
+    u_f = u_col[:m, :, 0]
+    law = follower_law(cfg, gains, sigma, state[off_x:off_x + m] if adaptive else None,
+                       u=u_f, d_rate=ydot[off_x:off_x + m] if adaptive else None)
+    leader_inputs = leader_input(scn.leader_specs, xl, out=u_col[m:])
+    if observer:
+        v = source[:, :, None]
+        x_col = x[:, :, None]
+        cv = np.empty((n_agents, system.C.shape[0], 1))
+        cx = np.empty_like(cv)
+        vdot = ydot[off_x:].reshape(n_agents, n, 1)
+        bu = np.empty_like(vdot)
+        l_innovation = np.empty_like(vdot)
 
     def evaluate(t: float, y: np.ndarray):
-        x = y[:off_x].reshape(n_agents, n)
-        xf = x[:m]
-        xl = x[m:]
-        source = y[off_x:2 * off_x].reshape(n_agents, n) if observer else x
-        sigma = degree * source[:m] - (rows @ source)[:, 0]
-        u_f, d_rate = follower_law(cfg, gains, sigma, y[off_x:off_x + m] if adaptive else None)
-        u_l = np.empty((n_leaders, p))
-        for j in range(n_leaders):
-            u_l[j] = leader_input(specs[j], xl[j], t)
+        np.copyto(state, y)
+        np.multiply(degree, source_f, out=sigma)
+        np.matmul(rows, source, out=neighbours)
+        np.subtract(sigma, neighbour_sum, out=sigma)
+        law()
+        u_l = leader_inputs(t)
         # Separate follower and leader products, as the per-agent code had:
         # a gemm over a different row count is not guaranteed to round alike.
-        xdot_f = xf @ a_t + u_f @ b_t
-        xdot_l = xl @ a_t + u_l @ b_t
-        pieces = [xdot_f.reshape(-1), xdot_l.reshape(-1)]
-        if adaptive:
-            pieces.append(d_rate)
+        np.matmul(xf, a_t, out=xdot_f)
+        np.matmul(u_f, b_t, out=bu_f)
+        np.add(xdot_f, bu_f, out=xdot_f)
+        np.matmul(xl, a_t, out=xdot_l)
+        np.matmul(u_l, b_t, out=bu_l)
+        np.add(xdot_l, bu_l, out=xdot_l)
         if observer:
-            v = source[:, :, None]
-            u_all = np.concatenate([u_f, u_l], axis=0)[:, :, None]
-            innovation = system.C @ v - system.C @ x[:, :, None]
-            vdot = system.A @ v + system.B @ u_all + gains.L_obs @ innovation
-            pieces.append(vdot.reshape(-1))
-        return np.concatenate(pieces), u_f, u_l
+            np.matmul(system.C, v, out=cv)
+            np.matmul(system.C, x_col, out=cx)
+            np.subtract(cv, cx, out=cv)
+            np.matmul(system.A, v, out=vdot)
+            np.matmul(system.B, u_col, out=bu)
+            np.matmul(gains.L_obs, cv, out=l_innovation)
+            np.add(vdot, bu, out=vdot)
+            np.add(vdot, l_innovation, out=vdot)
+        return ydot.copy(), u_f.copy(), u_l.copy()
 
     return evaluate
 
 
 def rk4_step(f: Callable, t: float, y: np.ndarray, h: float, k1: np.ndarray) -> np.ndarray:
-    """One classic Runge-Kutta 4 step from y at t, given its first stage k1 = f(t, y)."""
-    k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
-    k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One classic Runge-Kutta 4 step from y at t, given its first stage k1 = f(t, y).
+
+    f must return a fresh array and keep no reference to its argument, which
+    is reused for the next stage. y + (h/6)(k1 + 2 k2 + 2 k3 + k4) is summed
+    in place in k2, in that order; addition and multiplication commute
+    exactly, so the bits are those of the textbook expression.
+    """
+    stage = np.multiply(k1, 0.5 * h)
+    stage += y
+    k2 = f(t + 0.5 * h, stage)
+    np.multiply(k2, 0.5 * h, out=stage)
+    stage += y
+    k3 = f(t + 0.5 * h, stage)
+    np.multiply(k3, h, out=stage)
+    stage += y
+    k4 = f(t + h, stage)
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= h / 6.0
+    k2 += y
+    return k2
 
 
 def integrate(scn: Scenario, gains: GainSet, part: LaplacianPartition) -> Trajectory:

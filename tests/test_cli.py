@@ -586,7 +586,7 @@ def test_leader_bound_violation_is_not_certified(tmp_path, capsys, kind):
     ("simulate", [("kappa = 0.1", "kappa = 1e308")], ["--t-end", "0.01"],
      "synthesis failed: D1 radius^2 overflowed"),
     # (A, B) stays controllable when B is scaled up; it is B B' that overflows
-    ("bound", [("B = 0; 1", "B = 0; 1e200")], [], "synthesis failed:"),
+    ("bound", [("B = 0; 1", "B = 0; 1e200")], [], "synthesis failed: B B' overflows"),
 ])
 def test_synthesis_failure_exits_3_with_one_line(tmp_path, capsys, command, edits, args, prefix):
     text = default_scenario()

@@ -209,18 +209,21 @@ def test_leader_input_combines_feedback_and_sinusoids():
         sinusoids=(Sinusoid(channel=0, amplitude=4.0, omega=2.0, phase=0.0),),
         gamma=6.0,
     )
-    x = np.array([1.0, 3.0])
-    t = 0.7
-    u = leader_input(spec, x, t)
-    assert np.allclose(u, [-6.0 + 4.0 * math.sin(1.4)])
     # 2cos(t) as a phase-shifted sine
     spec2 = LeaderInputSpec(
         feedback_gain=np.zeros((1, 2)),
         sinusoids=(Sinusoid(channel=0, amplitude=2.0, omega=1.0, phase=math.pi / 2),),
         gamma=4.0,
     )
-    u2 = leader_input(spec2, x, 0.0)
-    assert np.allclose(u2, [2.0])
+    x = np.array([[1.0, 3.0], [1.0, 3.0]])
+    inputs = leader_input((spec, spec2), x)
+    u = inputs(0.7)
+    assert u.shape == (2, 1)
+    assert np.allclose(u[0], [-6.0 + 4.0 * math.sin(1.4)])
+    assert np.allclose(inputs(0.0)[1], [2.0])
+    # the binding reads the caller's states at each call
+    x[0] = [0.0, 1.0]
+    assert np.allclose(inputs(0.0)[0], [-2.0])
 
 
 @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])

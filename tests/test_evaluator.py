@@ -27,7 +27,6 @@ from contain.control import (
     LinearSystem,
     MissingState,
     Sinusoid,
-    leader_input,
     row_norms,
     saturate,
 )
@@ -106,6 +105,13 @@ def adaptive_gain_rate(i, state, config, gains, topology):
     return float(config.taus[i]) * (
         -float(config.phis[i]) * d + quad + math.sqrt(float(ks @ ks))
     )
+
+
+def leader_input(spec, x_j, t):
+    u = spec.feedback_gain @ x_j
+    for s in spec.sinusoids:
+        u[s.channel] += s.amplitude * math.sin(s.omega * t + s.phase)
+    return u
 
 
 def observer_rate(j, state, u_j, system, l_obs):
@@ -226,7 +232,60 @@ def chain_setup(kind, t_end=20.0):
     return scn, synthesize(scn, part), part
 
 
-SETUPS = {"default": default_setup, "chain": chain_setup}
+# eight followers that each hear the two on either side (four or five
+# neighbours per row), and two leaders driving both input channels of a
+# three-state system: p = 2, so K sigma, the leader feedback and the B and C
+# products run BLAS gemv, not dot. The second leader stacks two sinusoids on
+# one channel, which must be added in spec order.
+WIDE = build_topology([
+    [0, 1, 1, 0, 0, 0, 1, 1, 1, 0],
+    [1, 0, 1, 1, 0, 0, 0, 1, 0, 0],
+    [1, 1, 0, 1, 1, 0, 0, 0, 0, 0],
+    [0, 1, 1, 0, 1, 1, 0, 0, 1, 0],
+    [0, 0, 1, 1, 0, 1, 1, 0, 0, 0],
+    [0, 0, 0, 1, 1, 0, 1, 1, 0, 1],
+    [1, 0, 0, 0, 1, 1, 0, 1, 0, 1],
+    [1, 1, 0, 0, 0, 1, 1, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+])
+WIDE_SYSTEM = LinearSystem(
+    A=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -2.0, -1.0]],
+    B=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+    C=[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+)
+WIDE_LEADERS = (
+    LeaderInputSpec(
+        feedback_gain=[[0.3, -1.1, 0.7], [0.45, 0.1, -2.3]],
+        sinusoids=(Sinusoid(0, 3.0, 2.0, 0.0), Sinusoid(1, 1.5, 0.7, 0.3)),
+        gamma=4.0,
+    ),
+    LeaderInputSpec(
+        feedback_gain=[[-1.3, 0.2, 0.1], [0.6, -0.7, -1.9]],
+        sinusoids=(Sinusoid(1, 2.0, 1.0, 1.0), Sinusoid(0, 0.5, 3.0, 0.0),
+                   Sinusoid(1, 0.25, 5.0, 2.0)),
+        gamma=3.0,
+    ),
+)
+
+
+def wide_setup(kind, t_end=20.0):
+    part = partition_laplacian(WIDE)
+    extra = {}
+    if kind == ADAPTIVE:
+        extra = dict(taus=np.linspace(1.0, 5.0, 8), phis=np.linspace(0.0, 0.1, 8),
+                     d0=np.linspace(0.0, 3.0, 8))
+    cfg = ControllerConfig(kind=kind, kappa=None if kind == DISCONTINUOUS_STATIC else 0.1,
+                           **extra)
+    x0 = np.random.default_rng(3).uniform(-2.0, 2.0, (10, 3))
+    scn = Scenario(system=WIDE_SYSTEM, topology=WIDE, controller=cfg,
+                   leader_specs=WIDE_LEADERS, x0=x0,
+                   v0=np.zeros((10, 3)) if kind == OBSERVER_BASED else None,
+                   t_end=t_end, h=1e-3)
+    return scn, synthesize(scn, part), part
+
+
+SETUPS = {"default": default_setup, "chain": chain_setup, "wide": wide_setup}
 
 
 def random_states(scn, rng, draws=300):
@@ -389,7 +448,7 @@ def test_evaluator_matches_oracle_bitwise(kind, topology):
     assert seen == expected
 
 
-@pytest.mark.parametrize("topology,steps", [("default", 1000), ("chain", 500)])
+@pytest.mark.parametrize("topology,steps", [("default", 1000), ("chain", 500), ("wide", 500)])
 @pytest.mark.parametrize("kind", KINDS)
 def test_integrate_matches_oracle_run(kind, topology, steps, monkeypatch):
     scn, gains, part = SETUPS[topology](kind, t_end=steps * 1e-3)
@@ -415,3 +474,26 @@ def test_integrate_matches_oracle_run(kind, topology, steps, monkeypatch):
     assert traj.assumption2_violations == violations
     if topology == "chain":
         assert violations > 0
+
+
+@pytest.mark.parametrize("topology", sorted(SETUPS))
+@pytest.mark.parametrize("kind", KINDS)
+def test_evaluator_results_survive_the_next_call(kind, topology):
+    # the evaluator works in buffers bound once per run; what it returns, and
+    # the y it was given, must not change when it is called again
+    scn, gains, _ = SETUPS[topology](kind)
+    evaluate = make_evaluator(scn, gains)
+    (t1, y1), (t2, y2) = list(random_states(scn, np.random.default_rng(2), draws=3))[1:]
+    y1_before, y2_before = y1.copy(), y2.copy()
+    first = evaluate(t1, y1)
+    kept = [a.copy() for a in first]
+    second = evaluate(t2, y2)
+    for a, b in zip(first, kept):
+        assert_bitwise(a, b)
+    assert_bitwise(y1, y1_before)
+    assert_bitwise(y2, y2_before)
+    for a in first:
+        assert not any(np.shares_memory(a, b) for b in (*second, y1, y2))
+    # and the second call's results are those of a fresh evaluator
+    for a, b in zip(second, make_evaluator(scn, gains)(t2, y2)):
+        assert_bitwise(a, b)

@@ -4,9 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
+from contain.cli import parse_scenario
+from contain.graph import partition_laplacian
 from contain.matlib import (
     TOL,
     NoConvergence,
+    NonFinite,
     NotControllable,
     NotSymmetric,
     Singular,
@@ -21,7 +24,7 @@ from contain.matlib import (
     solve_linear,
     sym_eigs,
 )
-from conftest import random_controllable_pair
+from conftest import random_controllable_pair, ring_scenario
 
 
 def test_as_matrix_rejects_bad_input():
@@ -61,6 +64,32 @@ def test_sym_eigs_returns_ascending_values_of_eigh():
         values = sym_eigs(s)
         assert isinstance(values, np.ndarray)
         assert np.array_equal(values, np.linalg.eigh(0.5 * (s + s.T))[0])
+
+
+def test_sym_eigs_feeds_eigh_the_symmetrized_input_bit_for_bit(monkeypatch):
+    # the skew check and 0.5 (s + s.T) share one scratch matrix; eigh must
+    # still see the bits of that expression, zero signs included, on nearly
+    # symmetric matrices (skew within TOL.sym) and on the 510-follower ring's L1
+    eigh = np.linalg.eigh
+    seen = []
+
+    def spy(a):
+        seen.append(a.copy())
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    rng = np.random.default_rng(17)
+    matrices = [partition_laplacian(parse_scenario(ring_scenario(510, 1)).topology).L1]
+    for _ in range(40):
+        size = int(rng.integers(1, 12))
+        m = rng.standard_normal((size, size)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        matrices.append(m + m.T + rng.uniform(-0.25, 0.25, m.shape) * TOL.sym)
+    for s in matrices:
+        values = sym_eigs(s)
+        want = 0.5 * (s + s.T)
+        assert np.array_equal(seen[-1], want)
+        assert np.array_equal(np.signbit(seen[-1]), np.signbit(want))
+        assert np.array_equal(values, eigh(want)[0])
 
 
 def test_sym_eigs_rejects_asymmetric():
@@ -187,6 +216,15 @@ def test_is_controllable_with_a_huge_input_column():
         warnings.simplefilter("error")
         assert is_controllable(a, [[0.0], [1e200]])
         assert is_controllable(a, [[0.0], [1.0]])
+
+
+def test_care_solve_names_an_overflowing_b_b_transpose():
+    # controllable, but B B' overflows before the Bass seed's Lyapunov solve
+    a = [[0.0, 1.0], [-1.0, 1.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="^B B' overflows"):
+            care_solve(a, [[0.0], [1e200]], np.eye(2))
 
 
 def test_care_scalar_oracles():
