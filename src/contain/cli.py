@@ -892,7 +892,9 @@ def main(argv=None) -> int:
         print(f"adaptive leakage too fast: {exc}", file=sys.stderr)
         return 4
     except NonFiniteState as exc:
-        print(f"diverged: {exc}", file=sys.stderr)
+        label, block, component = exc.entry
+        entry = block if component is None else f"{block}_{component}"
+        print(f"diverged: {exc} (first non-finite: agent {label} {entry})", file=sys.stderr)
         return 6
 
 

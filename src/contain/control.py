@@ -14,9 +14,11 @@ anyone.
 The laws work on stacked rows, one per follower, but every matrix-vector
 product is a stacked matmul (K @ sigma[:, :, None]) and every norm a stacked
 dot, so each row rounds exactly as a single-vector evaluation would; see the
-sim module docstring for why that matters. follower_law and leader_input bind
-once to the caller's arrays and return a callable that refills buffers on
-each call; row_norms and saturate write into the caller's out= when given.
+sim module docstring for why that matters. follower_law, leader_input,
+row_norms and saturate each bind once to the caller's arrays and return a
+callable that refills buffers on each call: the law binds its row norm and its
+saturation, so one evaluation makes no temporary array and re-derives no
+view.
 """
 
 from __future__ import annotations
@@ -152,37 +154,89 @@ class ControllerConfig:
             object.__setattr__(self, "d0", d0)
 
 
-def row_norms(w: np.ndarray, out=None) -> np.ndarray:
-    """Euclidean norm of every row of w (shape (..., p)), one BLAS dot per row.
+def row_norms(w: np.ndarray, out=None):
+    """Bind the Euclidean norm of every row of w (shape (..., p)): norms() -> out.
 
-    The stacked matmul runs the same per-vector dot as math.sqrt(w @ w) on a
-    single row, so batched and single-row callers round identically. out, when
-    given, is the caller's array of shape w.shape[:-1] that receives the norms.
+    Each norm is one BLAS dot, the stacked matmul (..., 1, p) @ (..., p, 1),
+    which runs the same per-vector dot as math.sqrt(w @ w) on a single row, so
+    batched and single-row callers round identically. The row and column views
+    of w and the buffer of the dots are bound here, once; norms() reads w's
+    current contents. out, when given, is the caller's array of shape
+    w.shape[:-1] that receives the norms, else the binding owns one.
     """
-    return np.sqrt((w[..., None, :] @ w[..., :, None])[..., 0, 0], out=out)
+    rows = w[..., None, :]
+    cols = w[..., :, None]
+    dots = np.empty(w.shape[:-1] + (1, 1))
+    squares = dots[..., 0, 0]
+    if out is None:
+        out = np.empty(w.shape[:-1])
+
+    def norms() -> np.ndarray:
+        np.matmul(rows, cols, out=dots)
+        return np.sqrt(squares, out=out)
+
+    return norms
 
 
-def saturate(w: np.ndarray, norm: np.ndarray, width: float, d=None, out=None) -> np.ndarray:
-    """Boundary-layer saturation of the rows of w (shape (..., p)).
+def saturate(w: np.ndarray, norm: np.ndarray, width: float, d=None, out=None):
+    """Bind the boundary-layer saturation of the rows of w (shape (..., p)):
+    sat() -> out.
 
-    norm holds the row_norms of w and d the per-row gains (d = 1 when absent).
-    A row is outside the layer when d ||w|| > width and gives w / ||w||;
-    inside it gives (w / width) d. Width 0 is the discontinuous unit vector,
-    whose only inside rows are zero rows: they give +0.0. out, when given, is
-    the caller's array of w's shape that receives the result.
+    norm holds the row_norms of w and d the per-row gains (d = 1 when absent);
+    sat() reads the current contents of all three. A row is outside the layer
+    when d ||w|| > width and gives w / ||w||; inside it gives (w / width) d.
+    Width 0 is the discontinuous unit vector, whose only inside rows are zero
+    rows: they give +0.0. out, when given, is the caller's array of w's shape
+    that receives the result, else the binding owns one.
 
     The divisions keep their scalar form, w / ||w|| and (w / width) d; a
-    reciprocal multiply rounds differently. The rows outside the layer are
-    multiplied by one, and absent d skips that multiply; both are exact.
+    reciprocal multiply rounds differently. Each row is divided by its own
+    denominator, ||w|| outside the layer and width inside (1 at width 0, whose
+    inside rows are then zeroed); without d that denominator is
+    fmax(||w||, width), which is exact and also gives width on a nan norm. The
+    rows outside the layer are multiplied by one, which is exact. The masks,
+    denominators and factors live in buffers bound here, and the constants
+    are arrays, which numpy multiplies and compares faster than scalars.
     """
-    outside = (norm if d is None else d * norm) > width
-    # at width 0 the inside rows are zero rows: divided by one, then zeroed
-    unit = np.divide(w, np.where(outside, norm, width or 1.0)[..., None], out=out)
-    if width == 0.0:
-        np.copyto(unit, 0.0, where=~outside[..., None])
-    elif d is not None:
-        unit *= np.where(outside, 1.0, d)[..., None]
-    return unit
+    den = np.empty(norm.shape)
+    den_col = den[..., None]
+    limit = np.full(norm.shape, width)
+    if out is None:
+        out = np.empty_like(w)
+    if d is None and width > 0.0:
+        def sat() -> np.ndarray:
+            np.fmax(norm, limit, out=den)
+            return np.divide(w, den_col, out=out)
+
+        return sat
+
+    outside = np.empty(norm.shape, dtype=bool)
+    outside_col = outside[..., None]
+    reach = norm if d is None else np.empty_like(norm)
+    # inside the layer a row is divided by the width, or by 1 at width 0
+    inside_den = limit if width > 0.0 else np.ones_like(den)
+    inside_rows = np.empty(out.shape, dtype=bool)
+    factor = np.empty_like(den)
+    factor_col = factor[..., None]
+    ones = np.ones_like(factor)
+
+    def sat() -> np.ndarray:
+        if d is not None:
+            np.multiply(d, norm, out=reach)
+        np.greater(reach, limit, out=outside)
+        den[...] = inside_den
+        np.putmask(den, outside, norm)
+        np.divide(w, den_col, out=out)
+        if width == 0.0:
+            np.logical_not(outside_col, out=inside_rows)
+            np.putmask(out, inside_rows, 0.0)
+        else:
+            factor[...] = d
+            np.putmask(factor, outside, ones)
+            np.multiply(out, factor_col, out=out)
+        return out
+
+    return sat
 
 
 def follower_law(config: ControllerConfig, gains: GainSet, sigma: np.ndarray, d=None,
@@ -211,6 +265,7 @@ def follower_law(config: ControllerConfig, gains: GainSet, sigma: np.ndarray, d=
     ks_col = np.empty((m, p, 1))
     ks = ks_col[:, :, 0]
     norm = np.empty(m)
+    norms = row_norms(ks, out=norm)
     sat = np.empty((m, p))
     if u is None:
         u = np.empty((m, p))
@@ -225,13 +280,16 @@ def follower_law(config: ControllerConfig, gains: GainSet, sigma: np.ndarray, d=
         taus = config.taus
         neg_phis = -config.phis
     else:
-        g1, g2, d, d_rate = gains.c1, gains.c2, None, None
+        # arrays of the scalar gains: numpy multiplies arrays faster than scalars
+        g1, g2 = np.full((m, p), gains.c1), np.full((m, p), gains.c2)
+        d = d_rate = None
+    saturated = saturate(ks, norm, width, d, out=sat)
 
     def law():
         np.matmul(gains.K, sigma_col, out=ks_col)
-        row_norms(ks, out=norm)
+        norms()
         np.multiply(g1, ks, out=u)
-        np.multiply(g2, saturate(ks, norm, width, d, out=sat), out=sat)
+        np.multiply(g2, saturated(), out=sat)
         np.add(u, sat, out=u)
         if d is not None:
             np.matmul(gains.Gamma, sigma_col, out=gamma_sigma)

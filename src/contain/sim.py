@@ -32,8 +32,16 @@ evaluator binds its buffers and views once per run (make_evaluator) and a call
 is a short list of out= ufunc and matmul calls on them. An out= call runs the
 same kernel as the allocating call it replaces: each matmul writes into a
 C-contiguous buffer of the shape that call would return, so numpy picks the
-same BLAS dot or gemv. What the evaluator returns is fresh, never a view of
-its buffers. rk4_step sums its stages in place in the same order.
+same BLAS dot or gemv. What the evaluator returns are its own buffers, valid
+until its next call.
+
+One stepper, steps(), runs every simulation and yields it in chunks of steps;
+integrate collects them. Each step evaluates once at its start, recording the
+inputs and taking the rate as RK4's k1, and rk4_step consumes the evaluator's
+buffers in order, each stage before the next call overwrites it, summing in
+the textbook order into the chunk's next row. Finiteness is checked once per
+chunk, and the first non-finite state is then located exactly, so a
+divergence reports what a per-step check would.
 
 xi, |xi|, V1 and the leader-bound count never feed back into the dynamics;
 they are derived from the recorded states after the loop, a bounded chunk of
@@ -73,13 +81,20 @@ class HorizonTooLong(ValueError):
 
 
 class NonFiniteState(RuntimeError):
-    """State blew up mid-run. Carries the finite prefix of the trajectory."""
+    """State blew up mid-run.
 
-    def __init__(self, message, trajectory=None, step=None, t=None):
+    Carries the finite prefix of the trajectory, the step and time t of the
+    first non-finite state, and that state's first non-finite entry as
+    (agent label, block, component): block "x" for an agent state, "d" for an
+    adaptive gain (a scalar: component None) and "v" for an observer state.
+    """
+
+    def __init__(self, message, trajectory=None, step=None, t=None, entry=None):
         super().__init__(message)
         self.trajectory = trajectory
         self.step = step
         self.t = t
+        self.entry = entry
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,8 +130,7 @@ class Scenario:
         n_agents = self.topology.n_agents
         m = self.topology.n_followers
         kind = self.controller.kind
-        width = n_agents * (n + self.system.p) + (m if kind == ADAPTIVE else 0)
-        width += n_agents * n if kind == OBSERVER_BASED else 0
+        width = self.state_size + n_agents * self.system.p
         steps = self.t_end / self.h
         if not steps * width <= MAX_RECORDED_VALUES:
             raise HorizonTooLong(
@@ -148,6 +162,19 @@ class Scenario:
                 f"taus, phis and d0 must list one value per follower ({m}), "
                 f"got {self.controller.d0.shape[0]}"
             )
+
+    @property
+    def state_size(self) -> int:
+        """Length of the stacked state y (see the module docstring)."""
+        kind = self.controller.kind
+        off_x = self.topology.n_agents * self.system.n
+        return (off_x + (self.topology.n_followers if kind == ADAPTIVE else 0)
+                + (off_x if kind == OBSERVER_BASED else 0))
+
+    @property
+    def n_steps(self) -> int:
+        """Steps S of the recorded grid t_k = k h, k = 0 .. S-1."""
+        return int(round(self.t_end / self.h))
 
     @property
     def gammas(self) -> list:
@@ -233,9 +260,9 @@ def _derived_series(xf, xl, ul, part: LaplacianPartition, p_inv: np.ndarray, gam
     for start in range(0, steps, chunk):
         span = slice(start, start + chunk)
         xi = containment_error(xf[span], xl[span], part)
-        xi_norm[span] = row_norms(xi)
+        row_norms(xi, out=xi_norm[span])()
         v1[span] = lyapunov_v1(xi, part, p_inv)
-        violations += int(np.count_nonzero(row_norms(ul[span]) > gammas))
+        violations += int(np.count_nonzero(row_norms(ul[span])() > gammas))
     return xi_norm, v1, violations
 
 
@@ -248,9 +275,10 @@ def make_evaluator(scn: Scenario, gains: GainSet):
     the observer states, and the adaptive gains d), the buffers of every
     intermediate, the law (follower_law) and the leader inputs
     (leader_input), both bound to those views. A call is then a short list of
-    ufunc and matmul calls writing into those buffers, and it returns a fresh
-    ydot and fresh inputs: nothing it returns aliases the buffers or y. The
-    evaluator is not reentrant.
+    ufunc and matmul calls writing into those buffers. It never writes y, and
+    what it returns are its own ydot and input buffers: they hold this call's
+    results until the next call overwrites them, so a caller that keeps a
+    result copies it first. The evaluator is not reentrant.
 
     The forms are chosen to round exactly as the per-follower formulas do
     (see the module docstring): sigma_i = deg_i s_i - a_i @ s row by row via
@@ -278,7 +306,7 @@ def make_evaluator(scn: Scenario, gains: GainSet):
     a_t = system.A.T.copy()
     b_t = system.B.T.copy()
 
-    state = np.empty(off_x + (m if adaptive else 0) + (off_x if observer else 0))
+    state = np.empty(scn.state_size)
     x = state[:off_x].reshape(n_agents, n)
     xf = x[:m]
     xl = x[m:]
@@ -287,8 +315,8 @@ def make_evaluator(scn: Scenario, gains: GainSet):
     neighbours = np.empty((m, 1, n))
     neighbour_sum = neighbours[:, 0]
     sigma = np.empty((m, n))
-    # ydot = [x_f' | x_l' | d' (adaptive) | v' (observer)], written in place
-    # and copied out; the inputs of all agents share one (N, p, 1) buffer.
+    # ydot = [x_f' | x_l' | d' (adaptive) | v' (observer)], written in place;
+    # the inputs of all agents share one (N, p, 1) buffer.
     ydot = np.empty_like(state)
     xdot_f = ydot[:m * n].reshape(m, n)
     xdot_l = ydot[m * n:off_x].reshape(n_leaders, n)
@@ -296,6 +324,8 @@ def make_evaluator(scn: Scenario, gains: GainSet):
     bu_l = np.empty((n_leaders, n))
     u_col = np.empty((n_agents, p, 1))
     u_f = u_col[:m, :, 0]
+    u_l = u_col[m:, :, 0]
+    results = (ydot, u_f, u_l)
     law = follower_law(cfg, gains, sigma, state[off_x:off_x + m] if adaptive else None,
                        u=u_f, d_rate=ydot[off_x:off_x + m] if adaptive else None)
     leader_inputs = leader_input(scn.leader_specs, xl, out=u_col[m:])
@@ -309,12 +339,12 @@ def make_evaluator(scn: Scenario, gains: GainSet):
         l_innovation = np.empty_like(vdot)
 
     def evaluate(t: float, y: np.ndarray):
-        np.copyto(state, y)
+        state[...] = y
         np.multiply(degree, source_f, out=sigma)
         np.matmul(rows, source, out=neighbours)
         np.subtract(sigma, neighbour_sum, out=sigma)
         law()
-        u_l = leader_inputs(t)
+        leader_inputs(t)
         # Separate follower and leader products, as the per-agent code had:
         # a gemm over a different row count is not guaranteed to round alike.
         np.matmul(xf, a_t, out=xdot_f)
@@ -332,40 +362,139 @@ def make_evaluator(scn: Scenario, gains: GainSet):
             np.matmul(gains.L_obs, cv, out=l_innovation)
             np.add(vdot, bu, out=vdot)
             np.add(vdot, l_innovation, out=vdot)
-        return ydot.copy(), u_f.copy(), u_l.copy()
+        return results
 
     return evaluate
 
 
-def rk4_step(f: Callable, t: float, y: np.ndarray, h: float, k1: np.ndarray) -> np.ndarray:
+def rk4_step(f: Callable, t: float, y: np.ndarray, h: float, k1: np.ndarray,
+             out: Optional[np.ndarray] = None, work: Optional[tuple] = None) -> np.ndarray:
     """One classic Runge-Kutta 4 step from y at t, given its first stage k1 = f(t, y).
 
-    f must return a fresh array and keep no reference to its argument, which
-    is reused for the next stage. y + (h/6)(k1 + 2 k2 + 2 k3 + k4) is summed
-    in place in k2, in that order; addition and multiplication commute
-    exactly, so the bits are those of the textbook expression.
+    f(t, y) returns the rate at (t, y), alone or as the first item of a tuple
+    (make_evaluator's (ydot, u_f, u_l)). The rate may be a buffer that the
+    next call of f overwrites: each stage is consumed, into the next stage
+    point and the running sum, before f is called again. f keeps no reference
+    to its argument, the stage point, which is rebuilt for the next stage.
+
+    y + (h/6)(k1 + 2 k2 + 2 k3 + k4) is summed in out in that order, scaled
+    by h/6, then y is added; addition and multiplication commute exactly, so
+    the bits are those of the textbook expression. out receives y at t + h and
+    work is a pair of arrays shaped like y, the stage point and one scratch
+    array; both are the caller's when given, else allocated, and neither may
+    overlap y.
     """
-    stage = np.multiply(k1, 0.5 * h)
-    stage += y
-    k2 = f(t + 0.5 * h, stage)
-    np.multiply(k2, 0.5 * h, out=stage)
-    stage += y
-    k3 = f(t + 0.5 * h, stage)
-    np.multiply(k3, h, out=stage)
-    stage += y
-    k4 = f(t + h, stage)
-    k2 *= 2.0
-    k2 += k1
-    k3 *= 2.0
-    k2 += k3
-    k2 += k4
-    k2 *= h / 6.0
-    k2 += y
-    return k2
+    if out is None:
+        out = np.empty_like(y)
+    stage, scratch = (np.empty_like(y), np.empty_like(y)) if work is None else work
+    out[...] = k1
+    k = k1
+    # k2, k3 and k4, each at y plus an offset times the previous stage and
+    # weighted 2, 2 and 1 in the sum; 2 k is k + k, exactly
+    for offset, doubled in ((0.5 * h, True), (0.5 * h, True), (h, False)):
+        np.multiply(k, offset, out=stage)
+        np.add(stage, y, out=stage)
+        k = f(t + offset, stage)
+        if isinstance(k, tuple):
+            k = k[0]
+        if doubled:
+            np.add(k, k, out=scratch)
+            np.add(out, scratch, out=out)
+        else:
+            np.add(out, k, out=out)
+    np.multiply(out, h / 6.0, out=out)
+    np.add(out, y, out=out)
+    return out
+
+
+# Steps integrated between finiteness checks: steps() yields chunks of this
+# many steps, and a diverging run integrates at most this many steps past its
+# first non-finite state.
+_STEP_CHUNK = 64
+
+
+def steps(scn: Scenario, gains: GainSet):
+    """Integrate the scenario, yielding chunks (times, y, u_f, u_l) of its steps.
+
+    Each chunk holds up to _STEP_CHUNK consecutive steps of the grid t_k = k h
+    (module docstring): times (C,), the stacked state at each step start y
+    (C, width), and the inputs applied over each step, u_f (C, M, p) and u_l
+    (C, N-M, p). The arrays are views of buffers the stepper owns, allocated
+    once per run: they hold the chunk until the next one is asked for, so a
+    consumer that keeps them copies them.
+
+    One evaluation per step, at its start, gives the recorded inputs and
+    rk4_step's k1; rk4_step writes the next state straight into the chunk's
+    next row. Finiteness is checked once per chunk: when a state is not
+    finite, the chunk's finite prefix is yielded and NonFiniteState raised,
+    naming the first non-finite state's step and time and its first
+    non-finite entry.
+    """
+    topo = scn.topology
+    cfg = scn.controller
+    m = topo.n_followers
+    p = scn.system.p
+    h = scn.h
+    total = scn.n_steps
+    chunk = _STEP_CHUNK
+
+    pieces = [scn.x0.reshape(-1)]
+    if cfg.kind == ADAPTIVE:
+        pieces.append(cfg.d0.astype(float))
+    if cfg.kind == OBSERVER_BASED:
+        pieces.append(scn.v0.reshape(-1))
+    y0 = np.concatenate(pieces)
+
+    evaluate = make_evaluator(scn, gains)
+    # row C carries the state at the next chunk's first step
+    ys = np.empty((chunk + 1, y0.shape[0]))
+    uf = np.empty((chunk, m, p))
+    ul = np.empty((chunk, topo.n_leaders, p))
+    work = (np.empty_like(y0), np.empty_like(y0))
+    rows = list(ys)
+    ys[0] = y0
+    for start in range(0, total, chunk):
+        if start:
+            ys[0] = ys[chunk]
+        count = min(chunk, total - start)
+        advanced = count if start + count < total else count - 1
+        times = np.arange(start, start + count) * h
+        # divergent runs overflow on purpose before the check below fires
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, t in enumerate(times.tolist()):
+                k1, uf[j], ul[j] = evaluate(t, rows[j])
+                if j < advanced:
+                    rk4_step(evaluate, t, rows[j], h, k1, out=rows[j + 1], work=work)
+        finite = np.isfinite(ys[1:advanced + 1])
+        if not finite.all():
+            row = int(np.argmin(finite.all(axis=1)))
+            yield times[:row + 1], ys[:row + 1], uf[:row + 1], ul[:row + 1]
+            t = float(times[row])
+            raise NonFiniteState(
+                f"state became non-finite advancing from t = {t:.6g}",
+                step=start + row + 1,
+                t=t + h,
+                entry=_state_entry(scn, int(np.argmin(finite[row]))),
+            )
+        yield times, ys[:count], uf[:count], ul[:count]
+
+
+def _state_entry(scn: Scenario, column: int):
+    """(agent label, block, component) of a column of the stacked state."""
+    topo = scn.topology
+    n = scn.system.n
+    off_x = topo.n_agents * n
+    if column < off_x:
+        return topo.labels[column // n], "x", column % n + 1
+    column -= off_x
+    if scn.controller.kind == ADAPTIVE:
+        return topo.labels[column], "d", None
+    return topo.labels[column // n], "v", column % n + 1
 
 
 def integrate(scn: Scenario, gains: GainSet, part: LaplacianPartition) -> Trajectory:
-    """Run the scenario, recording every step start.
+    """Run the scenario, recording every step start: steps() collected into a
+    Trajectory, with xi, V1 and the leader-bound count derived after the run.
 
     Raises NonFiniteState on divergence, with the finite prefix attached.
     """
@@ -376,29 +505,15 @@ def integrate(scn: Scenario, gains: GainSet, part: LaplacianPartition) -> Trajec
     n_agents = topo.n_agents
     n = scn.system.n
     p = scn.system.p
-    h = scn.h
-
-    steps = int(round(scn.t_end / h))
-
-    pieces = [scn.x0.reshape(-1)]
-    if cfg.kind == ADAPTIVE:
-        pieces.append(cfg.d0.astype(float))
-    if cfg.kind == OBSERVER_BASED:
-        pieces.append(scn.v0.reshape(-1))
-    y = np.concatenate(pieces)
-
-    evaluate = make_evaluator(scn, gains)
-
-    def rate(t, y):
-        return evaluate(t, y)[0]
+    total = scn.n_steps
 
     p_inv = solve_linear(gains.P, np.eye(n))
     gammas = np.array(scn.gammas)
 
-    times = np.arange(steps) * h
-    y_rec = np.empty((steps, y.shape[0]))
-    uf_rec = np.empty((steps, m, p))
-    ul_rec = np.empty((steps, n_leaders, p))
+    times = np.empty(total)
+    y_rec = np.empty((total, scn.state_size))
+    uf_rec = np.empty((total, m, p))
+    ul_rec = np.empty((total, n_leaders, p))
 
     def snapshot(upto: int) -> Trajectory:
         """Trajectory of the first `upto` recorded steps, with xi, V1 and the
@@ -408,7 +523,9 @@ def integrate(scn: Scenario, gains: GainSet, part: LaplacianPartition) -> Trajec
         xl = rec[:, m * n:n_agents * n].reshape(upto, n_leaders, n)
         extra = rec[:, n_agents * n:]
         ul = ul_rec[:upto]
-        xi_norm, v1, violations = _derived_series(xf, xl, ul, part, p_inv, gammas)
+        # the finite prefix of a run that blew up may overflow here too
+        with np.errstate(over="ignore", invalid="ignore"):
+            xi_norm, v1, violations = _derived_series(xf, xl, ul, part, p_inv, gammas)
         return Trajectory(
             times=times[:upto],
             follower_states=xf,
@@ -424,26 +541,19 @@ def integrate(scn: Scenario, gains: GainSet, part: LaplacianPartition) -> Trajec
             ),
         )
 
-    # Divergent runs overflow on purpose before the finiteness check fires;
-    # keep numpy quiet about it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            t = float(times[k])
-            deriv, u_f, u_l = evaluate(t, y)
-            y_rec[k] = y
-            uf_rec[k] = u_f
-            ul_rec[k] = u_l
-            if k == steps - 1:
-                break
-            y = rk4_step(rate, t, y, h, deriv)
-            if not np.isfinite(y).all():
-                raise NonFiniteState(
-                    f"state became non-finite advancing from t = {t:.6g}",
-                    trajectory=snapshot(k + 1),
-                    step=k + 1,
-                    t=t + h,
-                )
-        return snapshot(steps)
+    filled = 0
+    try:
+        for t, y, u_f, u_l in steps(scn, gains):
+            span = slice(filled, filled + len(t))
+            times[span] = t
+            y_rec[span] = y
+            uf_rec[span] = u_f
+            ul_rec[span] = u_l
+            filled = span.stop
+    except NonFiniteState as exc:
+        exc.trajectory = snapshot(filled)
+        raise
+    return snapshot(total)
 
 
 def compute_metrics(

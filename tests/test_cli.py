@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -18,7 +19,7 @@ from contain.cli import (
     write_trajectory_csv,
 )
 from contain.matlib import TOL, NoConvergence
-from contain.sim import Scenario, Trajectory
+from contain.sim import NonFiniteState, Scenario, Trajectory
 from contain import synthesis
 from contain.synthesis import NonPositiveAlpha
 from conftest import main_without_warnings, ring_scenario
@@ -354,11 +355,25 @@ def test_exit_code_varrho(tmp_path, capsys):
     assert "verdict = not certified" in metrics
 
 
-def test_exit_code_divergence(tmp_path, capsys):
+def test_exit_code_divergence(tmp_path, capsys, monkeypatch):
     text = CHAIN_TEXT.replace("t_end = 2", "t_end = 2000").replace("h = 0.01", "h = 5")
     rc = main(["simulate", chain_file(tmp_path, text), "--out", str(tmp_path / "out")])
     assert rc == 6
-    assert "diverged" in capsys.readouterr().err
+    # one line, naming the first non-finite entry: the follower's state
+    assert re.fullmatch(
+        r"diverged: state became non-finite advancing from t = \S+ "
+        r"\(first non-finite: agent 1 x_1\)\n",
+        capsys.readouterr().err,
+    )
+    # an adaptive gain is a scalar, named without a component
+    def diverged(*_):
+        raise NonFiniteState("state became non-finite advancing from t = 0.5", entry=(3, "d", None))
+
+    monkeypatch.setattr(cli, "integrate", diverged)
+    assert main(["simulate", chain_file(tmp_path, text), "--out", str(tmp_path / "out")]) == 6
+    assert capsys.readouterr().err == (
+        "diverged: state became non-finite advancing from t = 0.5 (first non-finite: agent 3 d)\n"
+    )
 
 
 def test_default_subcommand_roundtrip(tmp_path, capsys):

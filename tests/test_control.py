@@ -37,7 +37,7 @@ CHAIN = build_topology([
 
 def sat(w, width, d=None):
     w = np.array(w, dtype=float)
-    return saturate(w, row_norms(w), width, None if d is None else np.array(d))
+    return saturate(w, row_norms(w)(), width, None if d is None else np.array(d))()
 
 
 def test_ghat_is_unit_or_zero():
@@ -68,7 +68,7 @@ def test_rsat_scales_with_gain():
     # rows are independent: one stacked call equals the per-row calls
     rows = np.array([[0.1, 0.0], [0.1, 0.0], [3.0, 4.0]])
     d = np.array([2.0, 100.0, 0.0])
-    stacked = saturate(rows, row_norms(rows), kappa, d)
+    stacked = saturate(rows, row_norms(rows)(), kappa, d)()
     assert np.array_equal(stacked, [sat(r, kappa, g) for r, g in zip(rows, d)])
 
 

@@ -33,6 +33,7 @@ from contain.sim import (
 from contain.matlib import solve_linear
 from contain.synthesis import compute_bound_report, synthesize
 from conftest import ring_scenario
+from test_evaluator import assert_bitwise, oracle_evaluator
 
 # one scalar follower pulled toward one constant leader
 CHAIN1D = build_topology([[0, 1], [0, 0]])
@@ -203,6 +204,147 @@ def test_divergence_raises_with_snapshot():
     assert np.isfinite(exc.trajectory.xi_norm[0])
 
 
+RECORDED = ("times", "follower_states", "leader_states", "follower_inputs", "leader_inputs",
+            "xi_norm", "v1", "adaptive_gains", "observer_states")
+
+
+@pytest.mark.parametrize("text", [default_scenario(), ring_scenario(30, 1)],
+                         ids=["default", "ring30"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_integrate_does_not_depend_on_the_step_chunk(monkeypatch, kind, text):
+    # 150 steps: 150 chunks of 1, 22 chunks of 7 and a short one, and two
+    # default chunks and a short one
+    scn = parse_scenario(text, controller=kind, t_end=0.15)
+    part = partition_laplacian(scn.topology)
+    gains = synthesize(scn, part)
+    runs = []
+    for chunk in (1, 7, sim._STEP_CHUNK):
+        monkeypatch.setattr(sim, "_STEP_CHUNK", chunk)
+        runs.append(integrate(scn, gains, part))
+    assert runs[-1].times.shape == (150,)
+    for traj in runs[:-1]:
+        assert traj.assumption2_violations == runs[-1].assumption2_violations
+        for name in RECORDED:
+            got, want = getattr(traj, name), getattr(runs[-1], name)
+            if want is None:
+                assert got is None
+            else:
+                assert_bitwise(got, want, name)
+
+
+def first_entry(scn, column):
+    """(agent label, block, component) of a column of the stacked state
+    [x of every agent | d of every follower | v of every agent]."""
+    n = scn.system.n
+    labels = scn.topology.labels
+    if column < len(labels) * n:
+        return labels[column // n], "x", column % n + 1
+    column -= len(labels) * n
+    if scn.controller.kind == "adaptive":
+        return labels[column], "d", None
+    return labels[column // n], "v", column % n + 1
+
+
+def per_step_run(scn, gains):
+    """The loop the chunked stepper replaced, on the per-agent oracle: step,
+    record, advance with rk4_step and check every new state. Returns the
+    recorded states and inputs, and the step, t and first non-finite column of
+    the first non-finite state."""
+    evaluate = oracle_evaluator(scn, gains)
+    pieces = [scn.x0.ravel()]
+    if scn.controller.kind == "adaptive":
+        pieces.append(scn.controller.d0)
+    if scn.controller.kind == "observer_based":
+        pieces.append(scn.v0.ravel())
+    y = np.concatenate(pieces)
+    states, inputs_f, inputs_l = [], [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(scn.n_steps - 1):
+            t = k * scn.h
+            k1, u_f, u_l = evaluate(t, y)
+            states.append(y)
+            inputs_f.append(u_f)
+            inputs_l.append(u_l)
+            y = rk4_step(evaluate, t, y, scn.h, k1)
+            if not np.isfinite(y).all():
+                column = int(np.flatnonzero(~np.isfinite(y))[0])
+                return np.array(states), np.array(inputs_f), np.array(inputs_l), k + 1, t + scn.h, column
+    raise AssertionError("the run did not diverge")
+
+
+@pytest.mark.parametrize("where", ["mid-chunk", "first row"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_divergence_found_per_chunk_matches_a_per_step_check(monkeypatch, kind, where):
+    # h = 5 puts the linear closed loop far outside the RK4 stability region
+    scn, gains, part = chain_scenario(kind=kind, t_end=2000.0, h=5.0)
+    states, inputs_f, inputs_l, step, t, column = per_step_run(scn, gains)
+    # the first non-finite state is y_step: inside a default chunk, or the
+    # first row of the chunk after one of `step` steps
+    chunk = sim._STEP_CHUNK if where == "mid-chunk" else step
+    assert (step % chunk != 0) == (where == "mid-chunk")
+    monkeypatch.setattr(sim, "_STEP_CHUNK", chunk)
+    with pytest.raises(NonFiniteState) as info:
+        integrate(scn, gains, part)
+    exc = info.value
+    assert (exc.step, exc.t) == (step, t)
+    assert str(exc) == f"state became non-finite advancing from t = {t - scn.h:.6g}"
+    assert exc.entry == first_entry(scn, column)
+    traj = exc.trajectory
+    split = scn.topology.n_followers * scn.system.n
+    assert_bitwise(traj.times, np.arange(step) * scn.h)
+    assert_bitwise(traj.follower_states.reshape(step, -1), states[:, :split])
+    assert_bitwise(traj.leader_states.reshape(step, -1),
+                   states[:, split:scn.topology.n_agents * scn.system.n])
+    assert_bitwise(traj.follower_inputs, inputs_f)
+    assert_bitwise(traj.leader_inputs, inputs_l)
+
+
+@pytest.mark.parametrize("kind,column,entry", [
+    ("continuous_static", 5, (1, "x", 2)),
+    ("adaptive", 7, (3, "d", None)),
+    ("observer_based", 8, (3, "v", 1)),
+    ("observer_based", 11, (1, "v", 2)),
+])
+def test_divergence_names_its_first_non_finite_entry(monkeypatch, kind, column, entry):
+    # agent 1 leads agents 2 and 3, so canonical order is 2, 3, 1; a NaN put
+    # into one column of k4 in step 40 makes exactly that entry of y_41
+    # non-finite
+    topo = build_topology([[0, 0, 0], [1, 0, 1], [0, 1, 0]])
+    extra = dict(taus=[1.0, 1.0], phis=[0.1, 0.1], d0=[0.0, 0.0]) if kind == "adaptive" else {}
+    scn = Scenario(
+        system=LinearSystem(A=[[0.0, 1.0], [-1.0, 1.0]], B=[[0.0], [1.0]], C=np.eye(2)),
+        topology=topo, controller=ControllerConfig(kind=kind, kappa=0.1, **extra),
+        leader_specs=(LeaderInputSpec(feedback_gain=np.zeros((1, 2)), sinusoids=(), gamma=1.0),),
+        x0=np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]),
+        v0=np.zeros((3, 2)) if kind == "observer_based" else None, t_end=0.1, h=1e-3,
+    )
+    part = partition_laplacian(topo)
+    gains = synthesize(scn, part)
+    calls = iter(range(10**6))
+
+    def poisoned(scn, gains):
+        evaluate = make_evaluator(scn, gains)
+
+        def wrapped(t, y):
+            ydot, u_f, u_l = evaluate(t, y)
+            if next(calls) == 4 * 40 + 3:
+                ydot = ydot.copy()
+                ydot[column] = np.nan
+            return ydot, u_f, u_l
+
+        return wrapped
+
+    assert topo.labels == (2, 3, 1)
+    monkeypatch.setattr(sim, "make_evaluator", poisoned)
+    with pytest.raises(NonFiniteState) as info:
+        integrate(scn, gains, part)
+    assert (info.value.step, info.value.entry) == (41, entry)
+    assert info.value.entry == first_entry(scn, column)
+    # the run stops with the chunk that blew up: 64 steps of four calls, not
+    # the 397 calls of all 100 steps
+    assert next(calls) == 4 * sim._STEP_CHUNK
+
+
 @pytest.mark.parametrize("text,violated", [
     # leader 7 breaks gamma = 0.5 within the first 0.1 s
     (default_scenario().replace("7.gamma = 6", "7.gamma = 0.5"), True),
@@ -220,10 +362,10 @@ def test_derived_series_do_not_depend_on_the_chunk(monkeypatch, text, violated):
     # the same quantities over the whole recording at once
     xi = containment_error(whole.follower_states, whole.leader_states, part)
     p_inv = solve_linear(gains.P, np.eye(scn.system.n))
-    violations = int(np.count_nonzero(row_norms(whole.leader_inputs) > np.array(scn.gammas)))
+    violations = int(np.count_nonzero(row_norms(whole.leader_inputs)() > np.array(scn.gammas)))
     assert np.array_equal(whole.follower_states, chunked.follower_states)
     for traj in (whole, chunked):
-        assert np.array_equal(traj.xi_norm, row_norms(xi))
+        assert np.array_equal(traj.xi_norm, row_norms(xi)())
         assert np.array_equal(traj.v1, lyapunov_v1(xi, part, p_inv))
         assert traj.assumption2_violations == violations
     assert (violations > 0) == violated
