@@ -465,7 +465,8 @@ def trajectory_columns(topology: Topology, traj: Trajectory) -> list:
 
     t; the states of every agent, in the order the scenario file lists them;
     the inputs of every follower, same order; xi_norm and v1; then the
-    adaptive gains d_i and the observer states of every agent, when present.
+    adaptive gains d_<label> of every follower, same order, and the observer
+    states of every agent, when present.
     """
     m = topology.n_followers
     order = sorted(range(topology.n_agents), key=topology.user_positions.__getitem__)
@@ -485,7 +486,7 @@ def trajectory_columns(topology: Topology, traj: Trajectory) -> list:
     pairs += per_agent("u", [(topology.labels[c], traj.follower_inputs[:, c]) for c in order if c < m])
     pairs += [("xi_norm", traj.xi_norm), ("v1", traj.v1)]
     if traj.adaptive_gains is not None:
-        pairs += [(f"d_{i + 1}", traj.adaptive_gains[:, i]) for i in range(m)]
+        pairs += [(f"d_{topology.labels[i]}", traj.adaptive_gains[:, i]) for i in range(m)]
     if traj.observer_states is not None:
         pairs += per_agent("v", zip(labels, [traj.observer_states[:, c] for c in order]))
     return pairs

@@ -4,10 +4,11 @@ The stacked state is laid out as
 
     [follower states | leader states | adaptive gains (if any) | observer states (if any)]
 
-row-major per agent. Integration is classic fixed-step RK4; the discontinuous
-controller is integrated as-is (chattering is something this tool measures, not
-something it smooths away). The leader-input bound monitor samples at grid
-nodes only, not at RK4 stage points.
+row-major per agent; Scenario.blocks returns its views. Integration is
+classic fixed-step RK4; the discontinuous controller is integrated as-is
+(chattering is something this tool measures, not something it smooths away).
+The leader-input bound monitor samples at grid nodes only, not at RK4 stage
+points.
 
 The recorded grid is t_k = k h for k = 0 .. S-1 with S = round(t_end / h):
 one row per integration step, each row holding the state at the step start and
@@ -44,8 +45,7 @@ chunk, and the first non-finite state is then located exactly, so a
 divergence reports what a per-step check would.
 
 xi, |xi|, V1 and the leader-bound count never feed back into the dynamics;
-they are derived from the recorded states after the loop, a bounded chunk of
-steps at a time.
+integrate derives them from the recorded states of each chunk as it lands.
 """
 
 from __future__ import annotations
@@ -171,6 +171,21 @@ class Scenario:
         return (off_x + (self.topology.n_followers if kind == ADAPTIVE else 0)
                 + (off_x if kind == OBSERVER_BASED else 0))
 
+    def blocks(self, y: np.ndarray):
+        """Views (x, d, v) of a stacked state y of shape (..., state_size).
+
+        x is the agent states (..., N, n), followers first; d the adaptive
+        gains (..., M), or None for a law without them; v the observer states
+        (..., N, n), or None for a law without an observer.
+        """
+        kind = self.controller.kind
+        agents = y.shape[:-1] + (self.topology.n_agents, self.system.n)
+        off_x = self.topology.n_agents * self.system.n
+        x = y[..., :off_x].reshape(agents)
+        d = y[..., off_x:off_x + self.topology.n_followers] if kind == ADAPTIVE else None
+        v = y[..., off_x:].reshape(agents) if kind == OBSERVER_BASED else None
+        return x, d, v
+
     @property
     def n_steps(self) -> int:
         """Steps S of the recorded grid t_k = k h, k = 0 .. S-1."""
@@ -239,40 +254,14 @@ def lyapunov_v1(xi: np.ndarray, part: LaplacianPartition, p_inv: np.ndarray):
     return 0.5 * np.sum(weighted.reshape(xi.shape), axis=-1)
 
 
-# Values of xi derived at a time from a recording: each chunk of steps makes a
-# few temporaries of this many values (xi, W x_l and the V1 products), 0.5 MB
-# each, whatever the horizon or the follower count.
-_DERIVED_CHUNK_VALUES = 1 << 16
-
-
-def _derived_series(xf, xl, ul, part: LaplacianPartition, p_inv: np.ndarray, gammas):
-    """|xi| and V1 of every recorded step, and the number of leader input
-    samples above their bound gamma_j, taken a chunk of steps at a time.
-
-    A step goes through the same stacked kernels whichever chunk holds it, so
-    the results do not depend on the chunk size.
-    """
-    steps = xf.shape[0]
-    chunk = max(1, _DERIVED_CHUNK_VALUES // (xf.shape[1] * xf.shape[2]))
-    xi_norm = np.empty(steps)
-    v1 = np.empty(steps)
-    violations = 0
-    for start in range(0, steps, chunk):
-        span = slice(start, start + chunk)
-        xi = containment_error(xf[span], xl[span], part)
-        row_norms(xi, out=xi_norm[span])()
-        v1[span] = lyapunov_v1(xi, part, p_inv)
-        violations += int(np.count_nonzero(row_norms(ul[span])() > gammas))
-    return xi_norm, v1, violations
-
-
 def make_evaluator(scn: Scenario, gains: GainSet):
     """Build evaluate(t, y) -> (ydot, follower inputs, leader inputs).
 
     One call evaluates every follower at once. Everything fixed for the run is
     bound here, once: a stage buffer that each call copies y into, every view
-    of it (the agent states x, x_f, x_l, the measured source, which is x or
-    the observer states, and the adaptive gains d), the buffers of every
+    of it and of ydot (from Scenario.blocks: the agent states x, x_f, x_l,
+    the measured source, which is x or the observer states, and the adaptive
+    gains d), the buffers of every
     intermediate, the law (follower_law) and the leader inputs
     (leader_input), both bound to those views. A call is then a short list of
     ufunc and matmul calls writing into those buffers. It never writes y, and
@@ -296,9 +285,7 @@ def make_evaluator(scn: Scenario, gains: GainSet):
     n_agents = topo.n_agents
     n = system.n
     p = system.p
-    adaptive = cfg.kind == ADAPTIVE
     observer = cfg.kind == OBSERVER_BASED
-    off_x = n_agents * n
     rows = topo.adjacency[:m, None, :]
     # deg_i repeated over the n columns: the products of broadcasting the
     # (M, 1) column, without broadcasting on every call
@@ -307,34 +294,34 @@ def make_evaluator(scn: Scenario, gains: GainSet):
     b_t = system.B.T.copy()
 
     state = np.empty(scn.state_size)
-    x = state[:off_x].reshape(n_agents, n)
+    x, d, v = scn.blocks(state)
     xf = x[:m]
     xl = x[m:]
-    source = state[off_x:].reshape(n_agents, n) if observer else x
+    source = v if observer else x
     source_f = source[:m]
     neighbours = np.empty((m, 1, n))
     neighbour_sum = neighbours[:, 0]
     sigma = np.empty((m, n))
-    # ydot = [x_f' | x_l' | d' (adaptive) | v' (observer)], written in place;
-    # the inputs of all agents share one (N, p, 1) buffer.
+    # ydot's blocks are written in place; the inputs of all agents share one
+    # (N, p, 1) buffer.
     ydot = np.empty_like(state)
-    xdot_f = ydot[:m * n].reshape(m, n)
-    xdot_l = ydot[m * n:off_x].reshape(n_leaders, n)
+    xdot, d_rate, vdot = scn.blocks(ydot)
+    xdot_f = xdot[:m]
+    xdot_l = xdot[m:]
     bu_f = np.empty((m, n))
     bu_l = np.empty((n_leaders, n))
     u_col = np.empty((n_agents, p, 1))
     u_f = u_col[:m, :, 0]
     u_l = u_col[m:, :, 0]
     results = (ydot, u_f, u_l)
-    law = follower_law(cfg, gains, sigma, state[off_x:off_x + m] if adaptive else None,
-                       u=u_f, d_rate=ydot[off_x:off_x + m] if adaptive else None)
+    law = follower_law(cfg, gains, sigma, d, u=u_f, d_rate=d_rate)
     leader_inputs = leader_input(scn.leader_specs, xl, out=u_col[m:])
     if observer:
-        v = source[:, :, None]
+        v_col = v[:, :, None]
         x_col = x[:, :, None]
         cv = np.empty((n_agents, system.C.shape[0], 1))
         cx = np.empty_like(cv)
-        vdot = ydot[off_x:].reshape(n_agents, n, 1)
+        vdot = vdot.reshape(n_agents, n, 1)
         bu = np.empty_like(vdot)
         l_innovation = np.empty_like(vdot)
 
@@ -354,10 +341,10 @@ def make_evaluator(scn: Scenario, gains: GainSet):
         np.matmul(u_l, b_t, out=bu_l)
         np.add(xdot_l, bu_l, out=xdot_l)
         if observer:
-            np.matmul(system.C, v, out=cv)
+            np.matmul(system.C, v_col, out=cv)
             np.matmul(system.C, x_col, out=cx)
             np.subtract(cv, cx, out=cv)
-            np.matmul(system.A, v, out=vdot)
+            np.matmul(system.A, v_col, out=vdot)
             np.matmul(system.B, u_col, out=bu)
             np.matmul(gains.L_obs, cv, out=l_innovation)
             np.add(vdot, bu, out=vdot)
@@ -438,21 +425,19 @@ def steps(scn: Scenario, gains: GainSet):
     total = scn.n_steps
     chunk = _STEP_CHUNK
 
-    pieces = [scn.x0.reshape(-1)]
-    if cfg.kind == ADAPTIVE:
-        pieces.append(cfg.d0.astype(float))
-    if cfg.kind == OBSERVER_BASED:
-        pieces.append(scn.v0.reshape(-1))
-    y0 = np.concatenate(pieces)
-
     evaluate = make_evaluator(scn, gains)
     # row C carries the state at the next chunk's first step
-    ys = np.empty((chunk + 1, y0.shape[0]))
+    ys = np.empty((chunk + 1, scn.state_size))
     uf = np.empty((chunk, m, p))
     ul = np.empty((chunk, topo.n_leaders, p))
-    work = (np.empty_like(y0), np.empty_like(y0))
+    work = (np.empty_like(ys[0]), np.empty_like(ys[0]))
     rows = list(ys)
-    ys[0] = y0
+    x0, d0, v0 = scn.blocks(ys[0])
+    x0[...] = scn.x0
+    if d0 is not None:
+        d0[...] = cfg.d0
+    if v0 is not None:
+        v0[...] = scn.v0
     for start in range(0, total, chunk):
         if start:
             ys[0] = ys[chunk]
@@ -494,51 +479,40 @@ def _state_entry(scn: Scenario, column: int):
 
 def integrate(scn: Scenario, gains: GainSet, part: LaplacianPartition) -> Trajectory:
     """Run the scenario, recording every step start: steps() collected into a
-    Trajectory, with xi, V1 and the leader-bound count derived after the run.
+    Trajectory, with xi, V1 and the leader-bound count derived from each
+    chunk as it lands.
 
     Raises NonFiniteState on divergence, with the finite prefix attached.
     """
-    topo = scn.topology
-    cfg = scn.controller
-    m = topo.n_followers
-    n_leaders = topo.n_leaders
-    n_agents = topo.n_agents
-    n = scn.system.n
+    m = scn.topology.n_followers
     p = scn.system.p
     total = scn.n_steps
 
-    p_inv = solve_linear(gains.P, np.eye(n))
+    p_inv = solve_linear(gains.P, np.eye(scn.system.n))
     gammas = np.array(scn.gammas)
 
     times = np.empty(total)
     y_rec = np.empty((total, scn.state_size))
     uf_rec = np.empty((total, m, p))
-    ul_rec = np.empty((total, n_leaders, p))
+    ul_rec = np.empty((total, scn.topology.n_leaders, p))
+    x_rec, d_rec, v_rec = scn.blocks(y_rec)
+    xi_norm = np.empty(total)
+    v1 = np.empty(total)
+    violations = 0
 
     def snapshot(upto: int) -> Trajectory:
-        """Trajectory of the first `upto` recorded steps, with xi, V1 and the
-        leader-bound count derived from the recorded states."""
-        rec = y_rec[:upto]
-        xf = rec[:, :m * n].reshape(upto, m, n)
-        xl = rec[:, m * n:n_agents * n].reshape(upto, n_leaders, n)
-        extra = rec[:, n_agents * n:]
-        ul = ul_rec[:upto]
-        # the finite prefix of a run that blew up may overflow here too
-        with np.errstate(over="ignore", invalid="ignore"):
-            xi_norm, v1, violations = _derived_series(xf, xl, ul, part, p_inv, gammas)
+        """Trajectory of the first `upto` recorded steps."""
         return Trajectory(
             times=times[:upto],
-            follower_states=xf,
-            leader_states=xl,
+            follower_states=x_rec[:upto, :m],
+            leader_states=x_rec[:upto, m:],
             follower_inputs=uf_rec[:upto],
-            leader_inputs=ul,
-            xi_norm=xi_norm,
-            v1=v1,
+            leader_inputs=ul_rec[:upto],
+            xi_norm=xi_norm[:upto],
+            v1=v1[:upto],
             assumption2_violations=violations,
-            adaptive_gains=extra if cfg.kind == ADAPTIVE else None,
-            observer_states=(
-                extra.reshape(upto, n_agents, n) if cfg.kind == OBSERVER_BASED else None
-            ),
+            adaptive_gains=None if d_rec is None else d_rec[:upto],
+            observer_states=None if v_rec is None else v_rec[:upto],
         )
 
     filled = 0
@@ -549,6 +523,12 @@ def integrate(scn: Scenario, gains: GainSet, part: LaplacianPartition) -> Trajec
             y_rec[span] = y
             uf_rec[span] = u_f
             ul_rec[span] = u_l
+            # the finite prefix of a run that blew up may overflow here too
+            with np.errstate(over="ignore", invalid="ignore"):
+                xi = containment_error(x_rec[span, :m], x_rec[span, m:], part)
+                row_norms(xi, out=xi_norm[span])()
+                v1[span] = lyapunov_v1(xi, part, p_inv)
+                violations += int(np.count_nonzero(row_norms(ul_rec[span])() > gammas))
             filled = span.stop
     except NonFiniteState as exc:
         exc.trajectory = snapshot(filled)

@@ -702,3 +702,41 @@ def test_plot_script_reads_the_csv_columns(tmp_path):
         ("x1_1", True), ("x2_1", False), ("d_1", False)
     ]
 
+
+def test_adaptive_gain_columns_carry_agent_labels(tmp_path):
+    # agent 1 leads agents 2 and 3, so the followers' gains are d_2 and d_3
+    text = """\
+[system]
+A = 0
+B = 1
+C = 1
+
+[graph]
+adjacency = 0 0 0; 1 0 1; 0 1 0
+
+[leaders]
+1.gain = 0
+1.gamma = 1
+
+[controller]
+kind = adaptive
+kappa = 0.1
+taus = 1 1
+phis = 0.1 0.1
+d0 = 0 1
+
+[sim]
+x0 = 5; -2; 0
+t_end = 0.1
+h = 0.01
+"""
+    out_dir = tmp_path / "out"
+    # 0.1 s is too short to certify (exit 5); the files are written either way
+    assert main(["simulate", chain_file(tmp_path, text), "--out", str(out_dir)]) in (0, 5)
+    lines = (out_dir / "trajectory.csv").read_text().splitlines()
+    assert lines[0] == "t,x1_1,x2_1,x3_1,u2_1,u3_1,xi_norm,v1,d_2,d_3"
+    assert lines[1].split(",")[-2:] == ["0.0", "1.0"]
+    plot = (out_dir / "plot.gp").read_text()
+    gains_panel = plot.split('set title "adaptive coupling gains"')[1]
+    assert re.findall(r'title "([^"]+)"', gains_panel) == ["d_2", "d_3"]
+

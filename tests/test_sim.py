@@ -190,18 +190,34 @@ def test_leader_bound_violations_counted():
 
 
 def test_divergence_raises_with_snapshot():
-    # h = 5 puts the linear closed loop far outside the RK4 stability region
-    scn, gains, part = chain_scenario(t_end=2000.0, h=5.0)
+    # h = 5 puts the linear closed loop far outside the RK4 stability region;
+    # the leader's input swings past its bound gamma = 1 on some samples
+    loud = LeaderInputSpec(
+        feedback_gain=np.zeros((1, 1)),
+        sinusoids=(Sinusoid(channel=0, amplitude=1.5, omega=1.0, phase=0.0),),
+        gamma=1.0,
+    )
+    scn, gains, part = chain_scenario(t_end=2000.0, h=5.0, leader=loud)
     with pytest.raises(NonFiniteState) as info:
         integrate(scn, gains, part)
     exc = info.value
-    assert exc.step > 0
-    assert exc.trajectory.times.shape[0] == exc.step
-    assert np.isfinite(exc.trajectory.follower_states).all()
+    traj = exc.trajectory
+    assert exc.step > sim._STEP_CHUNK and exc.step % sim._STEP_CHUNK != 0
+    assert traj.times.shape[0] == exc.step
+    assert np.isfinite(traj.follower_states).all()
     # xi and V1 are derived over exactly the finite prefix
-    assert exc.trajectory.xi_norm.shape == (exc.step,)
-    assert exc.trajectory.v1.shape == (exc.step,)
-    assert np.isfinite(exc.trajectory.xi_norm[0])
+    assert traj.xi_norm.shape == (exc.step,)
+    assert traj.v1.shape == (exc.step,)
+    assert np.isfinite(traj.xi_norm[0])
+    # and equal the whole-array kernels over it, overflowed tail included
+    p_inv = solve_linear(gains.P, np.eye(scn.system.n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi = containment_error(traj.follower_states, traj.leader_states, part)
+        assert np.array_equal(traj.xi_norm, row_norms(xi)())
+        assert np.array_equal(traj.v1, lyapunov_v1(xi, part, p_inv))
+    violations = int(np.count_nonzero(row_norms(traj.leader_inputs)() > np.array(scn.gammas)))
+    assert traj.assumption2_violations == violations
+    assert 0 < violations < exc.step
 
 
 RECORDED = ("times", "follower_states", "leader_states", "follower_inputs", "leader_inputs",
@@ -356,7 +372,7 @@ def test_derived_series_do_not_depend_on_the_chunk(monkeypatch, text, violated):
     gains = synthesize(scn, part)
     whole = integrate(scn, gains, part)
     # 37 steps per chunk: boundaries fall mid-run and the last chunk is short
-    monkeypatch.setattr(sim, "_DERIVED_CHUNK_VALUES", 37 * scn.topology.n_followers * scn.system.n)
+    monkeypatch.setattr(sim, "_STEP_CHUNK", 37)
     chunked = integrate(scn, gains, part)
 
     # the same quantities over the whole recording at once
@@ -369,6 +385,41 @@ def test_derived_series_do_not_depend_on_the_chunk(monkeypatch, text, violated):
         assert np.array_equal(traj.v1, lyapunov_v1(xi, part, p_inv))
         assert traj.assumption2_violations == violations
     assert (violations > 0) == violated
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_scenario_blocks_are_views_in_layout_order(kind):
+    # agent 1 leads agents 2 and 3: 3 agents of 2 states, 2 followers
+    topo = build_topology([[0, 0, 0], [1, 0, 1], [0, 1, 0]])
+    extra = dict(taus=[1.0, 1.0], phis=[0.1, 0.1], d0=[0.0, 0.0]) if kind == "adaptive" else {}
+    scn = Scenario(
+        system=LinearSystem(A=[[0.0, 1.0], [-1.0, 1.0]], B=[[0.0], [1.0]], C=np.eye(2)),
+        topology=topo, controller=ControllerConfig(kind=kind, kappa=0.1, **extra),
+        leader_specs=(LeaderInputSpec(feedback_gain=np.zeros((1, 2)), sinusoids=(), gamma=1.0),),
+        x0=np.zeros((3, 2)), v0=np.zeros((3, 2)) if kind == "observer_based" else None,
+    )
+    width = scn.state_size
+    assert width == {"adaptive": 8, "observer_based": 12}.get(kind, 6)
+    stacked = np.arange(4 * width, dtype=float).reshape(4, width)
+    for y in (stacked[0], stacked):
+        lead = y.shape[:-1]
+        x, d, v = scn.blocks(y)
+        # [x of every agent | d of every follower | v of every agent]
+        assert x.shape == lead + (3, 2)
+        assert np.shares_memory(x, y)
+        assert np.array_equal(x.reshape(lead + (6,)), y[..., :6])
+        if kind == "adaptive":
+            assert d.shape == lead + (2,)
+            assert np.shares_memory(d, y)
+            assert np.array_equal(d, y[..., 6:8])
+        else:
+            assert d is None
+        if kind == "observer_based":
+            assert v.shape == lead + (3, 2)
+            assert np.shares_memory(v, y)
+            assert np.array_equal(v.reshape(lead + (6,)), y[..., 6:12])
+        else:
+            assert v is None
 
 
 def test_integrate_is_deterministic():
