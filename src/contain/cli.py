@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -173,11 +172,32 @@ def _matrix(value: _Value, field: str) -> np.ndarray:
     ]
     if not rows:
         raise ScenarioParseError("empty matrix", line=value.line, field=field)
+    try:
+        # One C pass over every row. loadtxt splits on the whitespace
+        # str.split does and reads each token with the strtod float() uses,
+        # so what it accepts it rounds as float() does.
+        mat = np.loadtxt([piece for piece, _ in rows], dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        # What it rejects goes row by row: tokens only float() reads (1_0,
+        # non-ASCII digits), and every bad token or ragged row, whose message
+        # names its row and line.
+        mat = _matrix_by_rows(rows, field)
+    finite = np.isfinite(mat).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ScenarioParseError(
+            f"non-finite number in matrix row {bad + 1}", line=rows[bad][1], field=field
+        )
+    return mat
+
+
+def _matrix_by_rows(rows: list, field: str) -> np.ndarray:
+    """The (piece, line) rows of a matrix, each cast on its own: numpy's
+    str -> float64 cast accepts and rounds exactly the tokens float() does,
+    without making a Python float per entry."""
     mat = None
     for i, (piece, lineno) in enumerate(rows):
         try:
-            # numpy's str -> float64 cast accepts and rounds exactly the tokens
-            # float() does, without making a Python float per entry
             row = np.array(piece.split(), dtype=float)
         except ValueError:
             raise ScenarioParseError(
@@ -192,12 +212,6 @@ def _matrix(value: _Value, field: str) -> np.ndarray:
                 field=field,
             )
         mat[i] = row
-    finite = np.isfinite(mat).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise ScenarioParseError(
-            f"non-finite number in matrix row {bad + 1}", line=rows[bad][1], field=field
-        )
     return mat
 
 
@@ -553,14 +567,15 @@ def write_metrics(
 
 def write_plot_script(path: str, topology: Topology, traj: Trajectory) -> None:
     """gnuplot script: one panel per state component, plus adaptive gains."""
-    followers = set(topology.follower_labels)
+    followers = {str(label) for label in topology.follower_labels}
     state_series = {}  # component -> one series per agent, in file order
     d_series = []
     for idx, (name, _col) in enumerate(trajectory_columns(topology, traj), start=1):
-        state = re.fullmatch(r"x(\d+)_(\d+)", name)
-        if state:
-            dash = 4 if int(state[1]) in followers else 1
-            state_series.setdefault(state[2], []).append(
+        # states are x<label>_<component>; xi_norm is the one other x name
+        if name[0] == "x" and name[1].isdigit():
+            label, _, component = name[1:].partition("_")
+            dash = 4 if label in followers else 1
+            state_series.setdefault(component, []).append(
                 f'"trajectory.csv" using 1:{idx} with lines dashtype {dash} title "{name}"'
             )
         elif name.startswith("d_"):

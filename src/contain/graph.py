@@ -133,27 +133,45 @@ def build_topology(adjacency) -> Topology:
 
 
 def check_assumption1(topology: Topology) -> Assumption1Report:
-    """Follower subgraph undirected and every follower leader-reachable."""
+    """Follower subgraph undirected and every follower leader-reachable.
+
+    Both checks read one edge list, so they cost O(N^2) for finding the edges
+    and then O(N + edges).
+    """
     adj = topology.adjacency
     m = topology.n_followers
     n = topology.n_agents
     labels = topology.labels
 
-    follower_block = adj[:m, :m]
-    rows, cols = np.nonzero(np.triu(follower_block != follower_block.T, 1))
-    asymmetric = tuple((labels[i], labels[j]) for i, j in zip(rows.tolist(), cols.tolist()))
+    # Every edge, as (hearer i, source j) in row-major order: information
+    # flows j -> i when adj[i, j] == 1. Leader rows are zero, so every hearer
+    # is a follower.
+    hearers, sources = np.divmod(np.flatnonzero(adj != 0.0), n)
 
-    # Information flows j -> i when adj[i, j] == 1. Leaders have no incoming
-    # edges, so sweeping the frontier outward from the leader set finds
-    # exactly the followers some leader can reach.
-    reached = np.zeros(n, dtype=bool)
-    reached[m:] = True
-    frontier = np.arange(m, n)
-    while frontier.size:
-        fresh = adj[:, frontier].any(axis=1) & ~reached
-        reached |= fresh
-        frontier = np.flatnonzero(fresh)
-    unreachable = tuple(labels[i] for i in np.flatnonzero(~reached[:m]).tolist())
+    # A follower pair is asymmetric when exactly one of its two edges exists;
+    # pairs (i, j), i < j, are listed in row-major order.
+    among = sources < m
+    ei, ej = hearers[among], sources[among]
+    one_way = adj[ej, ei] == 0.0
+    low, high = np.minimum(ei, ej)[one_way], np.maximum(ei, ej)[one_way]
+    order = np.argsort(low * m + high)
+    asymmetric = tuple(
+        (labels[a], labels[b]) for a, b in zip(low[order].tolist(), high[order].tolist())
+    )
+
+    # Leaders have no incoming edges, so a breadth-first search from the
+    # leader set finds exactly the followers some leader can reach. The
+    # listeners of agent j are listeners[starts[j]:starts[j + 1]].
+    listeners = hearers[np.argsort(sources, kind="stable")].tolist()
+    starts = [0] + np.cumsum(np.bincount(sources, minlength=n)).tolist()
+    reached = [False] * m + [True] * (n - m)
+    queue = list(range(m, n))
+    for j in queue:  # the loop visits what it appends
+        for i in listeners[starts[j]:starts[j + 1]]:
+            if not reached[i]:
+                reached[i] = True
+                queue.append(i)
+    unreachable = tuple(labels[i] for i in range(m) if not reached[i])
 
     return Assumption1Report(
         follower_subgraph_undirected=not asymmetric,

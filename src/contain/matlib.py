@@ -127,20 +127,28 @@ def frobenius(a) -> float:
     return scale * math.sqrt(float(np.sum(scaled * scaled)))
 
 
+# Entries up to this size double without overflow, so that 0.5 (s + s) == s.
+_HALF_DBL_MAX = float(np.finfo(float).max) / 2
+
+
 def sym_eigs(s) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix.
 
     Raises NotSymmetric when s differs from its transpose by more than TOL.sym.
     Uses eigh rather than eigvalsh: the two differ in the last bit on some
     inputs (lambda_min(L1) of the default graph), and that value feeds the
-    closed-loop dynamics. The skew check and eigh's input 0.5 (s + s.T) share
-    one scratch matrix.
+    closed-loop dynamics. eigh's input is 0.5 (s + s.T), which shares one
+    scratch matrix with the skew check; when s equals its transpose exactly
+    and no entry exceeds DBL_MAX / 2, so that s + s.T cannot overflow, that is
+    s bit for bit, and eigh gets s itself.
     """
     arr = _square(s, "s")
     work = np.subtract(arr, arr.T)
     skew = float(np.max(np.abs(work, out=work)))
     if skew > TOL.sym:
         raise NotSymmetric(f"matrix is not symmetric: max |s - s.T| = {skew:.3e}")
+    if skew == 0.0 and float(np.max(np.abs(arr, out=work))) <= _HALF_DBL_MAX:
+        return np.linalg.eigh(arr)[0]
     np.add(arr, arr.T, out=work)
     work *= 0.5
     return np.linalg.eigh(work)[0]

@@ -273,7 +273,8 @@ def make_evaluator(scn: Scenario, gains: GainSet):
     (see the module docstring): sigma_i = deg_i s_i - a_i @ s row by row via
     rows @ s, and every matrix-vector product, K sigma_i, Gamma sigma_i and
     the observer's C, A, B and L_obs products, as a stacked matmul that runs
-    one BLAS gemv per row. Each matmul writes into a C-contiguous buffer of
+    one BLAS gemv per row (so C x and C v can share one matmul over the 2N
+    rows of x and v). Each matmul writes into a C-contiguous buffer of
     the shape the allocating call would return, so numpy picks the same BLAS
     call for it.
     """
@@ -318,9 +319,12 @@ def make_evaluator(scn: Scenario, gains: GainSet):
     leader_inputs = leader_input(scn.leader_specs, xl, out=u_col[m:])
     if observer:
         v_col = v[:, :, None]
-        x_col = x[:, :, None]
-        cv = np.empty((n_agents, system.C.shape[0], 1))
-        cx = np.empty_like(cv)
+        # an observer run's state is [x | v] (Scenario.blocks), so one stacked
+        # product over its 2N agent rows gives C x and then C v
+        xv_col = state.reshape(2 * n_agents, n, 1)
+        c_xv = np.empty((2 * n_agents, system.C.shape[0], 1))
+        cx = c_xv[:n_agents]
+        cv = c_xv[n_agents:]
         vdot = vdot.reshape(n_agents, n, 1)
         bu = np.empty_like(vdot)
         l_innovation = np.empty_like(vdot)
@@ -341,8 +345,7 @@ def make_evaluator(scn: Scenario, gains: GainSet):
         np.matmul(u_l, b_t, out=bu_l)
         np.add(xdot_l, bu_l, out=xdot_l)
         if observer:
-            np.matmul(system.C, v_col, out=cv)
-            np.matmul(system.C, x_col, out=cx)
+            np.matmul(system.C, xv_col, out=c_xv)
             np.subtract(cv, cx, out=cv)
             np.matmul(system.A, v_col, out=vdot)
             np.matmul(system.B, u_col, out=bu)
@@ -352,6 +355,17 @@ def make_evaluator(scn: Scenario, gains: GainSet):
         return results
 
     return evaluate
+
+
+def rk4_work(y: np.ndarray, h: float) -> tuple:
+    """rk4_step's work for states shaped like y and the step h.
+
+    The stage point and one scratch array, shaped like y, then 0.5 h, h and
+    h/6 as 0-d arrays: numpy multiplies by those faster than by Python floats,
+    to the same bits.
+    """
+    return (np.empty_like(y), np.empty_like(y),
+            np.array(0.5 * h), np.array(h), np.array(h / 6.0))
 
 
 def rk4_step(f: Callable, t: float, y: np.ndarray, h: float, k1: np.ndarray,
@@ -366,20 +380,20 @@ def rk4_step(f: Callable, t: float, y: np.ndarray, h: float, k1: np.ndarray,
 
     y + (h/6)(k1 + 2 k2 + 2 k3 + k4) is summed in out in that order, scaled
     by h/6, then y is added; addition and multiplication commute exactly, so
-    the bits are those of the textbook expression. out receives y at t + h and
-    work is a pair of arrays shaped like y, the stage point and one scratch
-    array; both are the caller's when given, else allocated, and neither may
-    overlap y.
+    the bits are those of the textbook expression. out receives y at t + h;
+    work is rk4_work(y, h), bound once by a caller that takes many steps of
+    one size, else made here. Neither may overlap y.
     """
     if out is None:
         out = np.empty_like(y)
-    stage, scratch = (np.empty_like(y), np.empty_like(y)) if work is None else work
+    stage, scratch, half_h, full_h, sixth_h = rk4_work(y, h) if work is None else work
     out[...] = k1
     k = k1
     # k2, k3 and k4, each at y plus an offset times the previous stage and
     # weighted 2, 2 and 1 in the sum; 2 k is k + k, exactly
-    for offset, doubled in ((0.5 * h, True), (0.5 * h, True), (h, False)):
-        np.multiply(k, offset, out=stage)
+    for offset, scale, doubled in ((0.5 * h, half_h, True), (0.5 * h, half_h, True),
+                                   (h, full_h, False)):
+        np.multiply(k, scale, out=stage)
         np.add(stage, y, out=stage)
         k = f(t + offset, stage)
         if isinstance(k, tuple):
@@ -389,7 +403,7 @@ def rk4_step(f: Callable, t: float, y: np.ndarray, h: float, k1: np.ndarray,
             np.add(out, scratch, out=out)
         else:
             np.add(out, k, out=out)
-    np.multiply(out, h / 6.0, out=out)
+    np.multiply(out, sixth_h, out=out)
     np.add(out, y, out=out)
     return out
 
@@ -430,7 +444,7 @@ def steps(scn: Scenario, gains: GainSet):
     ys = np.empty((chunk + 1, scn.state_size))
     uf = np.empty((chunk, m, p))
     ul = np.empty((chunk, topo.n_leaders, p))
-    work = (np.empty_like(ys[0]), np.empty_like(ys[0]))
+    work = rk4_work(ys[0], h)
     rows = list(ys)
     x0, d0, v0 = scn.blocks(ys[0])
     x0[...] = scn.x0

@@ -18,6 +18,7 @@ from contain.cli import (
     parse_scenario,
     write_trajectory_csv,
 )
+from contain.graph import build_topology
 from contain.matlib import TOL, NoConvergence
 from contain.sim import NonFiniteState, Scenario, Trajectory
 from contain import synthesis
@@ -701,6 +702,70 @@ def test_plot_script_reads_the_csv_columns(tmp_path):
     assert [(header[int(line.split("using 1:")[1].split()[0]) - 1], "dashtype 4" in line) for line in series] == [
         ("x1_1", True), ("x2_1", False), ("d_1", False)
     ]
+
+
+def _write_plot_script_by_regex(path, topology, traj):
+    """Reference plot script: the writer as it was, classifying every column
+    name with a regex."""
+    followers = set(topology.follower_labels)
+    state_series = {}  # component -> one series per agent, in file order
+    d_series = []
+    for idx, (name, _col) in enumerate(cli.trajectory_columns(topology, traj), start=1):
+        state = re.fullmatch(r"x(\d+)_(\d+)", name)
+        if state:
+            dash = 4 if int(state[1]) in followers else 1
+            state_series.setdefault(state[2], []).append(
+                f'"trajectory.csv" using 1:{idx} with lines dashtype {dash} title "{name}"'
+            )
+        elif name.startswith("d_"):
+            d_series.append(f'"trajectory.csv" using 1:{idx} with lines title "{name}"')
+    panels = len(state_series) + (1 if d_series else 0)
+
+    lines = [
+        "# gnuplot script generated alongside trajectory.csv",
+        'set datafile separator ","',
+        "set terminal pngcairo size 1100,%d" % (340 * panels),
+        'set output "trajectory.png"',
+        "set grid",
+        "set key outside right",
+        "set multiplot layout %d,1" % panels,
+        'set xlabel "t [s]"',
+    ]
+    for comp, series in state_series.items():
+        lines.append(f'set title "state component {comp} (followers dash-dot, leaders solid)"')
+        lines.append("plot " + ", \\\n     ".join(series))
+    if d_series:
+        lines.append('set title "adaptive coupling gains"')
+        lines.append("plot " + ", \\\n     ".join(d_series))
+    lines.append("unset multiplot")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("run_name", ["adaptive_run", "observer_run", "wide_run", "leader_first_run"])
+def test_plot_script_matches_the_regex_reference(run_name, request, tmp_path):
+    run = request.getfixturevalue(run_name)
+    topology = run.scenario.topology
+    cli.write_plot_script(str(tmp_path / "plot.gp"), topology, run.traj)
+    _write_plot_script_by_regex(str(tmp_path / "reference.gp"), topology, run.traj)
+    assert (tmp_path / "plot.gp").read_bytes() == (tmp_path / "reference.gp").read_bytes()
+
+
+@pytest.fixture
+def leader_first_run():
+    """Two rows shaped like an adaptive run whose file lists leader 1 first
+    and leader 11 among the followers, so labels (some of two digits), file
+    order and canonical order all differ."""
+    adj = np.zeros((12, 12))
+    for i in range(1, 10):
+        adj[i, i - 1] = adj[i, i + 1] = 1.0
+    adj[11, 10] = 1.0
+    topology = build_topology(adj)
+    assert topology.leader_labels == (1, 11)
+    return SimpleNamespace(
+        scenario=SimpleNamespace(topology=topology),
+        traj=wide_trajectory(topology, 2, np.zeros),
+    )
 
 
 def test_adaptive_gain_columns_carry_agent_labels(tmp_path):

@@ -1,15 +1,19 @@
-"""Property test of the input boundary: a mutated default scenario either
+"""Property tests of the input boundary: a mutated default scenario either
 runs or exits with a documented code and at most one stderr line, with no
-traceback and no warning, under every command."""
+traceback and no warning, under every command; and a matrix value parses to
+what a token-by-token float() parse gives, or fails with its message."""
 
 import contextlib
 import io
 import re
 import tempfile
+import warnings
 
+import numpy as np
 import pytest
 
-from contain.cli import default_scenario
+from contain import cli
+from contain.cli import ScenarioParseError, default_scenario
 from conftest import main_without_warnings
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -57,3 +61,97 @@ def test_mutated_scenario_runs_or_exits_with_one_line(text):
                 rc = main_without_warnings(argv)
             assert 0 <= rc <= 6, (argv, err.getvalue())
             assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+
+
+def _matrix_per_token(value, field):
+    """Reference parse of a matrix value: float() on every token, row by row,
+    with the messages, lines and fields cli._matrix reports."""
+    rows = [
+        (piece, lineno)
+        for text, lineno in value.fragments
+        for piece in map(str.strip, text.split(";"))
+        if piece
+    ]
+    if not rows:
+        raise ScenarioParseError("empty matrix", line=value.line, field=field)
+    parsed = []
+    for piece, lineno in rows:
+        try:
+            row = [float(token) for token in piece.split()]
+        except ValueError:
+            raise ScenarioParseError(
+                f"bad number in matrix row {piece!r}", line=lineno, field=field
+            ) from None
+        if parsed and len(row) != len(parsed[0]):
+            raise ScenarioParseError(
+                f"ragged matrix row (expected {len(parsed[0])} entries, got {len(row)})",
+                line=lineno,
+                field=field,
+            )
+        parsed.append(row)
+    mat = np.array(parsed, dtype=float)
+    for i, row in enumerate(mat):
+        if not np.isfinite(row).all():
+            raise ScenarioParseError(
+                f"non-finite number in matrix row {i + 1}", line=rows[i][1], field=field
+            )
+    return mat
+
+
+# tokens float() reads and numpy's C parser does not (1_0, Arabic-Indic and
+# fullwidth digits), tokens neither reads (0x10, x), signed zeros, and the
+# non-finite values and overflows the parse must reject
+MATRIX_TOKENS = ["1_0", "\u0663", "\uff11", "-0", "0", "-0.0", "nan", "-inf", "inf",
+                 "1e400", "-1e400", "1e-400", "0x10", "x", "5e-324", "1.7976931348623157e308"]
+SEPARATORS = [" ", "  ", "\t", "\xa0", " \t\xa0"]
+
+
+@st.composite
+def matrix_text(draw):
+    """A [m] section whose key x holds rows split by ';' or continuation lines,
+    with mixed separators, special tokens and sometimes a ragged row."""
+    width = draw(st.integers(1, 4))
+    token = st.one_of(
+        st.sampled_from(MATRIX_TOKENS),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(-10**20, 10**20).map(str),
+    )
+    # mostly clean tokens, so most texts parse and the values get compared
+    clean = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                      st.sampled_from(["-0", "0", "1", "-2.5"]))
+    lines = [[]]
+    for _ in range(draw(st.integers(1, 5))):
+        size = width + draw(st.sampled_from([0] * 8 + [-1, 1])) if width > 1 else width
+        row = [draw(token if draw(st.integers(0, 5)) == 0 else clean) for _ in range(size)]
+        text = "".join(tok + draw(st.sampled_from(SEPARATORS)) for tok in row)
+        if lines[-1] and draw(st.booleans()):
+            lines.append([])  # the next row starts a continuation line
+        lines[-1].append(text)
+    joined = [draw(st.sampled_from([";", "; ", " ;", ";;"])).join(row) for row in lines]
+    if draw(st.booleans()):
+        joined[-1] += ";"
+    return "[m]\nx = " + "\n  ".join(joined) + "\n"
+
+
+@hypothesis.settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@hypothesis.given(matrix_text())
+def test_matrix_parse_matches_a_float_per_token(text):
+    value = cli._parse_sections(text)["m"]["x"]
+    try:
+        expected = _matrix_per_token(value, "[m].x")
+    except ScenarioParseError as exc:
+        expected = exc
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = cli._matrix(value, "[m].x")
+        except ScenarioParseError as exc:
+            got = exc
+    if isinstance(expected, ScenarioParseError):
+        assert isinstance(got, ScenarioParseError), (text, got)
+        assert (got.message, got.line, got.field) == (expected.message, expected.line, expected.field)
+    else:
+        assert isinstance(got, np.ndarray), (text, got)
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        # bit for bit, so -0.0 and 0.0 differ
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), text

@@ -263,6 +263,67 @@ def test_assumption1_matches_loop_reference_on_random_digraphs():
     assert min(seen.values()) >= 30, seen
 
 
+def _check_assumption1_sweep(topology):
+    """The vectorized check the breadth-first search replaced, verbatim: the
+    asymmetric pairs from the upper triangle of F != F.T and reachability by a
+    frontier sweep over all N rows."""
+    adj = topology.adjacency
+    m = topology.n_followers
+    n = topology.n_agents
+    labels = topology.labels
+
+    follower_block = adj[:m, :m]
+    rows, cols = np.nonzero(np.triu(follower_block != follower_block.T, 1))
+    asymmetric = tuple((labels[i], labels[j]) for i, j in zip(rows.tolist(), cols.tolist()))
+
+    # Information flows j -> i when adj[i, j] == 1. Leaders have no incoming
+    # edges, so sweeping the frontier outward from the leader set finds
+    # exactly the followers some leader can reach.
+    reached = np.zeros(n, dtype=bool)
+    reached[m:] = True
+    frontier = np.arange(m, n)
+    while frontier.size:
+        fresh = adj[:, frontier].any(axis=1) & ~reached
+        reached |= fresh
+        frontier = np.flatnonzero(fresh)
+    unreachable = tuple(labels[i] for i in np.flatnonzero(~reached[:m]).tolist())
+
+    return Assumption1Report(
+        follower_subgraph_undirected=not asymmetric,
+        asymmetric_pairs=asymmetric,
+        unreachable_followers=unreachable,
+    )
+
+
+def test_assumption1_matches_the_frontier_sweep_on_random_digraphs():
+    # larger graphs than the loop reference's, with leader rows anywhere in
+    # the file, including first, so labels and canonical order differ
+    rng = np.random.default_rng(41)
+    seen = {"asymmetric": 0, "unreachable": 0, "passed": 0, "leader first": 0}
+    checked = 0
+    while checked < 300:
+        adj = _random_digraph(rng)
+        if checked % 3 == 0:
+            big = np.zeros((3 * adj.shape[0],) * 2)
+            for k in range(3):
+                block = slice(k * adj.shape[0], (k + 1) * adj.shape[0])
+                big[block, block] = adj
+            perm = rng.permutation(big.shape[0])
+            adj = big[np.ix_(perm, perm)]
+        try:
+            topo = build_topology(adj)
+        except NoFollower:
+            continue
+        report = check_assumption1(topo)
+        assert report == _check_assumption1_sweep(topo)
+        seen["asymmetric"] += bool(report.asymmetric_pairs)
+        seen["unreachable"] += bool(report.unreachable_followers)
+        seen["passed"] += report.passed
+        seen["leader first"] += topo.user_positions[topo.n_followers:].count(0)
+        checked += 1
+    assert min(seen.values()) >= 30, seen
+
+
 @pytest.mark.parametrize("followers", [6, 126])
 def test_hull_weights_match_elimination_on_ring(followers):
     part = partition_laplacian(parse_scenario(ring_scenario(followers, 1)).topology)

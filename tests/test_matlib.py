@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from contain.cli import parse_scenario
+from contain.cli import default_scenario, parse_scenario
 from contain.graph import partition_laplacian
 from contain.matlib import (
     TOL,
@@ -90,6 +90,50 @@ def test_sym_eigs_feeds_eigh_the_symmetrized_input_bit_for_bit(monkeypatch):
         assert np.array_equal(seen[-1], want)
         assert np.array_equal(np.signbit(seen[-1]), np.signbit(want))
         assert np.array_equal(values, eigh(want)[0])
+
+
+def _symmetrized_eigs(s):
+    """The eigenvalues sym_eigs returned before it handed eigh an exactly
+    symmetric input as is: eigh of 0.5 (s + s.T), overflow and all."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.eigh(0.5 * (s + s.T))[0]
+
+
+def test_sym_eigs_gives_the_symmetrized_bits_on_symmetric_input():
+    # L1 is exactly symmetric, so eigh gets it as is; the values must be those
+    # of 0.5 (s + s.T), on the default and ring L1, on symmetric matrices with
+    # -0.0 entries, on nearly symmetric ones (which still get symmetrized) and
+    # past DBL_MAX / 2, where s + s.T overflows
+    rng = np.random.default_rng(29)
+    exact = [partition_laplacian(parse_scenario(text).topology).L1
+             for text in (default_scenario(), ring_scenario(510, 1))]
+    for _ in range(30):
+        size = int(rng.integers(1, 10))
+        m = rng.standard_normal((size, size)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        m[rng.random(m.shape) < 0.4] = 0.0
+        s = np.triu(m) + np.triu(m, 1).T
+        s[s == 0.0] = -0.0 if rng.random() < 0.5 else 0.0
+        exact.append(s)
+    for s in exact:
+        assert np.array_equal(s, s.T)
+        assert np.array_equal(sym_eigs(s).view(np.uint64), _symmetrized_eigs(s).view(np.uint64))
+    assert any(np.signbit(s[s == 0.0]).any() for s in exact)
+
+    differ = 0
+    for _ in range(30):
+        size = int(rng.integers(2, 10))
+        m = rng.standard_normal((size, size))
+        s = m + m.T + rng.uniform(-0.5, 0.5, m.shape) * TOL.sym
+        values = sym_eigs(s)
+        assert np.array_equal(values.view(np.uint64), _symmetrized_eigs(s).view(np.uint64))
+        differ += not np.array_equal(values, np.linalg.eigh(s)[0])
+    assert differ >= 10, differ
+
+    huge = np.array([[1.5e308, 1.0], [1.0, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        np.testing.assert_array_equal(sym_eigs(huge), _symmetrized_eigs(huge))
+    assert np.isnan(_symmetrized_eigs(huge)).all()
 
 
 def test_sym_eigs_rejects_asymmetric():
