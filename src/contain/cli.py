@@ -24,7 +24,6 @@ import numpy as np
 
 from .control import (
     ADAPTIVE,
-    DISCONTINUOUS_STATIC,
     KINDS,
     OBSERVER_BASED,
     ControllerConfig,
@@ -291,10 +290,11 @@ def parse_scenario(
 ) -> Scenario:
     """Parse scenario text and apply command-line overrides.
 
-    Syntax and the checks whose message names something the runtime types
-    cannot (a line, a leader, a 1-based channel) are made here; every other
-    rule is checked once, by ControllerConfig, LeaderInputSpec or Scenario,
-    and reported as a ScenarioParseError.
+    Syntax is checked here, and so are the rules whose message names a line,
+    a flag or a 1-based channel, which the runtime types cannot name. What
+    the values mean is checked once, by LinearSystem, ControllerConfig,
+    LeaderInputSpec or Scenario, and each ValueError they raise is reported
+    as a ScenarioParseError.
     """
     for name, value in (("--kappa", kappa), ("--h", h), ("--t-end", t_end)):
         if value is not None and not math.isfinite(value):
@@ -302,23 +302,14 @@ def parse_scenario(
     sections = _parse_sections(text)
 
     a = _matrix(_require(sections, "system", "A"), "[system].A")
-    if a.shape[0] != a.shape[1]:
-        raise ScenarioParseError(
-            f"A must be square, got {a.shape}", field="[system].A"
-        )
-    n = a.shape[0]
     b = _matrix(_require(sections, "system", "B"), "[system].B")
-    if b.shape[0] != n:
-        raise ScenarioParseError(
-            f"B must have {n} rows, got {b.shape[0]}", field="[system].B"
-        )
     c_value = _get(sections, "system", "C")
-    c = _matrix(c_value, "[system].C") if c_value is not None else np.eye(n)
-    if c.shape[1] != n:
-        raise ScenarioParseError(
-            f"C must have {n} columns, got {c.shape[1]}", field="[system].C"
-        )
-    system = LinearSystem(A=a, B=b, C=c)
+    c = _matrix(c_value, "[system].C") if c_value is not None else np.eye(a.shape[0])
+    try:
+        system = LinearSystem(A=a, B=b, C=c)
+    except ValueError as exc:
+        raise ScenarioParseError(str(exc), field="[system]") from None
+    n = system.n
 
     adjacency = _matrix(_require(sections, "graph", "adjacency"), "[graph].adjacency")
     # N^2 tokens, most of a large file's text: drop it before the topology copies the matrix
@@ -339,8 +330,6 @@ def parse_scenario(
     params = _scalars(sections, "controller", ("kappa", "c1_scale", "c2_scale"))
     if kappa is not None:
         params["kappa"] = kappa
-    if kind == DISCONTINUOUS_STATIC:
-        params.pop("kappa", None)
     if kind == ADAPTIVE:
         for key in ("taus", "phis"):
             params[key] = _vector(_require(sections, "controller", key), f"[controller].{key}")
@@ -405,11 +394,6 @@ def parse_scenario(
         gamma = _scalar(fields["gamma"], f"[leaders].{label}.gamma")
         if "gain" in fields:
             gain = _matrix(fields["gain"], f"[leaders].{label}.gain")
-            if gain.shape != (system.p, n):
-                raise ScenarioParseError(
-                    f"gain must be {system.p}x{n}, got {gain.shape[0]}x{gain.shape[1]}",
-                    field=f"[leaders].{label}.gain",
-                )
         else:
             gain = np.zeros((system.p, n))
         sins = (
@@ -424,7 +408,7 @@ def parse_scenario(
 
     def canonical(rows):
         """File-order agent rows in canonical order; Scenario rejects a wrong row count."""
-        return rows[list(topology.user_positions)] if len(rows) == n_agents else rows
+        return rows[[label - 1 for label in topology.labels]] if len(rows) == n_agents else rows
 
     x0 = _matrix(_require(sections, "sim", "x0"), "[sim].x0")
     v0_value = _get(sections, "sim", "v0")
@@ -455,8 +439,18 @@ def parse_scenario(
 
 
 def load_scenario(path: str, **overrides) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read(), **overrides)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line of the first bad byte, numbered as parse_scenario numbers lines
+        line = len((data[:exc.start].decode("utf-8") + " ").splitlines())
+        raise ScenarioParseError(
+            f"byte 0x{data[exc.start]:02x} at offset {exc.start} is not UTF-8", line=line
+        ) from None
+    del data  # a large file's bytes need not outlive its decoding
+    return parse_scenario(text, **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +477,7 @@ def trajectory_columns(topology: Topology, traj: Trajectory) -> list:
     states of every agent, when present.
     """
     m = topology.n_followers
-    order = sorted(range(topology.n_agents), key=topology.user_positions.__getitem__)
+    order = sorted(range(topology.n_agents), key=topology.labels.__getitem__)
 
     def per_agent(prefix, blocks):
         """prefix<label>_<k> for every (label, (S, K) block) and k = 1..K."""

@@ -34,10 +34,6 @@ if TYPE_CHECKING:
     from .synthesis import GainSet
 
 
-class MissingState(ValueError):
-    """The adaptive law was evaluated without its gain vector."""
-
-
 DISCONTINUOUS_STATIC = "discontinuous_static"
 CONTINUOUS_STATIC = "continuous_static"
 ADAPTIVE = "adaptive"
@@ -153,6 +149,11 @@ class ControllerConfig:
             object.__setattr__(self, "phis", phis)
             object.__setattr__(self, "d0", d0)
 
+    @property
+    def width(self) -> float:
+        """The boundary-layer width: 0 for the discontinuous law, kappa otherwise."""
+        return 0.0 if self.kind == DISCONTINUOUS_STATIC else float(self.kappa)
+
 
 def row_norms(w: np.ndarray, out=None):
     """Bind the Euclidean norm of every row of w (shape (..., p)): norms() -> out.
@@ -245,9 +246,9 @@ def follower_law(config: ControllerConfig, gains: GainSet, sigma: np.ndarray, d=
 
     Every law is u_i = g1 K sigma_i + g2 sat(K sigma_i; d, width): the static
     laws take g1 = c1, g2 = c2 and no d, the adaptive law g1 = g2 = d = d_i;
-    the width is 0 for the discontinuous law and kappa otherwise. sigma is
-    the caller's M x n array of relative states (one row per follower) and d
-    its adaptive gain vector (adaptive law only); each law() call reads their
+    the width is config.width. sigma is the caller's M x n array of relative
+    states (one row per follower) and d its adaptive gain vector (adaptive
+    law only, where it is required); each law() call reads their
     current contents and writes the inputs into u (M x p) and, for the
     adaptive law, the gain rates
     d_i' = tau_i (-phi_i d_i + sigma_i.T Gamma sigma_i + ||K sigma_i||) into
@@ -256,11 +257,8 @@ def follower_law(config: ControllerConfig, gains: GainSet, sigma: np.ndarray, d=
     view and constant is bound here, once. K sigma and its norms are computed
     once per call and shared by the input and the gain rate.
     """
-    if config.kind == ADAPTIVE and d is None:
-        raise MissingState("adaptive controller needs the adaptive gain vector")
     m, n = sigma.shape
     p = gains.K.shape[0]
-    width = 0.0 if config.kind == DISCONTINUOUS_STATIC else config.kappa
     sigma_col = sigma[:, :, None]
     ks_col = np.empty((m, p, 1))
     ks = ks_col[:, :, 0]
@@ -283,7 +281,7 @@ def follower_law(config: ControllerConfig, gains: GainSet, sigma: np.ndarray, d=
         # arrays of the scalar gains: numpy multiplies arrays faster than scalars
         g1, g2 = np.full((m, p), gains.c1), np.full((m, p), gains.c2)
         d = d_rate = None
-    saturated = saturate(ks, norm, width, d, out=sat)
+    saturated = saturate(ks, norm, config.width, d, out=sat)
 
     def law():
         np.matmul(gains.K, sigma_col, out=ks_col)

@@ -36,13 +36,12 @@ class Topology:
     """Validated network in canonical (followers-first) order.
 
     adjacency: N x N binary matrix, row i listing who agent i hears.
-    labels: 1-based user row of each canonical index (followers first, then leaders).
-    user_positions: original row index of each canonical agent.
+    labels: 1-based user row of each canonical index (followers first, then
+    leaders); canonical agent i is row labels[i] - 1 of the caller's matrix.
     """
 
     adjacency: np.ndarray
     labels: tuple
-    user_positions: tuple
     n_followers: int
 
     @property
@@ -127,7 +126,6 @@ def build_topology(adjacency) -> Topology:
     return Topology(
         adjacency=_freeze(canonical),
         labels=tuple(i + 1 for i in perm),
-        user_positions=tuple(perm),
         n_followers=len(followers),
     )
 

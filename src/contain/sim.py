@@ -143,12 +143,10 @@ class Scenario:
             raise ValueError(
                 f"expected {n_agents - m} leader specs, got {len(self.leader_specs)}"
             )
-        for spec in self.leader_specs:
+        for label, spec in zip(self.topology.leader_labels, self.leader_specs):
             if spec.feedback_gain.shape != (self.system.p, n):
-                raise ValueError(
-                    f"leader feedback gain must be {(self.system.p, n)}, "
-                    f"got {spec.feedback_gain.shape}"
-                )
+                got = "x".join(map(str, spec.feedback_gain.shape))
+                raise ValueError(f"leader {label} gain must be {self.system.p}x{n}, got {got}")
             if not all(np.isfinite(abs(s.omega) * self.t_end + abs(s.phase)) for s in spec.sinusoids):
                 raise ValueError("leader sinusoid phase omega t + phase overflows before t_end")
         if kind == OBSERVER_BASED:

@@ -165,9 +165,9 @@ def synthesize(scn: Scenario, part: LaplacianPartition) -> GainSet:
 def compute_bound_report(scn: Scenario, part: LaplacianPartition, gains: GainSet) -> BoundReport:
     """Residual-set certificate of a synthesized design under its controller.
 
-    With M followers, kappa the boundary-layer width (0 for the ideal
-    discontinuous law), beta = max(max gamma_j, 1/lambda_min(L1)) and
-    varrho = max_i phi_i tau_i:
+    With M followers, kappa the controller's boundary-layer width
+    (ControllerConfig.width: 0 for the ideal discontinuous law),
+    beta = max(max gamma_j, 1/lambda_min(L1)) and varrho = max_i phi_i tau_i:
 
         D1 = 2 lambda_max(P) M kappa gamma_max / (alpha lambda_min(L1))
         D2 = lambda_max(P) / (lambda_min(L1) (alpha - varrho)) *
@@ -182,7 +182,7 @@ def compute_bound_report(scn: Scenario, part: LaplacianPartition, gains: GainSet
     gamma_max = max(scn.gammas)
     beta = max(gamma_max, 1.0 / lam)
     n_followers = part.L1.shape[0]
-    kappa = 0.0 if cfg.kappa is None else float(cfg.kappa)
+    kappa = cfg.width
     p_max = gains.p_lambda_max
     d1 = 2.0 * p_max * n_followers * kappa * gamma_max / (gains.alpha * lam)
     offset = n_followers * kappa * gamma_max / gains.alpha

@@ -19,7 +19,7 @@ from contain.cli import (
     write_trajectory_csv,
 )
 from contain.graph import build_topology
-from contain.matlib import TOL, NoConvergence
+from contain.matlib import TOL, NoConvergence, Tolerances
 from contain.sim import NonFiniteState, Scenario, Trajectory
 from contain import synthesis
 from contain.synthesis import NonPositiveAlpha
@@ -544,6 +544,10 @@ def test_coupling_scales_below_one_rejected(tmp_path, capsys, command, line, nam
     # every command builds the Scenario, so the recording budget holds for validate too
     (None, ["--h", "1e-300"], "recorded values"),
     (("2.gain = 0", "2.gain = 0\n2.sinusoids = 1:1:1e308:0"), [], "omega t + phase overflows"),
+    (("A = 0\n", "A = 0 1\n"), [], "[system]: A must be square, got (1, 2)"),
+    (("B = 1", "B = 1; 2; 3"), [], "[system]: B has 3 rows, expected 1"),
+    (("C = 1", "C = 1 0"), [], "[system]: C has 2 columns, expected 1"),
+    (("2.gain = 0", "2.gain = 0 1"), [], "leader 2 gain must be 1x1, got 1x2"),
 ])
 def test_scenario_rules_exit_1_naming_the_key(tmp_path, capsys, edit, args, words):
     text = CHAIN_TEXT if edit is None else CHAIN_TEXT.replace(*edit)
@@ -576,6 +580,28 @@ def test_malformed_contain_tol(tmp_path, capsys, monkeypatch, spec):
     assert_one_line_error(capsys, rc, "bad CONTAIN_TOL:")
     # the spec is checked whole before any field is assigned
     assert dataclasses.astuple(TOL) == before
+
+
+def test_each_main_call_starts_from_the_default_tolerances(tmp_path, monkeypatch):
+    path = chain_file(tmp_path)
+    monkeypatch.setenv("CONTAIN_TOL", "solve=1e-3")
+    assert main(["validate", path]) == 0
+    assert TOL.solve == 1e-3
+    monkeypatch.delenv("CONTAIN_TOL")
+    assert main(["validate", path]) == 0
+    assert TOL == Tolerances()
+
+
+def test_non_utf8_byte_names_its_line_and_offset(tmp_path, capsys):
+    data = default_scenario().encode("utf-8").replace(b"    0.5 -0.5", b"    0.5\xa0-0.5")
+    offset = data.index(b"\xa0")
+    line = data[:offset].count(b"\n") + 1
+    path = tmp_path / "latin1.scn"
+    path.write_bytes(data)
+    rc = main(["validate", str(path)])
+    assert_one_line_error(
+        capsys, rc, f"scenario error: line {line}: byte 0xa0 at offset {offset} is not UTF-8"
+    )
 
 
 @pytest.mark.parametrize("kind", ["discontinuous_static", "observer_based", "continuous_static"])

@@ -8,7 +8,6 @@ from contain.control import (
     ControllerConfig,
     LeaderInputSpec,
     LinearSystem,
-    MissingState,
     Sinusoid,
     follower_law,
     leader_input,
@@ -156,16 +155,6 @@ def test_u_follower_adaptive_scales_both_terms():
     assert np.allclose(u_f[1], 0.0)
 
 
-def test_u_follower_adaptive_requires_gain_vector():
-    gains = make_gains()
-    cfg = ControllerConfig(
-        kind="adaptive", kappa=0.1,
-        taus=[1.0] * 3, phis=[0.0] * 3, d0=[0.0] * 3,
-    )
-    with pytest.raises(MissingState):
-        follower_law(cfg, gains, np.zeros((3, 2)))
-
-
 def test_adaptive_gain_rate_formula():
     gains = make_gains()
     cfg = ControllerConfig(
@@ -250,6 +239,15 @@ def test_controller_config_validation():
     # discontinuous law never reads kappa
     cfg = ControllerConfig(kind="discontinuous_static")
     assert cfg.kappa is None
+
+
+def test_width_is_kappa_except_for_the_discontinuous_law():
+    adaptive = dict(taus=[1.0], phis=[0.0], d0=[0.0])
+    assert ControllerConfig(kind="discontinuous_static").width == 0.0
+    assert ControllerConfig(kind="discontinuous_static", kappa=0.1).width == 0.0
+    assert ControllerConfig(kind="continuous_static", kappa=0.1).width == 0.1
+    assert ControllerConfig(kind="observer_based", kappa=0.2).width == 0.2
+    assert ControllerConfig(kind="adaptive", kappa=0.3, **adaptive).width == 0.3
 
 
 def test_linear_system_validation():

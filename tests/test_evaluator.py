@@ -25,7 +25,6 @@ from contain.control import (
     ControllerConfig,
     LeaderInputSpec,
     LinearSystem,
-    MissingState,
     Sinusoid,
     row_norms,
     saturate,
@@ -91,8 +90,6 @@ def u_follower(i, state, config, gains, topology):
         return gains.c1 * ks + gains.c2 * ghat(ks)
     if config.kind != ADAPTIVE:
         return gains.c1 * ks + gains.c2 * gsat(ks, config.kappa)
-    if state.adaptive_gains is None:
-        raise MissingState("adaptive controller needs the adaptive gain vector")
     d = float(state.adaptive_gains[i])
     return d * ks + d * rsat(ks, d, config.kappa)
 

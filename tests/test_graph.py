@@ -161,9 +161,10 @@ def test_labels_and_user_positions_roundtrip():
     topo = build_topology(adj)
     assert topo.leader_labels == (1,)
     assert topo.follower_labels == (2, 3)
-    # canonical row i came from user row user_positions[i], labelled 1..N
-    for i, pos in enumerate(topo.user_positions):
-        assert topo.labels[i] == pos + 1
+    # canonical agent i is user row labels[i] - 1, with its row and column
+    rows = [label - 1 for label in topo.labels]
+    for i, row in enumerate(rows):
+        assert np.array_equal(topo.adjacency[i], adj[row, rows])
 
 
 def test_random_topologies_partition_cleanly():
@@ -319,7 +320,7 @@ def test_assumption1_matches_the_frontier_sweep_on_random_digraphs():
         seen["asymmetric"] += bool(report.asymmetric_pairs)
         seen["unreachable"] += bool(report.unreachable_followers)
         seen["passed"] += report.passed
-        seen["leader first"] += topo.user_positions[topo.n_followers:].count(0)
+        seen["leader first"] += topo.leader_labels.count(1)
         checked += 1
     assert min(seen.values()) >= 30, seen
 

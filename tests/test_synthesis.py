@@ -141,9 +141,12 @@ def test_bound_D1_positive_and_monotone_in_kappa():
             2.0 * p_max * 2 * kappa * 3.0 / (gains.alpha * part.lambda_min_L1)
         )
     assert 0.0 < radii[0] < radii[1]
-    # the ideal discontinuous law has no boundary layer, so D1 = 0
-    disc = compute_bound_report(*design(ControllerConfig(kind="discontinuous_static")))
-    assert disc.d1_radius_sq == 0.0
+    # the ideal discontinuous law has no boundary layer, so D1 = 0, even
+    # when it is given a kappa
+    for kappa in (None, 0.1):
+        disc = compute_bound_report(*design(ControllerConfig(kind="discontinuous_static", kappa=kappa)))
+        assert disc.d1_radius_sq == 0.0
+        assert disc.envelope_offset == 0.0
 
 
 def test_bound_D2_requires_slow_leakage():
