@@ -4,10 +4,11 @@ Scenario files are plain text with [section] headers and key = value entries;
 values may continue on indented lines (matrix rows). The full grammar is
 documented in the README and the built-in default file (contain default).
 
-Exit codes: 0 success / certified; 1 usage, parse or input error; 2
-standing-assumption failure; 3 not controllable or another synthesis failure,
-including a design or radius that overflows; 4 adaptive leakage too fast
-(varrho >= alpha); 5 bounds not certified by the run; 6 state diverged.
+Exit codes: 0 success / certified; 5 bounds not certified by the run. A
+failure exits with the code its row of _FAILURES gives, after one stderr line:
+1 usage, parse or input error; 2 standing-assumption failure; 3 not
+controllable or another synthesis failure, including a design or radius that
+overflows; 4 adaptive leakage too fast (varrho >= alpha); 6 state diverged.
 """
 
 from __future__ import annotations
@@ -42,15 +43,12 @@ from .graph import (
     partition_laplacian,
 )
 from .matlib import (
-    TOL,
     BadTolerance,
     NoConvergence,
     NonFinite,
     NotControllable,
-    NotSymmetric,
     Singular,
     apply_tolerance_overrides,
-    sym_eigs,
 )
 from .sim import (
     Metrics,
@@ -337,19 +335,7 @@ def parse_scenario(
         params["d0"] = _vector(d0_value, "[controller].d0") if d0_value is not None else np.zeros(m)
     weight_value = _get(sections, "controller", "are_weight")
     if weight_value is not None:
-        where = "[controller].are_weight"
-        are_weight = _matrix(weight_value, where)
-        if are_weight.shape != (n, n):
-            raise ScenarioParseError(
-                f"must be {n}x{n}, got {are_weight.shape[0]}x{are_weight.shape[1]}", field=where
-            )
-        try:
-            positive = sym_eigs(are_weight)[0] > TOL.eig
-        except NotSymmetric as exc:
-            raise ScenarioParseError(str(exc), field=where) from None
-        if not positive:
-            raise ScenarioParseError("must be positive definite", field=where)
-        params["are_weight"] = are_weight
+        params["are_weight"] = _matrix(weight_value, "[controller].are_weight")
     try:
         controller = ControllerConfig(kind=kind, **params)
     except ValueError as exc:
@@ -518,45 +504,68 @@ def write_trajectory_csv(path: str, topology: Topology, traj: Trajectory) -> Non
             fh.writelines(",".join(map(repr, row)) + "\n" for row in block.tolist())
 
 
-def write_metrics(
-    path: str,
+def run_record(
     scn: Scenario,
-    gains: GainSet,
     part,
+    gains: GainSet,
     bounds: BoundReport,
     metrics: Metrics,
     traj: Trajectory,
     verdict: Verdict,
-) -> None:
-    cfg = scn.controller
-    lines = [
-        f"kind = {cfg.kind}",
-        f"steps = {len(traj.times)}",
-        f"h = {scn.h!r}",
-        f"t_end = {scn.t_end!r}",
-        f"alpha = {gains.alpha!r}",
-        f"lambda_min_L1 = {part.lambda_min_L1!r}",
-        f"beta = {bounds.beta!r}",
-        f"envelope_offset = {bounds.envelope_offset!r}",
-        f"d1_radius_sq = {bounds.d1_radius_sq!r}",
-        f"tail_sup_xi_sq = {metrics.tail_sup_xi_sq!r}",
-        f"d1_certified = {metrics.d1_certified}",
+) -> list:
+    """The facts of one simulate run, in metrics.txt order.
+
+    Each fact is (key, value, line): metrics.txt renders it as key = value,
+    and simulate's stdout prints line, the fact in words, unless it is None.
+    The adaptive law adds varrho, D2 (uncertifiable when varrho >= alpha),
+    whether its tail met D2, and d_sup.
+    """
+    kind, steps = scn.controller.kind, len(traj.times)
+    tail, d1, d1_ok = metrics.tail_sup_xi_sq, bounds.d1_radius_sq, metrics.d1_certified
+    record = [
+        ("kind", kind, f"integrated {steps} steps of h = {scn.h} ({kind})"),
+        ("steps", steps, None),
+        ("h", scn.h, None),
+        ("t_end", scn.t_end, None),
+        ("alpha", gains.alpha, None),
+        ("lambda_min_L1", part.lambda_min_L1, None),
+        ("beta", bounds.beta, None),
+        ("envelope_offset", bounds.envelope_offset, None),
+        ("d1_radius_sq", d1, None),
+        ("tail_sup_xi_sq", tail, f"tail sup |xi|^2 = {_fmt(tail)}"),
+        ("d1_certified", d1_ok, f"D1 radius^2 = {_fmt(d1)} (certified: {d1_ok})"),
     ]
-    if cfg.kind == ADAPTIVE:
-        lines.append(f"varrho = {bounds.varrho!r}")
-        if bounds.d2_radius_sq is not None:
-            lines.append(f"d2_radius_sq = {bounds.d2_radius_sq!r}")
-            lines.append(f"d2_certified = {metrics.d2_certified}")
+    if kind == ADAPTIVE:
+        if bounds.d2_radius_sq is None:
+            d2, d2_ok = "uncertifiable (varrho >= alpha)", False
+            d2_line = f"D2 radius^2: {d2}"
         else:
-            lines.append("d2_radius_sq = uncertifiable (varrho >= alpha)")
-            lines.append("d2_certified = False")
-        lines.append(f"d_sup = {metrics.d_sup!r}")
-    lines.append(f"envelope_violations = {metrics.envelope_violations}")
-    lines.append(f"chattering_index = {metrics.chattering_index!r}")
-    lines.append(f"assumption2_violations = {traj.assumption2_violations}")
-    lines.append(f"verdict = {verdict.label}")
+            d2, d2_ok = bounds.d2_radius_sq, metrics.d2_certified
+            d2_line = f"D2 radius^2 = {_fmt(d2)} (certified: {d2_ok})"
+        record += [
+            ("varrho", bounds.varrho, None),
+            ("d2_radius_sq", d2, None),
+            ("d2_certified", d2_ok, d2_line),
+            ("d_sup", metrics.d_sup, f"d_sup = {_fmt(metrics.d_sup)}"),
+        ]
+    envelope, leader = metrics.envelope_violations, traj.assumption2_violations
+    return record + [
+        ("envelope_violations", envelope, f"envelope violations = {envelope}"),
+        ("chattering_index", metrics.chattering_index,
+         f"chattering index = {_fmt(metrics.chattering_index)}"),
+        ("assumption2_violations", leader, f"leader bound violations = {leader}"),
+        ("verdict", verdict.label, None),
+    ]
+
+
+def write_metrics(path: str, record: list) -> None:
+    """metrics.txt, one key = value line per fact of a run_record: a string
+    value as it is, any other value as its repr."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(
+            f"{key} = {value if isinstance(value, str) else repr(value)}\n"
+            for key, value, _line in record
+        )
 
 
 def write_plot_script(path: str, topology: Topology, traj: Trajectory) -> None:
@@ -676,7 +685,7 @@ def cmd_bound(path: str, **overrides) -> int:
     part = partition_laplacian(scn.topology)
     gains = synthesize(scn, part)
     bounds = compute_bound_report(scn, part, gains)
-    if cfg.kind == ADAPTIVE and bounds.d2_radius_sq is None:
+    if bounds.varrho is not None and bounds.d2_radius_sq is None:
         raise VarrhoTooLarge(bounds.varrho, gains.alpha)
     print(f"alpha = {_fmt(gains.alpha)}")
     print(f"envelope offset b/alpha = {_fmt(bounds.envelope_offset)}")
@@ -690,42 +699,27 @@ def cmd_bound(path: str, **overrides) -> int:
 
 def cmd_simulate(path: str, out_dir: str, **overrides) -> int:
     scn = load_scenario(path, **overrides)
-    cfg = scn.controller
     part = partition_laplacian(scn.topology)
     gains = synthesize(scn, part)
 
     bounds = compute_bound_report(scn, part, gains)
-    if cfg.kind == ADAPTIVE and bounds.d2_radius_sq is None:
+    if bounds.varrho is not None and bounds.d2_radius_sq is None:
         print(f"note: {VarrhoTooLarge(bounds.varrho, gains.alpha)}")
 
     traj = integrate(scn, gains, part)
     metrics = compute_metrics(traj, bounds, gains, scn.tail_fraction)
-    verdict = run_verdict(cfg.kind, metrics, traj)
+    verdict = run_verdict(scn.controller.kind, metrics, traj)
+    record = run_record(scn, part, gains, bounds, metrics, traj, verdict)
 
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "trajectory.csv")
     write_trajectory_csv(csv_path, scn.topology, traj)
-    write_metrics(
-        os.path.join(out_dir, "metrics.txt"),
-        scn, gains, part, bounds, metrics, traj, verdict,
-    )
+    write_metrics(os.path.join(out_dir, "metrics.txt"), record)
     write_plot_script(os.path.join(out_dir, "plot.gp"), scn.topology, traj)
 
-    print(f"integrated {len(traj.times)} steps of h = {scn.h} ({cfg.kind})")
-    print(f"tail sup |xi|^2 = {_fmt(metrics.tail_sup_xi_sq)}")
-    print(f"D1 radius^2 = {_fmt(bounds.d1_radius_sq)} (certified: {metrics.d1_certified})")
-    if cfg.kind == ADAPTIVE:
-        if bounds.d2_radius_sq is not None:
-            print(
-                f"D2 radius^2 = {_fmt(bounds.d2_radius_sq)} "
-                f"(certified: {metrics.d2_certified})"
-            )
-        else:
-            print("D2 radius^2: uncertifiable (varrho >= alpha)")
-        print(f"d_sup = {_fmt(metrics.d_sup)}")
-    print(f"envelope violations = {metrics.envelope_violations}")
-    print(f"chattering index = {_fmt(metrics.chattering_index)}")
-    print(f"leader bound violations = {traj.assumption2_violations}")
+    for _key, _value, line in record:
+        if line is not None:
+            print(line)
     print(f"wrote {csv_path}, metrics.txt, plot.gp")
     if verdict.reason is not None:
         print(f"reason: {verdict.reason}")
@@ -847,6 +841,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# What main reports for each failure it catches: (exception types, stderr
+# prefix, exit code). The first row whose types match wins; any other
+# exception propagates.
+_FAILURES = (
+    ((UsageError,), "usage error", 1),
+    ((BadTolerance,), "bad CONTAIN_TOL", 1),
+    ((ScenarioParseError,), "scenario error", 1),
+    ((BadAdjacency,), "bad adjacency", 1),
+    ((OSError,), "i/o error", 1),
+    ((NoLeader, NoFollower, AssumptionViolated), "assumption failure", 2),
+    ((NotControllable,), "not controllable", 3),
+    ((NotObservable,), "not observable", 3),
+    ((Singular, NoConvergence, NonPositiveAlpha, NonFinite), "synthesis failed", 3),
+    ((VarrhoTooLarge,), "adaptive leakage too fast", 4),
+    ((NonFiniteState,), "diverged", 6),
+)
+
+
 # An overflow surfaces as a non-finite value that a check names in one line
 # (or as a non-finite state or metric), never as a numpy warning.
 @np.errstate(all="ignore")
@@ -871,41 +883,15 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(args.scenario, args.out, **overrides)
         raise AssertionError(f"unhandled command {args.command}")
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except BadTolerance as exc:
-        print(f"bad CONTAIN_TOL: {exc}", file=sys.stderr)
-        return 1
-    except ScenarioParseError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 1
-    except BadAdjacency as exc:
-        print(f"bad adjacency: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 1
-    except (NoLeader, NoFollower, AssumptionViolated) as exc:
-        print(f"assumption failure: {exc}", file=sys.stderr)
-        return 2
-    except NotControllable as exc:
-        print(f"not controllable: {exc}", file=sys.stderr)
-        return 3
-    except NotObservable as exc:
-        print(f"not observable: {exc}", file=sys.stderr)
-        return 3
-    except (Singular, NoConvergence, NonPositiveAlpha, NonFinite) as exc:
-        print(f"synthesis failed: {exc}", file=sys.stderr)
-        return 3
-    except VarrhoTooLarge as exc:
-        print(f"adaptive leakage too fast: {exc}", file=sys.stderr)
-        return 4
-    except NonFiniteState as exc:
-        label, block, component = exc.entry
-        entry = block if component is None else f"{block}_{component}"
-        print(f"diverged: {exc} (first non-finite: agent {label} {entry})", file=sys.stderr)
-        return 6
+    except tuple(error for errors, _prefix, _code in _FAILURES for error in errors) as exc:
+        prefix, code = next((p, c) for errors, p, c in _FAILURES if isinstance(exc, errors))
+        message = str(exc)
+        if isinstance(exc, NonFiniteState):
+            label, block, component = exc.entry
+            entry = block if component is None else f"{block}_{component}"
+            message += f" (first non-finite: agent {label} {entry})"
+        print(f"{prefix}: {message}", file=sys.stderr)
+        return code
 
 
 def entry() -> None:

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
-from .matlib import as_matrix
+from .matlib import TOL, NotSymmetric, as_matrix, sym_eigs
 if TYPE_CHECKING:
     from .synthesis import GainSet
 
@@ -104,7 +104,8 @@ class ControllerConfig:
 
     The design parameters are read by synthesis: c1_scale and c2_scale (>= 1)
     multiply the certified floors of the coupling gains c1 and c2, and
-    are_weight is the Riccati state weight (identity when None). The gains
+    are_weight is the Riccati state weight, symmetric positive definite
+    (identity when None); Scenario checks that it is n x n. The gains
     themselves come from synthesis.
     """
 
@@ -124,7 +125,16 @@ class ControllerConfig:
             if not 1.0 <= scale < math.inf:
                 raise ValueError(f"{name} must be a finite number >= 1, got {scale!r}")
         if self.are_weight is not None:
-            object.__setattr__(self, "are_weight", as_matrix(self.are_weight, "are_weight"))
+            weight = as_matrix(self.are_weight, "are_weight")
+            if weight.shape[0] != weight.shape[1]:
+                raise ValueError("are_weight must be square, got {}x{}".format(*weight.shape))
+            try:
+                positive = sym_eigs(weight)[0] > TOL.eig
+            except NotSymmetric as exc:
+                raise ValueError(f"are_weight {exc}") from None
+            if not positive:
+                raise ValueError("are_weight must be positive definite")
+            object.__setattr__(self, "are_weight", weight)
         if self.kind != DISCONTINUOUS_STATIC:
             if self.kappa is None or not 0.0 < self.kappa < math.inf:
                 raise ValueError(f"{self.kind} requires a finite kappa > 0")

@@ -155,6 +155,9 @@ class Scenario:
             object.__setattr__(self, "v0", _agent_rows(self.v0, "v0", n_agents, n))
         elif self.v0 is not None:
             raise ValueError("v0 only makes sense for observer-based scenarios")
+        weight = self.controller.are_weight
+        if weight is not None and weight.shape != (n, n):
+            raise ValueError(f"are_weight must be {n}x{n}, got {weight.shape[0]}x{weight.shape[1]}")
         if kind == ADAPTIVE and self.controller.d0.shape != (m,):
             raise ValueError(
                 f"taus, phis and d0 must list one value per follower ({m}), "
@@ -478,15 +481,11 @@ def steps(scn: Scenario, gains: GainSet):
 
 def _state_entry(scn: Scenario, column: int):
     """(agent label, block, component) of a column of the stacked state."""
-    topo = scn.topology
-    n = scn.system.n
-    off_x = topo.n_agents * n
-    if column < off_x:
-        return topo.labels[column // n], "x", column % n + 1
-    column -= off_x
-    if scn.controller.kind == ADAPTIVE:
-        return topo.labels[column], "d", None
-    return topo.labels[column // n], "v", column % n + 1
+    for block, columns in zip("xdv", scn.blocks(np.arange(scn.state_size))):
+        if columns is not None and column in columns:
+            agent, *component = np.argwhere(columns == column)[0].tolist()
+            return scn.topology.labels[agent], block, component[0] + 1 if component else None
+    raise IndexError(f"column {column} is outside the stacked state")
 
 
 def integrate(scn: Scenario, gains: GainSet, part: LaplacianPartition) -> Trajectory:

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from contain import cli
+from contain import cli, control
 from contain.cli import (
     ScenarioParseError,
     cmd_simulate,
@@ -18,8 +18,16 @@ from contain.cli import (
     parse_scenario,
     write_trajectory_csv,
 )
-from contain.graph import build_topology
-from contain.matlib import TOL, NoConvergence, Tolerances
+from contain.graph import AssumptionViolated, BadAdjacency, NoFollower, NoLeader, build_topology
+from contain.matlib import (
+    TOL,
+    BadTolerance,
+    NoConvergence,
+    NonFinite,
+    NotControllable,
+    Singular,
+    Tolerances,
+)
 from contain.sim import NonFiniteState, Scenario, Trajectory
 from contain import synthesis
 from contain.synthesis import NonPositiveAlpha
@@ -644,8 +652,9 @@ def test_synthesis_failure_exits_3_with_one_line(tmp_path, capsys, command, edit
 
 @pytest.mark.parametrize("command", ["synth", "bound", "simulate"])
 def test_certificate_eigenvalues_taken_once(tmp_path, monkeypatch, command):
-    # besides the are_weight check at parse, a command eigen-solves exactly two
-    # matrices, A P + P A' - 2 B B' and P, whichever of them it prints
+    # besides ControllerConfig's are_weight check at parse, a command
+    # eigen-solves exactly two matrices, A P + P A' - 2 B B' and P, whichever
+    # of them it prints
     solved = []
 
     def counting_sym_eigs(s):
@@ -654,7 +663,7 @@ def test_certificate_eigenvalues_taken_once(tmp_path, monkeypatch, command):
 
     sym_eigs = synthesis.sym_eigs
     monkeypatch.setattr(synthesis, "sym_eigs", counting_sym_eigs)
-    monkeypatch.setattr(cli, "sym_eigs", counting_sym_eigs)
+    monkeypatch.setattr(control, "sym_eigs", counting_sym_eigs)
     args = ["--out", str(tmp_path / "out"), "--t-end", "0.01"] if command == "simulate" else []
     assert main([command, chain_file(tmp_path, default_scenario()), *args]) in (0, 5)
     weight, lmi, p = solved
@@ -684,7 +693,9 @@ def test_synthesis_errors_map_to_exit_3(tmp_path, capsys, monkeypatch, error):
 def test_are_weight_checked_at_parse(tmp_path, capsys, command, weight, words):
     text = default_scenario().replace("are_weight = 4 0; 0 1", f"are_weight = {weight}")
     rc = main([command, chain_file(tmp_path, text)])
-    assert_one_line_error(capsys, rc, "scenario error: [controller].are_weight:", words)
+    # ControllerConfig owns symmetric positive definiteness, Scenario the n x n shape
+    owner = "" if words.startswith("must be 2x2") else "[controller]: "
+    assert_one_line_error(capsys, rc, f"scenario error: {owner}are_weight", words)
 
 
 @pytest.mark.parametrize("argv,words", [
@@ -831,3 +842,162 @@ h = 0.01
     gains_panel = plot.split('set title "adaptive coupling gains"')[1]
     assert re.findall(r'title "([^"]+)"', gains_panel) == ["d_2", "d_3"]
 
+
+
+def _write_metrics_by_hand(path, scn, gains, part, bounds, metrics, traj, verdict):
+    """Reference metrics.txt: the writer as it was, listing every line itself."""
+    cfg = scn.controller
+    lines = [
+        f"kind = {cfg.kind}",
+        f"steps = {len(traj.times)}",
+        f"h = {scn.h!r}",
+        f"t_end = {scn.t_end!r}",
+        f"alpha = {gains.alpha!r}",
+        f"lambda_min_L1 = {part.lambda_min_L1!r}",
+        f"beta = {bounds.beta!r}",
+        f"envelope_offset = {bounds.envelope_offset!r}",
+        f"d1_radius_sq = {bounds.d1_radius_sq!r}",
+        f"tail_sup_xi_sq = {metrics.tail_sup_xi_sq!r}",
+        f"d1_certified = {metrics.d1_certified}",
+    ]
+    if cfg.kind == "adaptive":
+        lines.append(f"varrho = {bounds.varrho!r}")
+        if bounds.d2_radius_sq is not None:
+            lines.append(f"d2_radius_sq = {bounds.d2_radius_sq!r}")
+            lines.append(f"d2_certified = {metrics.d2_certified}")
+        else:
+            lines.append("d2_radius_sq = uncertifiable (varrho >= alpha)")
+            lines.append("d2_certified = False")
+        lines.append(f"d_sup = {metrics.d_sup!r}")
+    lines.append(f"envelope_violations = {metrics.envelope_violations}")
+    lines.append(f"chattering_index = {metrics.chattering_index!r}")
+    lines.append(f"assumption2_violations = {traj.assumption2_violations}")
+    lines.append(f"verdict = {verdict.label}")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _print_report_by_hand(scn, gains, bounds, metrics, traj, verdict, csv_path):
+    """Reference stdout of simulate: the print block as it was."""
+    cfg = scn.controller
+    if cfg.kind == "adaptive" and bounds.d2_radius_sq is None:
+        print(f"note: {synthesis.VarrhoTooLarge(bounds.varrho, gains.alpha)}")
+    print(f"integrated {len(traj.times)} steps of h = {scn.h} ({cfg.kind})")
+    print(f"tail sup |xi|^2 = {cli._fmt(metrics.tail_sup_xi_sq)}")
+    print(f"D1 radius^2 = {cli._fmt(bounds.d1_radius_sq)} (certified: {metrics.d1_certified})")
+    if cfg.kind == "adaptive":
+        if bounds.d2_radius_sq is not None:
+            print(
+                f"D2 radius^2 = {cli._fmt(bounds.d2_radius_sq)} "
+                f"(certified: {metrics.d2_certified})"
+            )
+        else:
+            print("D2 radius^2: uncertifiable (varrho >= alpha)")
+        print(f"d_sup = {cli._fmt(metrics.d_sup)}")
+    print(f"envelope violations = {metrics.envelope_violations}")
+    print(f"chattering index = {cli._fmt(metrics.chattering_index)}")
+    print(f"leader bound violations = {traj.assumption2_violations}")
+    print(f"wrote {csv_path}, metrics.txt, plot.gp")
+    if verdict.reason is not None:
+        print(f"reason: {verdict.reason}")
+    print(f"verdict: {verdict.label}")
+
+
+@pytest.mark.parametrize("kind,edit", [
+    ("adaptive", None),
+    ("continuous_static", None),
+    ("discontinuous_static", None),
+    ("observer_based", None),
+    # varrho >= alpha: no D2
+    ("adaptive", ("phis = 0.005 0.005 0.005 0.005 0.005 0.005", "phis = 5 5 5 5 5 5")),
+    # leader 7's input breaks its declared bound: a reason line
+    ("adaptive", ("7.gamma = 6", "7.gamma = 1")),
+], ids=["adaptive", "continuous_static", "discontinuous_static", "observer_based",
+        "varrho-at-least-alpha", "leader-bound-broken"])
+def test_run_record_renders_as_the_hand_written_report(tmp_path, capsys, monkeypatch, kind, edit):
+    text = default_scenario()
+    if edit is not None:
+        assert edit[0] in text
+        text = text.replace(*edit)
+    runs = []
+
+    def recorded(*run):
+        runs.append(run)
+        return record(*run)
+
+    record = cli.run_record
+    monkeypatch.setattr(cli, "run_record", recorded)
+    out_dir = tmp_path / "out"
+    argv = ["simulate", chain_file(tmp_path, text), "--controller", kind, "--t-end", "0.3"]
+    rc = main([*argv, "--out", str(out_dir)])
+    stdout = capsys.readouterr().out
+
+    # the same run objects, rendered by the hand-written writer and print block
+    (scn, part, gains, bounds, metrics, traj, verdict), = runs
+    _write_metrics_by_hand(tmp_path / "reference.txt", scn, gains, part, bounds, metrics, traj, verdict)
+    _print_report_by_hand(
+        scn, gains, bounds, metrics, traj, verdict, os.path.join(str(out_dir), "trajectory.csv")
+    )
+    assert rc == (0 if verdict.certified else 5)
+    assert (out_dir / "metrics.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
+    assert stdout == capsys.readouterr().out
+    if edit is not None:
+        assert "uncertifiable" in stdout or "reason: " in stdout
+
+
+_EXIT_CODES = [
+    # (exception, stderr prefix, exit code), as the README's exit-code table lists them
+    (cli.UsageError("contain: bad flag"), "usage error", 1),
+    (BadTolerance("unknown tolerance field 'x'"), "bad CONTAIN_TOL", 1),
+    (ScenarioParseError("expected key = value", line=3), "scenario error", 1),
+    (BadAdjacency("adjacency must be square"), "bad adjacency", 1),
+    (OSError("no such file"), "i/o error", 1),
+    (NoLeader("no leader"), "assumption failure", 2),
+    (NoFollower("no follower"), "assumption failure", 2),
+    (AssumptionViolated("asymmetric follower pairs ((1, 6),)"), "assumption failure", 2),
+    (NotControllable("(A, B) is not controllable"), "not controllable", 3),
+    (synthesis.NotObservable("(A, C) is not observable"), "not observable", 3),
+    (Singular("Lyapunov operator is singular"), "synthesis failed", 3),
+    (NoConvergence("Riccati iteration stalled"), "synthesis failed", 3),
+    (NonPositiveAlpha("alpha is not positive"), "synthesis failed", 3),
+    (NonFinite("K contains non-finite entries"), "synthesis failed", 3),
+    (synthesis.VarrhoTooLarge(25.0, 0.5), "adaptive leakage too fast", 4),
+    (NonFiniteState("state became non-finite", entry=(7, "v", 2)), "diverged", 6),
+]
+
+
+def test_exit_code_table_covers_every_failure():
+    caught = {error for errors, _prefix, _code in cli._FAILURES for error in errors}
+    assert caught == {type(exc) for exc, _prefix, _code in _EXIT_CODES}
+
+
+@pytest.mark.parametrize(
+    "exc,prefix,code", _EXIT_CODES, ids=[type(exc).__name__ for exc, _p, _c in _EXIT_CODES]
+)
+def test_each_failure_exits_with_its_code_and_one_line(tmp_path, capsys, monkeypatch, exc, prefix, code):
+    def fail(*_args, **_kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "load_scenario", fail)
+    rc = main(["bound", chain_file(tmp_path)])
+    suffix = " (first non-finite: agent 7 v_2)" if isinstance(exc, NonFiniteState) else ""
+    assert (rc, capsys.readouterr().err) == (code, f"{prefix}: {exc}{suffix}\n")
+
+
+def test_an_unlisted_failure_propagates(tmp_path, monkeypatch):
+    def fail(*_args, **_kwargs):
+        raise KeyError("not a documented failure")
+
+    monkeypatch.setattr(cli, "load_scenario", fail)
+    with pytest.raises(KeyError):
+        main(["bound", chain_file(tmp_path)])
+
+
+def test_readme_scenario_example_runs(tmp_path, capsys):
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8").read()
+    section = readme.split("## Scenario files", 1)[1]
+    example = section.split("```\n", 2)[1]
+    assert example.startswith("[system]")
+    path = chain_file(tmp_path, example)
+    for command in ("validate", "bound"):
+        assert main([command, path]) == 0, capsys.readouterr().err
