@@ -44,7 +44,7 @@ class Tolerances:
     """Numeric thresholds shared by every kernel in this module.
 
     solve: relative residual bound for linear/Lyapunov/Riccati solves.
-    eig:   positive-definiteness floor for eigenvalue sign tests.
+    eig:   positive-definiteness floor of a Riccati weight (are_weight, q).
     pivot: relative pivot floor below which elimination declares Singular.
     sym:   max absolute entry of s - s.T tolerated by symmetric routines.
     """
@@ -223,14 +223,10 @@ def lyap_solve(f, q) -> np.ndarray:
 
 
 def is_hurwitz(f) -> bool:
-    """Lyapunov stability test: f is Hurwitz iff f.T W + W f = -I has W > 0."""
-    f = _square(f, "f")
-    n = f.shape[0]
-    try:
-        w = lyap_solve(f.T, np.eye(n))
-    except Singular:
-        return False
-    return float(sym_eigs(w)[0]) > TOL.eig
+    """Every eigenvalue of f has a negative real part. The margin is 0: eigvals is
+    backward stable, and callers only tell a stabilizing Riccati solution from
+    a non-stabilizing one, so the test reads no tolerance and holds at any scale."""
+    return bool(np.max(np.linalg.eigvals(_square(f, "f")).real) < 0.0)
 
 
 def controllability_matrix(a, b) -> np.ndarray:
@@ -267,7 +263,8 @@ def care_solve(a, b, q, return_residuals: bool = False):
     then K_{j+1} = b.T X_j where X_j solves the closed-loop Lyapunov equation
     (a - b K_j).T X + X (a - b K_j) = -(q + K_j.T K_j). Stops when the Riccati
     residual drops to TOL.solve * (1 + ||q||_F); raises NoConvergence after
-    100 iterations.
+    100 iterations. Returns X only if a - b b.T X is Hurwitz, so that X > 0 by the
+    Riccati equation; raises Singular otherwise, or if lambda_min(q) <= TOL.eig.
 
     With return_residuals=True, returns (X, residual_history).
     """
@@ -275,43 +272,42 @@ def care_solve(a, b, q, return_residuals: bool = False):
     b = as_matrix(b, "b")
     q = _square(q, "q")
     n = a.shape[0]
-    if b.shape[0] != n:
-        raise ValueError(f"b has {b.shape[0]} rows, expected {n}")
     if q.shape[0] != n:
         raise ValueError(f"q is {q.shape}, expected {(n, n)}")
     if float(sym_eigs(q)[0]) <= TOL.eig:
-        raise ValueError("q must be positive definite")
+        raise Singular("q must be positive definite")
     if not is_controllable(a, b):
         raise NotControllable("(a, b) fails the controllability rank test")
 
     with np.errstate(over="ignore"):
         bbt = b @ b.T
     if not np.isfinite(bbt).all():
-        raise NonFinite(
-            "B B' overflows: the Riccati input matrix B (C' for the observer) is too large"
-        )
+        raise NonFinite("B B' overflows: the Riccati input matrix is too large")
+
+    def newton_step(k):  # X of gain k, and X's Riccati residual
+        x = lyap_solve((a - b @ k).T, q + k.T @ k)
+        return x, frobenius(a.T @ x + x @ a - x @ (b @ (b.T @ x)) + q)
+
     beta = 1.0 + frobenius(a)
     z = lyap_solve(a + beta * np.eye(n), -2.0 * bbt)
     k = solve_linear(z, b).T  # b.T Z^-1, Z symmetric
     bound = TOL.solve * (1.0 + frobenius(q))
     residuals: list[float] = []
     for _ in range(100):
-        acl = a - b @ k
-        x = lyap_solve(acl.T, q + k.T @ k)
-        residual = frobenius(a.T @ x + x @ a - x @ (b @ (b.T @ x)) + q)
+        x, residual = newton_step(k)
         residuals.append(residual)
+        k = b.T @ x
         if residual <= bound:
             # one polishing step; quadratic convergence puts the final
             # residual far below the stopping bound
-            k = b.T @ x
-            xp = lyap_solve((a - b @ k).T, q + k.T @ k)
-            rp = frobenius(a.T @ xp + xp @ a - xp @ (b @ (b.T @ xp)) + q)
+            xp, rp = newton_step(k)
             if rp < residual:
                 x = xp
                 residuals.append(rp)
             x = 0.5 * (x + x.T)
+            if not is_hurwitz(a - b @ (b.T @ x)):
+                raise Singular("Riccati solution is not stabilizing: a - b b' X is not Hurwitz")
             return (x, residuals) if return_residuals else x
-        k = b.T @ x
     raise NoConvergence(
         f"Riccati iteration stalled: residual {residuals[-1]:.3e} after "
         f"{len(residuals)} iterations (tolerance {bound:.3e})"

@@ -16,7 +16,8 @@ import numpy as np
 
 from .control import ADAPTIVE, OBSERVER_BASED
 from .graph import LaplacianPartition
-from .matlib import NonFinite, NotControllable, care_solve, is_hurwitz, solve_linear, sym_eigs
+from .matlib import NoConvergence, NonFinite, NotControllable, Singular
+from .matlib import care_solve, solve_linear, sym_eigs
 if TYPE_CHECKING:
     from .sim import Scenario
 
@@ -36,7 +37,7 @@ class VarrhoTooLarge(ValueError):
 
 
 class NotObservable(ValueError):
-    """(a, c) fails the dual rank test; no observer gain exists."""
+    """(A, C) fails the dual rank test; no observer gain exists."""
 
 
 @dataclass
@@ -120,15 +121,21 @@ def compute_alpha(a, b, p) -> tuple[float, float, float]:
 
 
 def solve_observer_L(a, c) -> np.ndarray:
-    """Output-injection gain L with A + L C Hurwitz, via the dual Riccati solve."""
+    """Output-injection gain L = -X C.T from the dual Riccati solve, whose closed
+    loop A.T - C.T C X care_solve returns only Hurwitz: so is A + L C, its transpose."""
     try:
         x = care_solve(a.T, c.T, np.eye(a.shape[0]))
     except NotControllable:
-        raise NotObservable("(a, c) fails the observability rank test") from None
-    l_obs = -x @ c.T
-    if not is_hurwitz(a + l_obs @ c):
-        raise RuntimeError("observer design failed the Hurwitz check")
-    return l_obs
+        raise NotObservable("(A, C) fails the observability rank test") from None
+    return -x @ c.T
+
+
+def _design(keys: str, solve, *args) -> np.ndarray:
+    """solve(*args), a kernel failure of the same type naming the scenario keys it read."""
+    try:
+        return solve(*args)
+    except (Singular, NoConvergence, NonFinite, NotControllable, NotObservable) as exc:
+        raise type(exc)(f"{exc}; {keys}") from exc
 
 
 def _finite(name: str, value):
@@ -146,7 +153,8 @@ def synthesize(scn: Scenario, part: LaplacianPartition) -> GainSet:
     The Riccati weight and the coupling-gain scales come from the controller.
     """
     system, cfg = scn.system, scn.controller
-    p = solve_P(system.A, system.B, cfg.are_weight)
+    p = _design("controller design from [system] A, B and [controller] are_weight",
+                solve_P, system.A, system.B, cfg.are_weight)
     k = -solve_linear(p, system.B).T
     alpha, lmi_max, p_max = compute_alpha(system.A, system.B, p)
     return GainSet(
@@ -158,7 +166,8 @@ def synthesize(scn: Scenario, part: LaplacianPartition) -> GainSet:
         alpha=alpha,
         p_lambda_max=p_max,
         lmi_lambda_max=lmi_max,
-        L_obs=solve_observer_L(system.A, system.C) if cfg.kind == OBSERVER_BASED else None,
+        L_obs=(_design("observer design from [system] A, C", solve_observer_L, system.A, system.C)
+               if cfg.kind == OBSERVER_BASED else None),
     )
 
 

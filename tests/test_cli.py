@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from contain import cli, control
+from contain import cli, control, matlib
 from contain.cli import (
     ScenarioParseError,
     cmd_simulate,
@@ -646,8 +646,64 @@ def test_synthesis_failure_exits_3_with_one_line(tmp_path, capsys, command, edit
     if command == "simulate":
         args = [*args, "--out", str(tmp_path / "out")]
     rc = main_without_warnings([command, chain_file(tmp_path, text), *args])
-    assert_one_line_error(capsys, rc, prefix, code=3)
+    # a kernel failure names the design and the scenario keys it reads; an
+    # overflowing radius is a certificate's failure, not a design's
+    if "radius^2 overflowed" in prefix:
+        keys = ()
+    elif command == "synth":
+        keys = ("(A, C) fails", "; observer design from [system] A, C")
+    else:
+        keys = ("; controller design from [system] A, B and [controller] are_weight",)
+    assert_one_line_error(capsys, rc, prefix, *keys, code=3)
     assert not (tmp_path / "out").exists()
+
+
+def test_a_non_stabilizing_riccati_solution_exits_3(tmp_path, capsys, monkeypatch):
+    # care_solve returns only a stabilizing X: with every closed loop judged
+    # not Hurwitz, the design fails
+    monkeypatch.setattr(matlib, "is_hurwitz", lambda _f: False)
+    with pytest.raises(Singular, match="not stabilizing"):
+        matlib.care_solve([[0.0]], [[1.0]], [[1.0]])
+    rc = main(["bound", chain_file(tmp_path, default_scenario())])
+    assert_one_line_error(capsys, rc, "synthesis failed: Riccati solution is not stabilizing",
+                          "controller design", code=3)
+
+
+@pytest.mark.parametrize("weighted", [True, False], ids=["are_weight", "identity_weight"])
+@pytest.mark.parametrize("field", ["solve", "eig", "pivot", "sym"])
+def test_tolerance_overrides_exit_with_a_code_and_one_line(tmp_path, capsys, monkeypatch,
+                                                           field, weighted):
+    # any tolerance a user sets, however extreme, runs or fails with one line;
+    # main lets no failure outside its table through
+    text = default_scenario()
+    if not weighted:
+        text = text.replace("are_weight = 4 0; 0 1\n", "")
+        assert "are_weight" not in text
+    path = chain_file(tmp_path, text)
+    out = str(tmp_path / "out")
+    for value in ("0", "1e-300", "0.5", "1", "1e300"):
+        monkeypatch.setenv("CONTAIN_TOL", f"{field}={value}")
+        for kind in control.KINDS:
+            for command, args in (("validate", []), ("bound", []), ("synth", []),
+                                  ("simulate", ["--t-end", "0.01", "--out", out])):
+                rc = main_without_warnings([command, path, "--controller", kind, *args])
+                err = capsys.readouterr().err
+                assert 0 <= rc <= 6 and len(err.splitlines()) <= 1, (field, value, kind, command, err)
+                if (field, value, weighted) == ("eig", "1", False) and command != "validate":
+                    # the identity weight meets no floor of 1
+                    assert rc == 3 and err.startswith("synthesis failed: q must be positive definite")
+
+
+def test_observer_design_reads_no_eig_tolerance(tmp_path, capsys, monkeypatch):
+    # eig is the positive-definiteness floor of the Riccati weight and nothing
+    # else; the observer's Hurwitz property is an eigenvalue test with no margin
+    path = chain_file(tmp_path, default_scenario())
+    printed = []
+    for spec in ("", "eig=0.5"):
+        monkeypatch.setenv("CONTAIN_TOL", spec)
+        assert main(["synth", path, "--controller", "observer_based"]) == 0
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1]
 
 
 @pytest.mark.parametrize("command", ["synth", "bound", "simulate"])

@@ -199,6 +199,11 @@ def test_is_hurwitz_cases():
     assert not is_hurwitz([[0.0, 1.0], [-1.0, 1.0]])
     assert not is_hurwitz([[0.0]])
     assert is_hurwitz([[-1e-3]])
+    # an eigenvalue test holds at any scale
+    assert is_hurwitz([[-1e12]])
+    assert is_hurwitz(1e11 * np.array([[0.0, 1.0], [-1.0, -1.0]]))
+    # eigenvalues +-i: marginally stable is not Hurwitz
+    assert not is_hurwitz([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def test_controllability_matrix_double_integrator():
@@ -300,6 +305,77 @@ def test_care_random_pairs_stabilize():
         assert is_hurwitz(a - b @ (b.T @ x))
 
 
+def reference_care_solve(a, b, q):
+    """care_solve's Newton-Kleinman iteration as it was written before its
+    step became one function, kept verbatim as the reference."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    q = np.asarray(q, dtype=float)
+    n = a.shape[0]
+    bbt = b @ b.T
+    beta = 1.0 + frobenius(a)
+    z = lyap_solve(a + beta * np.eye(n), -2.0 * bbt)
+    k = solve_linear(z, b).T  # b.T Z^-1, Z symmetric
+    bound = TOL.solve * (1.0 + frobenius(q))
+    residuals: list[float] = []
+    for _ in range(100):
+        acl = a - b @ k
+        x = lyap_solve(acl.T, q + k.T @ k)
+        residual = frobenius(a.T @ x + x @ a - x @ (b @ (b.T @ x)) + q)
+        residuals.append(residual)
+        if residual <= bound:
+            # one polishing step; quadratic convergence puts the final
+            # residual far below the stopping bound
+            k = b.T @ x
+            xp = lyap_solve((a - b @ k).T, q + k.T @ k)
+            rp = frobenius(a.T @ xp + xp @ a - xp @ (b @ (b.T @ xp)) + q)
+            if rp < residual:
+                x = xp
+                residuals.append(rp)
+            x = 0.5 * (x + x.T)
+            return x, residuals
+        k = b.T @ x
+    raise NoConvergence(f"Riccati iteration stalled: residual {residuals[-1]:.3e}")
+
+
+def oracle_pairs(seed=2024, count=40):
+    """The random controllable pairs of tests/test_oracle.py."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        n = int(rng.integers(2, 11))
+        p = int(rng.integers(1, 4))
+        a = rng.standard_normal((n, n))
+        b = rng.standard_normal((n, p))
+        if is_controllable(a, b):
+            pairs.append((a, b))
+    return pairs
+
+
+def outcome(solve, a, b):
+    try:
+        return solve(a, b, np.eye(a.shape[0]))
+    except (Singular, NoConvergence) as exc:
+        return type(exc)
+
+
+def test_care_solve_is_the_newton_kleinman_reference_bit_for_bit():
+    # one newton_step for the loop and the polish keeps the reference's bits:
+    # X and the residual history, or the same failure
+    solved = 0
+    for a, b in oracle_pairs():
+        got = outcome(lambda *args: care_solve(*args, return_residuals=True), a, b)
+        want = outcome(reference_care_solve, a, b)
+        if isinstance(want, tuple):
+            solved += 1
+            assert isinstance(got, tuple), (a, b, got)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1] == want[1]
+        else:
+            assert got is want
+    assert solved == 36
+
+
 def test_care_rejects_uncontrollable():
     with pytest.raises(NotControllable):
         care_solve(np.eye(2), [[1.0], [1.0]], np.eye(2))
@@ -308,7 +384,7 @@ def test_care_rejects_uncontrollable():
 def test_care_rejects_bad_weight():
     a = [[0.0]]
     b = [[1.0]]
-    with pytest.raises(ValueError):
+    with pytest.raises(Singular, match="q must be positive definite"):
         care_solve(a, b, [[-1.0]])
     with pytest.raises(NotSymmetric):
         care_solve([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.5], [0.0, 1.0]])
