@@ -35,8 +35,6 @@ from .control import (
 from .graph import (
     AssumptionViolated,
     BadAdjacency,
-    NoFollower,
-    NoLeader,
     Topology,
     build_topology,
     check_assumption1,
@@ -56,6 +54,7 @@ from .sim import (
     Scenario,
     Trajectory,
     Verdict,
+    agent_rows,
     compute_metrics,
     integrate,
     run_verdict,
@@ -91,6 +90,25 @@ class ScenarioParseError(Exception):
 # scenario text parsing
 
 
+# The keys each section may hold. [leaders] keys are <label>.gain,
+# <label>.sinusoids and <label>.gamma, which parse_scenario checks per leader.
+_SECTION_KEYS = {
+    "system": ("A", "B", "C"),
+    "graph": ("adjacency",),
+    "controller": ("kind", "kappa", "c1_scale", "c2_scale", "taus", "phis", "d0", "are_weight"),
+    "leaders": None,
+    "sim": ("x0", "v0", "t_end", "h", "tail_fraction"),
+}
+
+
+class _Section(dict):
+    """A section's key -> _Value entries, and the line of its header."""
+
+    def __init__(self, line: int):
+        super().__init__()
+        self.line = line
+
+
 @dataclass
 class _Value:
     fragments: list  # (text, line number) pairs
@@ -121,7 +139,7 @@ def _parse_sections(text: str) -> dict:
                 raise ScenarioParseError("empty section name", line=lineno)
             if name in sections:
                 raise ScenarioParseError(f"duplicate section [{name}]", line=lineno)
-            sections[name] = {}
+            sections[name] = _Section(lineno)
             current_section = name
             continue
         if raw[0] in " \t":
@@ -278,6 +296,15 @@ def _scalars(sections, section: str, keys) -> dict:
     }
 
 
+def _build(field: Optional[str], make, *args, **kwargs):
+    """make(*args, **kwargs), a ValueError it raises reported as a
+    ScenarioParseError under field."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioParseError(str(exc), field=field) from None
+
+
 def parse_scenario(
     text: str,
     *,
@@ -288,25 +315,31 @@ def parse_scenario(
 ) -> Scenario:
     """Parse scenario text and apply command-line overrides.
 
-    Syntax is checked here, and so are the rules whose message names a line,
-    a flag or a 1-based channel, which the runtime types cannot name. What
-    the values mean is checked once, by LinearSystem, ControllerConfig,
-    LeaderInputSpec or Scenario, and each ValueError they raise is reported
-    as a ScenarioParseError.
+    Syntax is checked here, section and key names against _SECTION_KEYS, and
+    so are the rules whose message names a line, a flag or a 1-based channel,
+    which the runtime types cannot name. What the values mean is checked
+    once, by LinearSystem, ControllerConfig, LeaderInputSpec or Scenario, and
+    each ValueError they raise is reported as a ScenarioParseError.
     """
     for name, value in (("--kappa", kappa), ("--h", h), ("--t-end", t_end)):
         if value is not None and not math.isfinite(value):
             raise ScenarioParseError(f"expected a finite number, got {value!r}", field=name)
     sections = _parse_sections(text)
+    for name, entries in sections.items():
+        if name not in _SECTION_KEYS:
+            raise ScenarioParseError(f"unknown section (known: {', '.join(_SECTION_KEYS)})",
+                                     line=entries.line, field=f"[{name}]")
+        known_keys = _SECTION_KEYS[name]
+        for key, value in entries.items():
+            if known_keys is not None and key not in known_keys:
+                raise ScenarioParseError(f"unknown key {key!r} (known: {', '.join(known_keys)})",
+                                         line=value.line, field=f"[{name}]")
 
     a = _matrix(_require(sections, "system", "A"), "[system].A")
     b = _matrix(_require(sections, "system", "B"), "[system].B")
     c_value = _get(sections, "system", "C")
     c = _matrix(c_value, "[system].C") if c_value is not None else np.eye(a.shape[0])
-    try:
-        system = LinearSystem(A=a, B=b, C=c)
-    except ValueError as exc:
-        raise ScenarioParseError(str(exc), field="[system]") from None
+    system = _build("[system]", LinearSystem, A=a, B=b, C=c)
     n = system.n
 
     adjacency = _matrix(_require(sections, "graph", "adjacency"), "[graph].adjacency")
@@ -336,10 +369,7 @@ def parse_scenario(
     weight_value = _get(sections, "controller", "are_weight")
     if weight_value is not None:
         params["are_weight"] = _matrix(weight_value, "[controller].are_weight")
-    try:
-        controller = ControllerConfig(kind=kind, **params)
-    except ValueError as exc:
-        raise ScenarioParseError(str(exc), field="[controller]") from None
+    controller = _build("[controller]", ControllerConfig, kind=kind, **params)
 
     if "leaders" not in sections:
         raise ScenarioParseError("missing section [leaders]", field="leaders")
@@ -387,10 +417,8 @@ def parse_scenario(
             if "sinusoids" in fields
             else ()
         )
-        try:
-            leader_specs.append(LeaderInputSpec(feedback_gain=gain, sinusoids=sins, gamma=gamma))
-        except ValueError as exc:
-            raise ScenarioParseError(str(exc), field=f"[leaders].{label}") from None
+        leader_specs.append(_build(f"[leaders].{label}", LeaderInputSpec,
+                                   feedback_gain=gain, sinusoids=sins, gamma=gamma))
 
     def canonical(rows):
         """File-order agent rows in canonical order; Scenario rejects a wrong row count."""
@@ -403,25 +431,12 @@ def parse_scenario(
         v0 = np.zeros((n_agents, n)) if v0 is None else canonical(v0)
     elif v0 is not None:
         # only the observer-based law reads v0, so Scenario never sees this one
-        if v0.shape != (n_agents, n):
-            raise ScenarioParseError(
-                f"v0 must be {n_agents}x{n}, got {v0.shape[0]}x{v0.shape[1]}", field="[sim].v0"
-            )
+        _build("[sim].v0", agent_rows, v0, "v0", n_agents, n)
         v0 = None
     grid = _scalars(sections, "sim", ("t_end", "h", "tail_fraction"))
     grid.update((key, value) for key, value in (("t_end", t_end), ("h", h)) if value is not None)
-    try:
-        return Scenario(
-            system=system,
-            topology=topology,
-            controller=controller,
-            leader_specs=tuple(leader_specs),
-            x0=canonical(x0),
-            v0=v0,
-            **grid,
-        )
-    except ValueError as exc:
-        raise ScenarioParseError(str(exc)) from None
+    return _build(None, Scenario, system=system, topology=topology, controller=controller,
+                  leader_specs=tuple(leader_specs), x0=canonical(x0), v0=v0, **grid)
 
 
 def load_scenario(path: str, **overrides) -> Scenario:
@@ -616,7 +631,7 @@ def cmd_validate(path: str, **overrides) -> int:
     print("follower labels:", " ".join(str(x) for x in topo.follower_labels))
     print("leader labels:", " ".join(str(x) for x in topo.leader_labels))
     report = check_assumption1(topo)
-    if not report.follower_subgraph_undirected:
+    if report.asymmetric_pairs:
         pairs = ", ".join(f"{a}<->{b}" for a, b in report.asymmetric_pairs)
         print(f"assumption check: FAIL (asymmetric follower pairs: {pairs})")
         return 2
@@ -645,33 +660,32 @@ def cmd_synth(path: str, **overrides) -> int:
     scn = load_scenario(path, **overrides)
     part = partition_laplacian(scn.topology)
     gains = synthesize(scn, part)
-    print("P =")
-    print(_fmt_matrix(gains.P))
-    print("K =")
-    print(_fmt_matrix(gains.K))
-    print("Gamma =")
-    print(_fmt_matrix(gains.Gamma))
-    print(f"c1 = {_fmt(gains.c1)}  (lambda_min(L1) = {_fmt(part.lambda_min_L1)})")
-    print(f"c2 = {_fmt(gains.c2)}")
-    print(f"alpha = {_fmt(gains.alpha)}")
-    print(f"lambda_max(A P + P A' - 2 B B') = {_fmt(gains.lmi_lambda_max)}  (certificate: < 0)")
-    if gains.L_obs is not None:
-        print("L_obs =")
-        print(_fmt_matrix(gains.L_obs))
+
+    def matrix(key, mat):  # L_obs alone may be None, and then prints nothing
+        if mat is None:
+            return key, None, None
+        return key, mat.tolist(), f"{key} =\n{_fmt_matrix(mat)}"
+
+    # synth's facts, once, as (key, value, line): the gains sidecar holds
+    # key: value, and stdout prints each line that is not None
+    record = [
+        matrix("P", gains.P),
+        matrix("K", gains.K),
+        matrix("Gamma", gains.Gamma),
+        ("c1", gains.c1, f"c1 = {_fmt(gains.c1)}  (lambda_min(L1) = {_fmt(part.lambda_min_L1)})"),
+        ("c2", gains.c2, f"c2 = {_fmt(gains.c2)}"),
+        ("alpha", gains.alpha, f"alpha = {_fmt(gains.alpha)}"),
+        ("lmi_lambda_max", gains.lmi_lambda_max,
+         f"lambda_max(A P + P A' - 2 B B') = {_fmt(gains.lmi_lambda_max)}  (certificate: < 0)"),
+        matrix("L_obs", gains.L_obs),
+    ]
+    for _key, _value, line in record:
+        if line is not None:
+            print(line)
     sidecar = _gains_sidecar_path(path)
-    payload = {
-        "P": gains.P.tolist(),
-        "K": gains.K.tolist(),
-        "Gamma": gains.Gamma.tolist(),
-        "c1": gains.c1,
-        "c2": gains.c2,
-        "alpha": gains.alpha,
-        "lmi_lambda_max": gains.lmi_lambda_max,
-        "L_obs": None if gains.L_obs is None else gains.L_obs.tolist(),
-    }
     try:
         with open(sidecar, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump({key: value for key, value, _line in record}, fh, indent=2)
             fh.write("\n")
         print(f"gains written to {sidecar}")
     except OSError as exc:
@@ -850,7 +864,7 @@ _FAILURES = (
     ((ScenarioParseError,), "scenario error", 1),
     ((BadAdjacency,), "bad adjacency", 1),
     ((OSError,), "i/o error", 1),
-    ((NoLeader, NoFollower, AssumptionViolated), "assumption failure", 2),
+    ((AssumptionViolated,), "assumption failure", 2),
     ((NotControllable,), "not controllable", 3),
     ((NotObservable,), "not observable", 3),
     ((Singular, NoConvergence, NonPositiveAlpha, NonFinite), "synthesis failed", 3),

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
-from .matlib import TOL, NotSymmetric, as_matrix, sym_eigs
+from .matlib import TOL, NotSymmetric, as_matrix, as_square, sym_eigs
 if TYPE_CHECKING:
     from .synthesis import GainSet
 
@@ -50,11 +50,9 @@ class LinearSystem:
     C: np.ndarray
 
     def __post_init__(self):
-        a = as_matrix(self.A, "A")
+        a = as_square(self.A, "A")
         b = as_matrix(self.B, "B")
         c = as_matrix(self.C, "C")
-        if a.shape[0] != a.shape[1]:
-            raise ValueError(f"A must be square, got {a.shape}")
         if b.shape[0] != a.shape[0]:
             raise ValueError(f"B has {b.shape[0]} rows, expected {a.shape[0]}")
         if c.shape[1] != a.shape[0]:
@@ -125,15 +123,14 @@ class ControllerConfig:
             if not 1.0 <= scale < math.inf:
                 raise ValueError(f"{name} must be a finite number >= 1, got {scale!r}")
         if self.are_weight is not None:
-            weight = as_matrix(self.are_weight, "are_weight")
-            if weight.shape[0] != weight.shape[1]:
-                raise ValueError("are_weight must be square, got {}x{}".format(*weight.shape))
+            weight = as_square(self.are_weight, "are_weight")
             try:
-                positive = sym_eigs(weight)[0] > TOL.eig
+                lam = float(sym_eigs(weight)[0])
             except NotSymmetric as exc:
                 raise ValueError(f"are_weight {exc}") from None
-            if not positive:
-                raise ValueError("are_weight must be positive definite")
+            if not lam > TOL.eig:
+                raise ValueError(f"are_weight must be positive definite: lambda_min {lam:.3e} "
+                                 f"is not above the eig tolerance {TOL.eig:.1e}")
             object.__setattr__(self, "are_weight", weight)
         if self.kind != DISCONTINUOUS_STATIC:
             if self.kappa is None or not 0.0 < self.kappa < math.inf:

@@ -8,27 +8,20 @@ caller's matrix so results can be reported back in the original terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .matlib import TOL, as_matrix, frobenius, sym_eigs
+from .matlib import TOL, as_square, frobenius, sym_eigs
 
 
 class BadAdjacency(ValueError):
     """Adjacency matrix is not a square binary matrix with a zero diagonal."""
 
 
-class NoLeader(ValueError):
-    """Every agent has neighbors, so nobody qualifies as a leader."""
-
-
-class NoFollower(ValueError):
-    """Every agent is a leader; there is nothing to contain."""
-
-
 class AssumptionViolated(ValueError):
-    """Topology fails the follower-symmetry / leader-reachability assumption."""
+    """Topology has no leader or no follower, or fails the follower-symmetry /
+    leader-reachability assumption."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,14 +56,16 @@ class Topology:
 
 @dataclass(frozen=True)
 class Assumption1Report:
-    follower_subgraph_undirected: bool
+    """What check_assumption1 found, by label: the follower pairs joined one
+    way only, and the followers no leader reaches."""
+
     asymmetric_pairs: tuple
     unreachable_followers: tuple
-    passed: bool = field(init=False)
 
-    def __post_init__(self):
-        ok = self.follower_subgraph_undirected and not self.unreachable_followers
-        object.__setattr__(self, "passed", ok)
+    @property
+    def passed(self) -> bool:
+        """The follower subgraph is undirected and a leader reaches every follower."""
+        return not self.asymmetric_pairs and not self.unreachable_followers
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,16 +93,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 def build_topology(adjacency) -> Topology:
     """Validate an adjacency matrix and reorder agents followers-first.
 
-    Raises BadAdjacency for structural problems, NoLeader when no row is zero,
-    NoFollower when all rows are zero.
+    Raises BadAdjacency for structural problems, and AssumptionViolated when
+    no row is zero (no leader) or every row is (no follower).
     """
     try:
-        arr = as_matrix(adjacency, "adjacency")
+        arr = as_square(adjacency, "adjacency")
     except ValueError as exc:
         raise BadAdjacency(str(exc)) from None
-    n = arr.shape[0]
-    if arr.shape[1] != n:
-        raise BadAdjacency(f"adjacency must be square, got {arr.shape}")
     if not ((arr == 0.0) | (arr == 1.0)).all():
         raise BadAdjacency("adjacency entries must be 0 or 1")
     if np.any(np.diag(arr) != 0.0):
@@ -117,9 +109,9 @@ def build_topology(adjacency) -> Topology:
     followers = np.flatnonzero(~is_leader).tolist()
     leaders = np.flatnonzero(is_leader).tolist()
     if not leaders:
-        raise NoLeader("no agent has an empty neighbor set")
+        raise AssumptionViolated("no agent has an empty neighbor set")
     if not followers:
-        raise NoFollower("every agent is a leader")
+        raise AssumptionViolated("every agent is a leader")
 
     perm = followers + leaders
     canonical = arr[np.ix_(perm, perm)]
@@ -171,11 +163,7 @@ def check_assumption1(topology: Topology) -> Assumption1Report:
                 queue.append(i)
     unreachable = tuple(labels[i] for i in range(m) if not reached[i])
 
-    return Assumption1Report(
-        follower_subgraph_undirected=not asymmetric,
-        asymmetric_pairs=asymmetric,
-        unreachable_followers=unreachable,
-    )
+    return Assumption1Report(asymmetric_pairs=asymmetric, unreachable_followers=unreachable)
 
 
 def _hull_weights(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
@@ -192,8 +180,9 @@ def _hull_weights(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
     scale = frobenius(l1) * frobenius(w) + frobenius(l2)
     if not residual <= TOL.solve * scale:
         raise AssumptionViolated(
-            f"hull weights W = -L1^-1 L2 fail the residual check: "
-            f"|L1 W + L2|_F = {residual:.3e} exceeds {TOL.solve:.1e} * {scale:.3e}"
+            f"hull weights W = -L1^-1 L2 fail the residual check: |L1 W + L2|_F = "
+            f"{residual:.3e} exceeds the solve tolerance {TOL.solve:.1e} times "
+            f"|L1|_F |W|_F + |L2|_F ({scale:.3e})"
         )
     return w
 

@@ -46,7 +46,7 @@ class Tolerances:
     solve: relative residual bound for linear/Lyapunov/Riccati solves.
     eig:   positive-definiteness floor of a Riccati weight (are_weight, q).
     pivot: relative pivot floor below which elimination declares Singular.
-    sym:   max absolute entry of s - s.T tolerated by symmetric routines.
+    sym:   max absolute entry of s - s.T that sym_eigs, its one reader, tolerates.
     """
 
     solve: float = 1e-9
@@ -102,7 +102,8 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _square(a, name: str) -> np.ndarray:
+def as_square(a, name: str) -> np.ndarray:
+    """Coerce to a finite square 2-D float64 array, raising ValueError otherwise."""
     arr = as_matrix(a, name)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got {arr.shape}")
@@ -143,7 +144,7 @@ def sym_eigs(s) -> np.ndarray:
     and no entry exceeds DBL_MAX / 2, so that s + s.T cannot overflow, that is
     s bit for bit, and eigh gets s itself.
     """
-    arr = _square(s, "s")
+    arr = as_square(s, "s")
     work = np.subtract(arr, arr.T)
     skew = float(np.max(np.abs(work, out=work)))
     if skew > TOL.sym:
@@ -161,7 +162,7 @@ def solve_linear(a, rhs) -> np.ndarray:
     rhs may have multiple columns. Raises Singular when the pivot magnitude
     falls to TOL.pivot * ||a||_F or below.
     """
-    a = _square(a, "a")
+    a = as_square(a, "a")
     rhs = as_matrix(rhs, "rhs")
     n = a.shape[0]
     if rhs.shape[0] != n:
@@ -173,8 +174,8 @@ def solve_linear(a, rhs) -> np.ndarray:
         pivot = aug[pivot_row, col]
         if abs(pivot) <= TOL.pivot * scale:
             raise Singular(
-                f"pivot {abs(pivot):.3e} at column {col} below floor "
-                f"{TOL.pivot * scale:.3e}"
+                f"pivot {abs(pivot):.3e} at column {col} is at or below the pivot "
+                f"tolerance {TOL.pivot:.1e} times ||a||_F ({scale:.3e})"
             )
         if pivot_row != col:
             aug[[col, pivot_row]] = aug[[pivot_row, col]]
@@ -187,30 +188,24 @@ def solve_linear(a, rhs) -> np.ndarray:
 
 
 def lyap_solve(f, q) -> np.ndarray:
-    """Solve f @ X + X @ f.T + q = 0 for symmetric q.
+    """Solve f @ X + X @ f.T + q = 0 for q that the caller keeps symmetric.
 
     Vectorizes to (I (x) f + f (x) I) vec(X) = -vec(q) in row-major layout and
-    runs it through solve_linear. Raises Singular when f and -f share an
-    eigenvalue (the vectorized operator degenerates) or the residual check
-    fails.
+    runs it through solve_linear. Raises Singular when an elimination pivot
+    falls to its floor (as when f and -f share an eigenvalue) or the residual
+    check fails.
     """
-    f = _square(f, "f")
-    q = _square(q, "q")
+    f = as_square(f, "f")
+    q = as_square(q, "q")
     n = f.shape[0]
     if q.shape[0] != n:
         raise ValueError(f"q is {q.shape}, expected {(n, n)}")
-    skew = float(np.max(np.abs(q - q.T)))
-    if skew > TOL.sym:
-        raise NotSymmetric(f"q is not symmetric: max |q - q.T| = {skew:.3e}")
     eye = np.eye(n)
     op = np.kron(eye, f) + np.kron(f, eye)
     try:
         vec = solve_linear(op, (-q).reshape(n * n, 1))
     except Singular as exc:
-        raise Singular(
-            "Lyapunov operator is singular (f and -f share an eigenvalue): "
-            f"{exc}"
-        ) from exc
+        raise Singular(f"Lyapunov operator is singular: {exc}") from exc
     x = vec.reshape(n, n)
     x = 0.5 * (x + x.T)
     residual = frobenius(f @ x + x @ f.T + q)
@@ -226,11 +221,11 @@ def is_hurwitz(f) -> bool:
     """Every eigenvalue of f has a negative real part. The margin is 0: eigvals is
     backward stable, and callers only tell a stabilizing Riccati solution from
     a non-stabilizing one, so the test reads no tolerance and holds at any scale."""
-    return bool(np.max(np.linalg.eigvals(_square(f, "f")).real) < 0.0)
+    return bool(np.max(np.linalg.eigvals(as_square(f, "f")).real) < 0.0)
 
 
 def controllability_matrix(a, b) -> np.ndarray:
-    a = _square(a, "a")
+    a = as_square(a, "a")
     b = as_matrix(b, "b")
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"b has {b.shape[0]} rows, expected {a.shape[0]}")
@@ -268,14 +263,16 @@ def care_solve(a, b, q, return_residuals: bool = False):
 
     With return_residuals=True, returns (X, residual_history).
     """
-    a = _square(a, "a")
+    a = as_square(a, "a")
     b = as_matrix(b, "b")
-    q = _square(q, "q")
+    q = as_square(q, "q")
     n = a.shape[0]
     if q.shape[0] != n:
         raise ValueError(f"q is {q.shape}, expected {(n, n)}")
-    if float(sym_eigs(q)[0]) <= TOL.eig:
-        raise Singular("q must be positive definite")
+    lam = float(sym_eigs(q)[0])
+    if lam <= TOL.eig:
+        raise Singular(f"q must be positive definite: lambda_min {lam:.3e} is not above "
+                       f"the eig tolerance {TOL.eig:.1e}")
     if not is_controllable(a, b):
         raise NotControllable("(a, b) fails the controllability rank test")
 

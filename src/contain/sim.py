@@ -66,7 +66,7 @@ from .control import (
     row_norms,
 )
 from .graph import LaplacianPartition, Topology
-from .matlib import solve_linear
+from .matlib import as_matrix, solve_linear
 from .synthesis import BoundReport, GainSet
 
 
@@ -137,7 +137,7 @@ class Scenario:
                 f"t_end / h = {steps:.6g} steps recording {width} values each exceed "
                 f"the limit of {MAX_RECORDED_VALUES} recorded values; raise h or shorten t_end"
             )
-        object.__setattr__(self, "x0", _agent_rows(self.x0, "x0", n_agents, n))
+        object.__setattr__(self, "x0", agent_rows(self.x0, "x0", n_agents, n))
         object.__setattr__(self, "leader_specs", tuple(self.leader_specs))
         if len(self.leader_specs) != n_agents - m:
             raise ValueError(
@@ -152,7 +152,7 @@ class Scenario:
         if kind == OBSERVER_BASED:
             if self.v0 is None:
                 raise ValueError("observer-based scenario needs v0")
-            object.__setattr__(self, "v0", _agent_rows(self.v0, "v0", n_agents, n))
+            object.__setattr__(self, "v0", agent_rows(self.v0, "v0", n_agents, n))
         elif self.v0 is not None:
             raise ValueError("v0 only makes sense for observer-based scenarios")
         weight = self.controller.are_weight
@@ -198,14 +198,13 @@ class Scenario:
         return [spec.gamma for spec in self.leader_specs]
 
 
-def _agent_rows(rows, name: str, n_agents: int, n: int) -> np.ndarray:
-    """rows as a finite (n_agents, n) float array, or ValueError naming it."""
-    arr = np.asarray(rows, dtype=float)
+def agent_rows(rows, name: str, n_agents: int, n: int) -> np.ndarray:
+    """rows as a finite (n_agents, n) float array, one row per agent, or
+    ValueError naming it."""
+    arr = as_matrix(rows, name)
     if arr.shape != (n_agents, n):
         got = "x".join(map(str, arr.shape))
         raise ValueError(f"{name} must be {n_agents}x{n} (one row per agent), got {got}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
     return arr
 
 

@@ -18,7 +18,7 @@ from contain.cli import (
     parse_scenario,
     write_trajectory_csv,
 )
-from contain.graph import AssumptionViolated, BadAdjacency, NoFollower, NoLeader, build_topology
+from contain.graph import AssumptionViolated, BadAdjacency, build_topology
 from contain.matlib import (
     TOL,
     BadTolerance,
@@ -556,6 +556,16 @@ def test_coupling_scales_below_one_rejected(tmp_path, capsys, command, line, nam
     (("B = 1", "B = 1; 2; 3"), [], "[system]: B has 3 rows, expected 1"),
     (("C = 1", "C = 1 0"), [], "[system]: C has 2 columns, expected 1"),
     (("2.gain = 0", "2.gain = 0 1"), [], "leader 2 gain must be 1x1, got 1x2"),
+    (("kappa = 0.1", "kappa = 0.1\nare_weight = 1 0"), [],
+     "[controller]: are_weight must be square, got (1, 2)"),
+    # an unused v0 meets the rule Scenario applies to a used one
+    (("x0 = -2; 0", "x0 = -2; 0\nv0 = 1"), [],
+     "[sim].v0: v0 must be 2x1 (one row per agent), got 1x1"),
+    # a misspelled key or section is an error, not a line the run ignores
+    (("kappa = 0.1", "kappa = 0.1\nc1_scle = 2"), [], "line 12: [controller]: unknown key 'c1_scle'"),
+    (("h = 0.01", "h = 0.01\ntail_fracton = 0.5"), [], "line 21: [sim]: unknown key 'tail_fracton'"),
+    (("h = 0.01", "h = 0.01\n\n[extra]"), [], "line 22: [extra]: unknown section"),
+    (("[graph]", "[grahp]"), [], "line 6: [grahp]: unknown section"),
 ])
 def test_scenario_rules_exit_1_naming_the_key(tmp_path, capsys, edit, args, words):
     text = CHAIN_TEXT if edit is None else CHAIN_TEXT.replace(*edit)
@@ -752,6 +762,45 @@ def test_are_weight_checked_at_parse(tmp_path, capsys, command, weight, words):
     # ControllerConfig owns symmetric positive definiteness, Scenario the n x n shape
     owner = "" if words.startswith("must be 2x2") else "[controller]: "
     assert_one_line_error(capsys, rc, f"scenario error: {owner}are_weight", words)
+
+
+@pytest.mark.parametrize("command", ["bound", "synth"])
+def test_a_weight_whose_skew_sym_eigs_tolerates_runs(tmp_path, capsys, command):
+    # symmetry is judged once, by sym_eigs; the Riccati solve checks no
+    # intermediate of it again
+    text = default_scenario()
+    assert main([command, chain_file(tmp_path, text)]) == 0
+    default = capsys.readouterr()
+    text = text.replace("are_weight = 4 0; 0 1", "are_weight = 4 0; 1e-9 1")
+    assert main([command, chain_file(tmp_path, text)]) == 0
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    if command == "bound":
+        assert printed.out == default.out
+
+
+@pytest.mark.parametrize("spec,weighted,command,code,prefix,words", [
+    ("pivot=0.5", True, "bound", 3, "synthesis failed: Lyapunov operator is singular",
+     "pivot tolerance 5.0e-01 times ||a||_F"),
+    ("solve=0", True, "validate", 2, "assumption failure: hull weights",
+     "the solve tolerance 0.0e+00 times"),
+    ("eig=1", True, "bound", 1, "scenario error: [controller]: are_weight must be positive definite",
+     "lambda_min 1.000e+00 is not above the eig tolerance 1.0e+00"),
+    ("eig=1", False, "bound", 3, "synthesis failed: q must be positive definite",
+     "lambda_min 1.000e+00 is not above the eig tolerance 1.0e+00"),
+], ids=["pivot", "solve", "eig-are_weight", "eig-identity_weight"])
+def test_a_tolerance_failure_names_the_tolerance(tmp_path, capsys, monkeypatch, spec, weighted,
+                                                 command, code, prefix, words):
+    # the input met every rule; the line says which tolerance set the bound it missed
+    text = default_scenario()
+    if not weighted:
+        text = text.replace("are_weight = 4 0; 0 1\n", "")
+    monkeypatch.setenv("CONTAIN_TOL", spec)
+    rc = main([command, chain_file(tmp_path, text)])
+    err = capsys.readouterr().err
+    assert (rc, len(err.splitlines())) == (code, 1), err
+    assert err.startswith(prefix) and words in err, err
+    assert "share an eigenvalue" not in err
 
 
 @pytest.mark.parametrize("argv,words", [
@@ -1008,8 +1057,6 @@ _EXIT_CODES = [
     (ScenarioParseError("expected key = value", line=3), "scenario error", 1),
     (BadAdjacency("adjacency must be square"), "bad adjacency", 1),
     (OSError("no such file"), "i/o error", 1),
-    (NoLeader("no leader"), "assumption failure", 2),
-    (NoFollower("no follower"), "assumption failure", 2),
     (AssumptionViolated("asymmetric follower pairs ((1, 6),)"), "assumption failure", 2),
     (NotControllable("(A, B) is not controllable"), "not controllable", 3),
     (synthesis.NotObservable("(A, C) is not observable"), "not observable", 3),

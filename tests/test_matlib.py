@@ -381,6 +381,17 @@ def test_care_rejects_uncontrollable():
         care_solve(np.eye(2), [[1.0], [1.0]], np.eye(2))
 
 
+def test_care_accepts_a_weight_whose_skew_sym_eigs_tolerates():
+    # sym_eigs alone judges symmetry: q + K'K, whose skew rounds just above
+    # TOL.sym here, goes to the Lyapunov solve unchecked
+    a = np.array([[0.0, 1.0], [-1.0, 1.0]])
+    b = np.array([[0.0], [1.0]])
+    q = np.array([[4.0, 0.0], [TOL.sym, 1.0]])
+    assert float(np.max(np.abs(q - q.T))) == TOL.sym
+    x = care_solve(a, b, q)
+    assert is_hurwitz(a - b @ (b.T @ x))
+
+
 def test_care_rejects_bad_weight():
     a = [[0.0]]
     b = [[1.0]]
