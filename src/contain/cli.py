@@ -37,7 +37,6 @@ from .graph import (
     BadAdjacency,
     Topology,
     build_topology,
-    check_assumption1,
     partition_laplacian,
 )
 from .matlib import (
@@ -462,10 +461,10 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _fmt_matrix(mat: np.ndarray, indent: str = "  ") -> str:
+def _fmt_matrix(mat: np.ndarray) -> str:
     lines = []
     for row in np.atleast_2d(mat):
-        lines.append(indent + "  ".join(f"{v: .6g}" for v in row))
+        lines.append("  " + "  ".join(f"{v: .6g}" for v in row))
     return "\n".join(lines)
 
 
@@ -622,25 +621,17 @@ def write_plot_script(path: str, topology: Topology, traj: Trajectory) -> None:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes its subparser's argparse dests as keyword arguments
+# (scenario, out, and the overrides controller, kappa, h and t_end)
 
 
-def cmd_validate(path: str, **overrides) -> int:
-    topo = load_scenario(path, **overrides).topology
+def cmd_validate(scenario: str, **overrides) -> int:
+    topo = load_scenario(scenario, **overrides).topology
     print(f"agents: {topo.n_agents} (followers {topo.n_followers}, leaders {topo.n_leaders})")
     print("follower labels:", " ".join(str(x) for x in topo.follower_labels))
     print("leader labels:", " ".join(str(x) for x in topo.leader_labels))
-    report = check_assumption1(topo)
-    if report.asymmetric_pairs:
-        pairs = ", ".join(f"{a}<->{b}" for a, b in report.asymmetric_pairs)
-        print(f"assumption check: FAIL (asymmetric follower pairs: {pairs})")
-        return 2
-    if report.unreachable_followers:
-        missing = ", ".join(str(x) for x in report.unreachable_followers)
-        print(f"assumption check: FAIL (no leader reaches followers: {missing})")
-        return 2
+    part = partition_laplacian(topo)  # a failed standing assumption raises here
     print("assumption check: PASS (undirected follower subgraph, all followers leader-reachable)")
-    part = partition_laplacian(topo)
     print(f"lambda_min(L1) = {_fmt(part.lambda_min_L1)}")
     row_sums = part.W.sum(axis=1)
     print("W row sums:", " ".join(_fmt(v) for v in row_sums))
@@ -651,15 +642,16 @@ def cmd_validate(path: str, **overrides) -> int:
     return 0
 
 
-def _gains_sidecar_path(scenario_path: str) -> str:
-    stem, _ext = os.path.splitext(scenario_path)
-    return stem + ".gains.json"
-
-
-def cmd_synth(path: str, **overrides) -> int:
-    scn = load_scenario(path, **overrides)
+def _design(scenario: str, overrides: dict) -> tuple:
+    """(scn, part, gains): the prefix synth, bound and simulate share. The
+    partition checks the standing assumption, as it does for validate."""
+    scn = load_scenario(scenario, **overrides)
     part = partition_laplacian(scn.topology)
-    gains = synthesize(scn, part)
+    return scn, part, synthesize(scn, part)
+
+
+def cmd_synth(scenario: str, **overrides) -> int:
+    _scn, part, gains = _design(scenario, overrides)
 
     def matrix(key, mat):  # L_obs alone may be None, and then prints nothing
         if mat is None:
@@ -682,7 +674,7 @@ def cmd_synth(path: str, **overrides) -> int:
     for _key, _value, line in record:
         if line is not None:
             print(line)
-    sidecar = _gains_sidecar_path(path)
+    sidecar = os.path.splitext(scenario)[0] + ".gains.json"
     try:
         with open(sidecar, "w", encoding="utf-8") as fh:
             json.dump({key: value for key, value, _line in record}, fh, indent=2)
@@ -693,29 +685,23 @@ def cmd_synth(path: str, **overrides) -> int:
     return 0
 
 
-def cmd_bound(path: str, **overrides) -> int:
-    scn = load_scenario(path, **overrides)
-    cfg = scn.controller
-    part = partition_laplacian(scn.topology)
-    gains = synthesize(scn, part)
+def cmd_bound(scenario: str, **overrides) -> int:
+    scn, part, gains = _design(scenario, overrides)
     bounds = compute_bound_report(scn, part, gains)
     if bounds.varrho is not None and bounds.d2_radius_sq is None:
         raise VarrhoTooLarge(bounds.varrho, gains.alpha)
     print(f"alpha = {_fmt(gains.alpha)}")
     print(f"envelope offset b/alpha = {_fmt(bounds.envelope_offset)}")
     print(f"D1 radius^2 = {_fmt(bounds.d1_radius_sq)}")
-    if cfg.kind == ADAPTIVE:
+    if scn.controller.kind == ADAPTIVE:
         print(f"beta = {_fmt(bounds.beta)}")
         print(f"varrho = {_fmt(bounds.varrho)}")
         print(f"D2 radius^2 = {_fmt(bounds.d2_radius_sq)}")
     return 0
 
 
-def cmd_simulate(path: str, out_dir: str, **overrides) -> int:
-    scn = load_scenario(path, **overrides)
-    part = partition_laplacian(scn.topology)
-    gains = synthesize(scn, part)
-
+def cmd_simulate(scenario: str, out: str, **overrides) -> int:
+    scn, part, gains = _design(scenario, overrides)
     bounds = compute_bound_report(scn, part, gains)
     if bounds.varrho is not None and bounds.d2_radius_sq is None:
         print(f"note: {VarrhoTooLarge(bounds.varrho, gains.alpha)}")
@@ -725,11 +711,11 @@ def cmd_simulate(path: str, out_dir: str, **overrides) -> int:
     verdict = run_verdict(scn.controller.kind, metrics, traj)
     record = run_record(scn, part, gains, bounds, metrics, traj, verdict)
 
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "trajectory.csv")
+    os.makedirs(out, exist_ok=True)
+    csv_path = os.path.join(out, "trajectory.csv")
     write_trajectory_csv(csv_path, scn.topology, traj)
-    write_metrics(os.path.join(out_dir, "metrics.txt"), record)
-    write_plot_script(os.path.join(out_dir, "plot.gp"), scn.topology, traj)
+    write_metrics(os.path.join(out, "metrics.txt"), record)
+    write_plot_script(os.path.join(out, "plot.gp"), scn.topology, traj)
 
     for _key, _value, line in record:
         if line is not None:
@@ -837,20 +823,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
-        sp.add_argument("scenario", help="scenario file path")
-        sp.add_argument("--controller", choices=KINDS, help="override controller kind")
-        sp.add_argument("--kappa", type=float, help="override boundary-layer width")
-        sp.add_argument("--h", type=float, help="override step size [s]")
-        sp.add_argument("--t-end", dest="t_end", type=float, help="override horizon [s]")
+    def add_command(name, run, summary, scenario=True):
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(run=run)
+        if scenario:
+            sp.add_argument("scenario", help="scenario file path")
+            sp.add_argument("--controller", choices=KINDS, help="override controller kind")
+            sp.add_argument("--kappa", type=float, help="override boundary-layer width")
+            sp.add_argument("--h", type=float, help="override step size [s]")
+            sp.add_argument("--t-end", dest="t_end", type=float, help="override horizon [s]")
+        return sp
 
-    add_common(sub.add_parser("validate", help="check topology and standing assumptions"))
-    add_common(sub.add_parser("synth", help="synthesize gains and print certificates"))
-    add_common(sub.add_parser("bound", help="compute residual-set radii"))
-    sim = sub.add_parser("simulate", help="run the closed loop and write outputs")
-    add_common(sim)
+    add_command("validate", cmd_validate, "check topology and standing assumptions")
+    add_command("synth", cmd_synth, "synthesize gains and print certificates")
+    add_command("bound", cmd_bound, "compute residual-set radii")
+    sim = add_command("simulate", cmd_simulate, "run the closed loop and write outputs")
     sim.add_argument("--out", default=".", help="output directory (default: .)")
-    dflt = sub.add_parser("default", help="emit the built-in default scenario file")
+    dflt = add_command("default", cmd_default, "emit the built-in default scenario file",
+                       scenario=False)
     dflt.add_argument("--out", default=None, help="write to this path instead of stdout")
     return parser
 
@@ -878,25 +868,10 @@ _FAILURES = (
 @np.errstate(all="ignore")
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = vars(_build_parser().parse_args(argv))
         apply_tolerance_overrides(os.environ.get("CONTAIN_TOL", ""))
-        if args.command == "default":
-            return cmd_default(args.out)
-        overrides = dict(
-            controller=args.controller,
-            kappa=args.kappa,
-            h=args.h,
-            t_end=args.t_end,
-        )
-        if args.command == "validate":
-            return cmd_validate(args.scenario, **overrides)
-        if args.command == "synth":
-            return cmd_synth(args.scenario, **overrides)
-        if args.command == "bound":
-            return cmd_bound(args.scenario, **overrides)
-        if args.command == "simulate":
-            return cmd_simulate(args.scenario, args.out, **overrides)
-        raise AssertionError(f"unhandled command {args.command}")
+        del args["command"]
+        return args.pop("run")(**args)
     except tuple(error for errors, _prefix, _code in _FAILURES for error in errors) as exc:
         prefix, code = next((p, c) for errors, p, c in _FAILURES if isinstance(exc, errors))
         message = str(exc)

@@ -129,31 +129,25 @@ def frobenius(a) -> float:
     return scale * math.sqrt(float(np.sum(scaled * scaled)))
 
 
-# Entries up to this size double without overflow, so that 0.5 (s + s) == s.
-_HALF_DBL_MAX = float(np.finfo(float).max) / 2
-
-
 def sym_eigs(s) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix.
 
     Raises NotSymmetric when s differs from its transpose by more than TOL.sym.
     Uses eigh rather than eigvalsh: the two differ in the last bit on some
     inputs (lambda_min(L1) of the default graph), and that value feeds the
-    closed-loop dynamics. eigh's input is 0.5 (s + s.T), which shares one
-    scratch matrix with the skew check; when s equals its transpose exactly
-    and no entry exceeds DBL_MAX / 2, so that s + s.T cannot overflow, that is
-    s bit for bit, and eigh gets s itself.
+    closed-loop dynamics. A skewed s is symmetrized, as 0.5 (s + s.T) in the
+    scratch matrix of the skew check; an exactly symmetric s goes to eigh as
+    it is (where s + s.T does not overflow, 0.5 (s + s.T) is s bit for bit).
     """
     arr = as_square(s, "s")
     work = np.subtract(arr, arr.T)
     skew = float(np.max(np.abs(work, out=work)))
     if skew > TOL.sym:
         raise NotSymmetric(f"matrix is not symmetric: max |s - s.T| = {skew:.3e}")
-    if skew == 0.0 and float(np.max(np.abs(arr, out=work))) <= _HALF_DBL_MAX:
-        return np.linalg.eigh(arr)[0]
-    np.add(arr, arr.T, out=work)
-    work *= 0.5
-    return np.linalg.eigh(work)[0]
+    if skew > 0.0:
+        arr = np.add(arr, arr.T, out=work)
+        work *= 0.5
+    return np.linalg.eigh(arr)[0]
 
 
 def solve_linear(a, rhs) -> np.ndarray:
@@ -301,7 +295,6 @@ def care_solve(a, b, q, return_residuals: bool = False):
             if rp < residual:
                 x = xp
                 residuals.append(rp)
-            x = 0.5 * (x + x.T)
             if not is_hurwitz(a - b @ (b.T @ x)):
                 raise Singular("Riccati solution is not stabilizing: a - b b' X is not Hurwitz")
             return (x, residuals) if return_residuals else x

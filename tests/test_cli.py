@@ -197,11 +197,17 @@ def test_validate_fail_lists_asymmetric_pair(tmp_path, capsys):
     text = text.replace("x0 = -2; 0", "x0 = -2; 0; 0")
     text = text.replace("2.gain = 0", "3.gain = 0")
     text = text.replace("2.gamma = 1", "3.gamma = 1")
-    rc = main(["validate", chain_file(tmp_path, text)])
-    out = capsys.readouterr().out
-    assert rc == 2
-    assert "FAIL" in out
-    assert "1<->2" in out
+    path = chain_file(tmp_path, text)
+    # every command reads the standing assumption from the partition, and
+    # reports a failed one with the same line
+    for command in ("validate", "synth", "bound", "simulate"):
+        args = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+        rc = main([command, path, *args])
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out, command
+        assert (rc, captured.err) == (2, "assumption failure: asymmetric follower pairs ((1, 2),)\n")
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "chain.gains.json").exists()
 
 
 def test_synth_writes_sidecar(tmp_path, capsys):
@@ -647,6 +653,8 @@ def test_leader_bound_violation_is_not_certified(tmp_path, capsys, kind):
      "synthesis failed: D1 radius^2 overflowed"),
     # (A, B) stays controllable when B is scaled up; it is B B' that overflows
     ("bound", [("B = 0; 1", "B = 0; 1e200")], [], "synthesis failed: B B' overflows"),
+    # a weight sym_eigs reads without overflow (validate runs on it) overflows the design
+    ("bound", [("are_weight = 4 0; 0 1", "are_weight = 1e308 0; 0 1e308")], [], "synthesis failed:"),
 ])
 def test_synthesis_failure_exits_3_with_one_line(tmp_path, capsys, command, edits, args, prefix):
     text = default_scenario()
