@@ -20,7 +20,7 @@ class NotSymmetric(ValueError):
 
 
 class Singular(ValueError):
-    """Linear system has no reliable solution (pivot collapsed or residual blew up)."""
+    """Linear system has no reliable solution (its backward error is too large)."""
 
 
 class NotControllable(ValueError):
@@ -43,15 +43,13 @@ class BadTolerance(ValueError):
 class Tolerances:
     """Numeric thresholds shared by every kernel in this module.
 
-    solve: relative residual bound for linear/Lyapunov/Riccati solves.
+    solve: backward-error bound of every linear solve; Riccati and rank tolerance.
     eig:   positive-definiteness floor of a Riccati weight (are_weight, q).
-    pivot: relative pivot floor below which elimination declares Singular.
     sym:   max absolute entry of s - s.T that sym_eigs, its one reader, tolerates.
     """
 
     solve: float = 1e-9
     eig: float = 1e-10
-    pivot: float = 1e-12
     sym: float = 1e-9
 
 
@@ -63,7 +61,7 @@ def apply_tolerance_overrides(text: str) -> None:
     overridden, whatever earlier calls set.
 
     The spec is empty (the defaults), a single float (sets `solve` and `sym`)
-    or a comma list of name=value pairs, e.g. "solve=1e-8,pivot=1e-11". The
+    or a comma list of name=value pairs, e.g. "solve=1e-8,eig=1e-11". The
     whole spec is checked before any field changes: an unknown name, or a
     value that is not a finite number >= 0, raises BadTolerance and leaves TOL
     as it was.
@@ -78,7 +76,7 @@ def apply_tolerance_overrides(text: str) -> None:
     values = {}
     for name, raw in pairs:
         name = name.strip()
-        if name not in ("solve", "eig", "pivot", "sym"):
+        if name not in ("solve", "eig", "sym"):
             raise BadTolerance(f"unknown tolerance field {name!r}")
         try:
             value = float(raw)
@@ -133,11 +131,9 @@ def sym_eigs(s) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix.
 
     Raises NotSymmetric when s differs from its transpose by more than TOL.sym.
-    Uses eigh rather than eigvalsh: the two differ in the last bit on some
-    inputs (lambda_min(L1) of the default graph), and that value feeds the
-    closed-loop dynamics. A skewed s is symmetrized, as 0.5 (s + s.T) in the
-    scratch matrix of the skew check; an exactly symmetric s goes to eigh as
-    it is (where s + s.T does not overflow, 0.5 (s + s.T) is s bit for bit).
+    A skewed s is symmetrized, as 0.5 (s + s.T) in the scratch matrix of the
+    skew check; an exactly symmetric s goes to eigvalsh as it is (where s + s.T
+    does not overflow, 0.5 (s + s.T) is s bit for bit).
     """
     arr = as_square(s, "s")
     work = np.subtract(arr, arr.T)
@@ -147,30 +143,36 @@ def sym_eigs(s) -> np.ndarray:
     if skew > 0.0:
         arr = np.add(arr, arr.T, out=work)
         work *= 0.5
-    return np.linalg.eigh(arr)[0]
+    return np.linalg.eigvalsh(arr)
 
 
+def check_solve(a, x, rhs) -> None:
+    """The one rule that trusts a linear solve: Singular unless x's normwise backward
+    error ||a x - rhs||_F / (||a||_F ||x||_F + ||rhs||_F) is within TOL.solve (Higham,
+    Accuracy and Stability, 7.1). A nan residual or an overflowing ||x||_F fails."""
+    residual = frobenius(a @ x - rhs)
+    scale = frobenius(a) * frobenius(x) + frobenius(rhs)
+    if not residual <= TOL.solve * scale < math.inf:
+        raise Singular(f"linear-solve residual {residual:.3e} exceeds the solve tolerance "
+                       f"{TOL.solve:.1e} times |matrix|_F |solution|_F + |right-hand side|_F "
+                       f"({scale:.3e})")
+
+
+@np.errstate(all="ignore")
 def solve_linear(a, rhs) -> np.ndarray:
     """Solve a @ x = rhs by Gaussian elimination with partial pivoting.
 
-    rhs may have multiple columns. Raises Singular when the pivot magnitude
-    falls to TOL.pivot * ||a||_F or below.
+    rhs may have multiple columns. Raises Singular when x fails check_solve (an
+    exactly zero pivot does), NonFinite when x overflows past nonzero pivots.
     """
     a = as_square(a, "a")
     rhs = as_matrix(rhs, "rhs")
     n = a.shape[0]
     if rhs.shape[0] != n:
         raise ValueError(f"rhs has {rhs.shape[0]} rows, expected {n}")
-    scale = frobenius(a)
     aug = np.concatenate([a, rhs], axis=1).astype(float)
     for col in range(n):
         pivot_row = col + int(np.argmax(np.abs(aug[col:, col])))
-        pivot = aug[pivot_row, col]
-        if abs(pivot) <= TOL.pivot * scale:
-            raise Singular(
-                f"pivot {abs(pivot):.3e} at column {col} is at or below the pivot "
-                f"tolerance {TOL.pivot:.1e} times ||a||_F ({scale:.3e})"
-            )
         if pivot_row != col:
             aug[[col, pivot_row]] = aug[[pivot_row, col]]
         factors = aug[col + 1:, col] / aug[col, col]
@@ -178,6 +180,9 @@ def solve_linear(a, rhs) -> np.ndarray:
     x = np.zeros((n, rhs.shape[1]))
     for i in range(n - 1, -1, -1):
         x[i] = (aug[i, n:] - aug[i, i + 1:n] @ x[i + 1:]) / aug[i, i]
+    if not np.isfinite(x).all() and np.diagonal(aug).all():
+        raise NonFinite("the solution overflows")
+    check_solve(a, x, rhs)
     return x
 
 
@@ -185,9 +190,9 @@ def lyap_solve(f, q) -> np.ndarray:
     """Solve f @ X + X @ f.T + q = 0 for q that the caller keeps symmetric.
 
     Vectorizes to (I (x) f + f (x) I) vec(X) = -vec(q) in row-major layout and
-    runs it through solve_linear. Raises Singular when an elimination pivot
-    falls to its floor (as when f and -f share an eigenvalue) or the residual
-    check fails.
+    runs it through solve_linear, whose check_solve covers this equation (the
+    symmetrized X has no larger residual). Raises Singular when that check
+    fails, as when f and -f share an eigenvalue.
     """
     f = as_square(f, "f")
     q = as_square(q, "q")
@@ -197,18 +202,10 @@ def lyap_solve(f, q) -> np.ndarray:
     eye = np.eye(n)
     op = np.kron(eye, f) + np.kron(f, eye)
     try:
-        vec = solve_linear(op, (-q).reshape(n * n, 1))
+        x = solve_linear(op, (-q).reshape(n * n, 1)).reshape(n, n)
     except Singular as exc:
-        raise Singular(f"Lyapunov operator is singular: {exc}") from exc
-    x = vec.reshape(n, n)
-    x = 0.5 * (x + x.T)
-    residual = frobenius(f @ x + x @ f.T + q)
-    if residual > TOL.solve * (1.0 + frobenius(q)):
-        raise Singular(
-            f"Lyapunov residual {residual:.3e} exceeds tolerance; "
-            "operator is effectively singular"
-        )
-    return x
+        raise Singular(f"Lyapunov solve fails the residual check: {exc}") from exc
+    return 0.5 * (x + x.T)
 
 
 def is_hurwitz(f) -> bool:
@@ -240,6 +237,7 @@ def is_controllable(a, b) -> bool:
     return np.linalg.matrix_rank(ctrb, tol=TOL.solve * frobenius(ctrb)) == ctrb.shape[0]
 
 
+@np.errstate(all="ignore")
 def care_solve(a, b, q, return_residuals: bool = False):
     """Stabilizing solution X of a.T X + X a - X b b.T X + q = 0.
 
@@ -250,10 +248,10 @@ def care_solve(a, b, q, return_residuals: bool = False):
         (a + beta I) Z + Z (a + beta I).T = 2 b b.T   ->   K0 = b.T Z^-1
 
     then K_{j+1} = b.T X_j where X_j solves the closed-loop Lyapunov equation
-    (a - b K_j).T X + X (a - b K_j) = -(q + K_j.T K_j). Stops when the Riccati
-    residual drops to TOL.solve * (1 + ||q||_F); raises NoConvergence after
-    100 iterations. Returns X only if a - b b.T X is Hurwitz, so that X > 0 by the
-    Riccati equation; raises Singular otherwise, or if lambda_min(q) <= TOL.eig.
+    (a - b K_j).T X + X (a - b K_j) = -(q + K_j.T K_j). Stops when the Riccati residual
+    drops to TOL.solve * (1 + ||q||_F); raises NoConvergence after 100 iterations, and
+    NonFinite naming what overflowed. Returns X only if a - b b.T X is Hurwitz, so that
+    X > 0 by the Riccati equation; raises Singular otherwise, or if lambda_min(q) <= TOL.eig.
 
     With return_residuals=True, returns (X, residual_history).
     """
@@ -270,13 +268,15 @@ def care_solve(a, b, q, return_residuals: bool = False):
     if not is_controllable(a, b):
         raise NotControllable("(a, b) fails the controllability rank test")
 
-    with np.errstate(over="ignore"):
-        bbt = b @ b.T
-    if not np.isfinite(bbt).all():
-        raise NonFinite("B B' overflows: the Riccati input matrix is too large")
+    bbt = as_matrix(b @ b.T, "B B' overflows: the Riccati input matrix")
 
     def newton_step(k):  # X of gain k, and X's Riccati residual
-        x = lyap_solve((a - b @ k).T, q + k.T @ k)
+        closed = as_matrix(a - b @ k, "the Riccati iteration overflows: its closed loop A - B B' X")
+        weight = as_matrix(q + k.T @ k, "the Riccati iteration overflows: its weight Q + X B B' X")
+        try:
+            x = lyap_solve(closed.T, weight)
+        except NonFinite:
+            raise NonFinite("the Riccati iteration overflows: its next X is not finite") from None
         return x, frobenius(a.T @ x + x @ a - x @ (b @ (b.T @ x)) + q)
 
     beta = 1.0 + frobenius(a)

@@ -616,8 +616,8 @@ def run_verdict(kind: str, metrics: Metrics, traj: Trajectory) -> Verdict:
     D1 and D2 assume every leader input stays within its bound gamma_j, so one
     sampled violation leaves the run not certified. Otherwise the continuous
     static law is certified by its tail inside D1 and the adaptive law by its
-    tail inside D2 (never when varrho >= alpha); the discontinuous and
-    observer-based laws assert no finite radius and are not gated.
+    tail inside D2 (never when varrho >= alpha). The observer-based law asserts no
+    radius and is not gated; the discontinuous law's D1 = 0 is never certified.
     """
     if traj.assumption2_violations:
         return Verdict(False, (
@@ -628,4 +628,6 @@ def run_verdict(kind: str, metrics: Metrics, traj: Trajectory) -> Verdict:
         return Verdict(metrics.d1_certified)
     if kind == ADAPTIVE:
         return Verdict(bool(metrics.d2_certified))
-    return Verdict(True)
+    if kind == OBSERVER_BASED:
+        return Verdict(True)
+    return Verdict(False, "the discontinuous law asserts no finite radius (D1 = 0 at width 0)")

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from contain.matlib import (
     apply_tolerance_overrides,
     as_matrix,
     care_solve,
+    check_solve,
     controllability_matrix,
     frobenius,
     is_controllable,
@@ -55,7 +57,7 @@ def test_sym_eigs_properties_random():
 
 
 def test_sym_eigs_returns_ascending_values_of_eigh():
-    # eigh, not eigvalsh: the two differ in the last bit on some inputs, and
+    # eigvalsh, which computes no eigenvectors; its bits are pinned, since
     # lambda_min(L1) feeds the closed-loop dynamics
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -63,21 +65,21 @@ def test_sym_eigs_returns_ascending_values_of_eigh():
         s = m + m.T
         values = sym_eigs(s)
         assert isinstance(values, np.ndarray)
-        assert np.array_equal(values, np.linalg.eigh(0.5 * (s + s.T))[0])
+        assert np.array_equal(values, np.linalg.eigvalsh(0.5 * (s + s.T)))
 
 
 def test_sym_eigs_feeds_eigh_the_symmetrized_input_bit_for_bit(monkeypatch):
-    # the skew check and 0.5 (s + s.T) share one scratch matrix; eigh must
+    # the skew check and 0.5 (s + s.T) share one scratch matrix; eigvalsh must
     # still see the bits of that expression, zero signs included, on nearly
     # symmetric matrices (skew within TOL.sym) and on the 510-follower ring's L1
-    eigh = np.linalg.eigh
+    eigvalsh = np.linalg.eigvalsh
     seen = []
 
     def spy(a):
         seen.append(a.copy())
-        return eigh(a)
+        return eigvalsh(a)
 
-    monkeypatch.setattr(np.linalg, "eigh", spy)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     rng = np.random.default_rng(17)
     matrices = [partition_laplacian(parse_scenario(ring_scenario(510, 1)).topology).L1]
     for _ in range(40):
@@ -89,21 +91,22 @@ def test_sym_eigs_feeds_eigh_the_symmetrized_input_bit_for_bit(monkeypatch):
         want = 0.5 * (s + s.T)
         assert np.array_equal(seen[-1], want)
         assert np.array_equal(np.signbit(seen[-1]), np.signbit(want))
-        assert np.array_equal(values, eigh(want)[0])
+        assert np.array_equal(values, eigvalsh(want))
 
 
 def _symmetrized_eigs(s):
-    """The eigenvalues sym_eigs returned before it handed eigh an exactly
-    symmetric input as is: eigh of 0.5 (s + s.T), overflow and all."""
+    """The eigenvalues sym_eigs returned before it handed eigvalsh an exactly
+    symmetric input as is: eigvalsh of 0.5 (s + s.T), overflow and all."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.linalg.eigh(0.5 * (s + s.T))[0]
+        return np.linalg.eigvalsh(0.5 * (s + s.T))
 
 
 def test_sym_eigs_gives_the_symmetrized_bits_on_symmetric_input():
-    # L1 is exactly symmetric, so eigh gets it as is; the values must be those
-    # of 0.5 (s + s.T), on the default and ring L1, on symmetric matrices with
-    # -0.0 entries and on nearly symmetric ones (which still get symmetrized);
-    # past DBL_MAX / 2, where s + s.T overflows, they are eigh's of s
+    # L1 is exactly symmetric, so eigvalsh gets it as is; the values must be
+    # those of 0.5 (s + s.T), on the default and ring L1, on symmetric matrices
+    # with -0.0 entries and on nearly symmetric ones (which still get
+    # symmetrized); past DBL_MAX / 2, where s + s.T overflows, they are
+    # eigvalsh's of s
     rng = np.random.default_rng(29)
     exact = [partition_laplacian(parse_scenario(text).topology).L1
              for text in (default_scenario(), ring_scenario(510, 1))]
@@ -126,7 +129,7 @@ def test_sym_eigs_gives_the_symmetrized_bits_on_symmetric_input():
         s = m + m.T + rng.uniform(-0.5, 0.5, m.shape) * TOL.sym
         values = sym_eigs(s)
         assert np.array_equal(values.view(np.uint64), _symmetrized_eigs(s).view(np.uint64))
-        differ += not np.array_equal(values, np.linalg.eigh(s)[0])
+        differ += not np.array_equal(values, np.linalg.eigvalsh(s))
     assert differ >= 10, differ
 
     huge = np.array([[1.5e308, 1.0], [1.0, 2.0]])
@@ -134,7 +137,7 @@ def test_sym_eigs_gives_the_symmetrized_bits_on_symmetric_input():
         warnings.simplefilter("error")
         values = sym_eigs(huge)
     assert np.isfinite(values).all()
-    assert np.array_equal(values.view(np.uint64), np.linalg.eigh(huge)[0].view(np.uint64))
+    assert np.array_equal(values.view(np.uint64), np.linalg.eigvalsh(huge).view(np.uint64))
     assert np.isnan(_symmetrized_eigs(huge)).all()
 
 
@@ -169,6 +172,38 @@ def test_solve_linear_matches_numpy_random():
 def test_solve_linear_singular():
     with pytest.raises(Singular):
         solve_linear([[1.0, 2.0], [2.0, 4.0]], [[1.0], [1.0]])
+
+
+def test_solve_linear_trusts_a_small_pivot_by_its_backward_error():
+    # a pivot of 1e-13 ||a||_F gives an exact x; only the backward error judges it
+    x = solve_linear(np.diag([1.0, 1e-13]), [[1.0], [1.0]])
+    assert np.array_equal(x, [[1.0], [1e13]])
+
+
+@pytest.mark.parametrize("rhs", [[[1.0], [1.0]], [[1.0], [2.0]]], ids=["inf", "nan"])
+def test_solve_linear_rejects_a_zero_pivot_by_the_solve_tolerance_without_a_warning(rhs):
+    # the exact zero pivot leaves inf or nan in x, which no backward error trusts
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Singular, match="exceeds the solve tolerance 1.0e-09 times"):
+            solve_linear([[1.0, 2.0], [2.0, 4.0]], rhs)
+
+
+def test_solve_linear_names_a_solution_that_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="^the solution overflows$"):
+            solve_linear(np.diag([1.0, 1e-10]), [[1.0], [1e300]])
+
+
+def test_check_solve_is_the_one_trust_rule():
+    # the bound is TOL.solve (||a|| ||x|| + ||rhs||): a solution whose norm
+    # overflows is not trusted, although inf <= TOL.solve * inf
+    check_solve(np.eye(2), np.zeros((2, 1)), np.zeros((2, 1)))
+    with pytest.raises(Singular, match="the solve tolerance"):
+        check_solve(np.eye(1), np.array([[math.inf]]), np.ones((1, 1)))
+    with pytest.raises(Singular, match="linear-solve residual 1.000e-06"):
+        check_solve(np.eye(1), np.array([[1.0 + 1e-6]]), np.ones((1, 1)))
 
 
 def test_lyap_solve_scalar():
@@ -278,6 +313,20 @@ def test_care_solve_names_an_overflowing_b_b_transpose():
             care_solve(a, [[0.0], [1e200]], np.eye(2))
 
 
+@pytest.mark.parametrize("scale,words", [
+    (1e200, "the Riccati iteration overflows: its weight Q + X B B' X"),
+    (1e308, "the Riccati iteration overflows: its next X is not finite"),
+])
+def test_care_solve_names_what_overflows_in_its_iteration(scale, words):
+    # a finite weight whose Newton iterates overflow: the message names the
+    # iteration's quantity, not a kernel argument
+    a = [[0.0, 1.0], [-1.0, 1.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match=f"^{re.escape(words)}"):
+            care_solve(a, [[0.0], [1.0]], scale * np.eye(2))
+
+
 def test_care_scalar_oracles():
     x = care_solve([[0.0]], [[1.0]], [[1.0]])
     assert np.allclose(x, [[1.0]], atol=1e-12)
@@ -375,7 +424,7 @@ def test_care_solve_is_the_newton_kleinman_reference_bit_for_bit():
             assert got[1] == want[1]
         else:
             assert got is want
-    assert solved == 36
+    assert solved == 38
 
 
 def test_care_rejects_uncontrollable():
@@ -404,15 +453,15 @@ def test_care_rejects_bad_weight():
 
 
 def test_tolerance_overrides_roundtrip():
-    old = (TOL.solve, TOL.eig, TOL.pivot, TOL.sym)
+    old = (TOL.solve, TOL.eig, TOL.sym)
     try:
-        apply_tolerance_overrides("solve=1e-6,pivot=1e-10")
+        apply_tolerance_overrides("solve=1e-6,sym=1e-10")
         assert TOL.solve == 1e-6
-        assert TOL.pivot == 1e-10
+        assert TOL.sym == 1e-10
         apply_tolerance_overrides("1e-7")
         assert TOL.solve == 1e-7
         assert TOL.sym == 1e-7
         with pytest.raises(ValueError):
             apply_tolerance_overrides("nope=3")
     finally:
-        TOL.solve, TOL.eig, TOL.pivot, TOL.sym = old
+        TOL.solve, TOL.eig, TOL.sym = old

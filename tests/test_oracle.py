@@ -13,7 +13,14 @@ SciPy is only a test-time oracle; the package does not depend on it.
 import numpy as np
 import pytest
 
-from contain.matlib import Singular, care_solve, is_controllable, lyap_solve, solve_linear
+from contain.matlib import (
+    NoConvergence,
+    Singular,
+    care_solve,
+    is_controllable,
+    lyap_solve,
+    solve_linear,
+)
 from contain.synthesis import solve_observer_L, solve_P
 
 linalg = pytest.importorskip("scipy.linalg")
@@ -59,17 +66,17 @@ def test_riccati_kernels_match_scipy(name):
     for a, b in PAIRS:
         try:
             got = kernel(a, b)
-        except Singular:
+        except (Singular, NoConvergence):
             continue  # a loud failure, counted by the xfail below
         returned += 1
         assert relative_error(got, oracle(a, b)) <= 1e-9, (a, b)
-    assert returned >= len(PAIRS) // 2
+    assert returned >= 38
 
 
-@pytest.mark.xfail(strict=True, raises=Singular, reason=(
-    "care_solve raises Singular on 4 of these 40 pairs, which SciPy solves: a "
-    "pivot of its elimination falls below the floor, in the Bass seed solve or "
-    "in the vectorized Lyapunov operator"
+@pytest.mark.xfail(strict=True, raises=NoConvergence, reason=(
+    "care_solve raises NoConvergence on 2 of these 40 pairs, which SciPy solves: "
+    "on PAIRS[1] (n = 10) and PAIRS[14] (n = 7) the Riccati residual stalls at "
+    "1.25e-8 and 7.3e-9, above stopping bounds near 4e-9 and 3e-9"
 ))
 def test_care_solve_solves_every_pair_scipy_solves():
     for a, b in PAIRS:

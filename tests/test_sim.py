@@ -487,9 +487,11 @@ def test_run_verdict_rule():
     assert run_verdict("adaptive", metrics(True, False), clean) == Verdict(False)
     # varrho >= alpha leaves no D2, so no adaptive certificate
     assert run_verdict("adaptive", metrics(True, None), clean) == Verdict(False)
-    # the discontinuous and observer-based laws assert no radius
-    for kind in ("discontinuous_static", "observer_based"):
-        assert run_verdict(kind, metrics(False, None), clean) == Verdict(True)
+    # the observer-based law asserts no radius and is not gated; the
+    # discontinuous law's D1 = 0 certifies nothing
+    assert run_verdict("observer_based", metrics(False, None), clean) == Verdict(True)
+    verdict = run_verdict("discontinuous_static", metrics(True, None), clean)
+    assert not verdict.certified and "asserts no finite radius" in verdict.reason
     # a leader input over its bound voids every certificate
     for kind in KINDS:
         verdict = run_verdict(kind, metrics(True, True), SimpleNamespace(assumption2_violations=3))
