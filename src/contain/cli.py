@@ -26,7 +26,6 @@ import numpy as np
 from .control import (
     ADAPTIVE,
     KINDS,
-    OBSERVER_BASED,
     ControllerConfig,
     LeaderInputSpec,
     LinearSystem,
@@ -53,7 +52,6 @@ from .sim import (
     Scenario,
     Trajectory,
     Verdict,
-    agent_rows,
     compute_metrics,
     integrate,
     run_verdict,
@@ -339,14 +337,12 @@ def parse_scenario(
     c_value = _get(sections, "system", "C")
     c = _matrix(c_value, "[system].C") if c_value is not None else np.eye(a.shape[0])
     system = _build("[system]", LinearSystem, A=a, B=b, C=c)
-    n = system.n
 
     adjacency = _matrix(_require(sections, "graph", "adjacency"), "[graph].adjacency")
     # N^2 tokens, most of a large file's text: drop it before the topology copies the matrix
     del sections["graph"]["adjacency"]
     topology = build_topology(adjacency)
     m = topology.n_followers
-    n_agents = topology.n_agents
 
     kind_value = _require(sections, "controller", "kind")
     kind = controller if controller is not None else kind_value.text()
@@ -410,7 +406,7 @@ def parse_scenario(
         if "gain" in fields:
             gain = _matrix(fields["gain"], f"[leaders].{label}.gain")
         else:
-            gain = np.zeros((system.p, n))
+            gain = np.zeros((system.p, system.n))
         sins = (
             _sinusoids(fields["sinusoids"], f"[leaders].{label}.sinusoids", system.p)
             if "sinusoids" in fields
@@ -421,17 +417,11 @@ def parse_scenario(
 
     def canonical(rows):
         """File-order agent rows in canonical order; Scenario rejects a wrong row count."""
-        return rows[[label - 1 for label in topology.labels]] if len(rows) == n_agents else rows
+        return rows[[label - 1 for label in topology.labels]] if len(rows) == topology.n_agents else rows
 
     x0 = _matrix(_require(sections, "sim", "x0"), "[sim].x0")
     v0_value = _get(sections, "sim", "v0")
-    v0 = _matrix(v0_value, "[sim].v0") if v0_value is not None else None
-    if kind == OBSERVER_BASED:
-        v0 = np.zeros((n_agents, n)) if v0 is None else canonical(v0)
-    elif v0 is not None:
-        # only the observer-based law reads v0, so Scenario never sees this one
-        _build("[sim].v0", agent_rows, v0, "v0", n_agents, n)
-        v0 = None
+    v0 = canonical(_matrix(v0_value, "[sim].v0")) if v0_value is not None else None
     grid = _scalars(sections, "sim", ("t_end", "h", "tail_fraction"))
     grid.update((key, value) for key, value in (("t_end", t_end), ("h", h)) if value is not None)
     return _build(None, Scenario, system=system, topology=topology, controller=controller,
@@ -531,11 +521,17 @@ def run_record(
 
     Each fact is (key, value, line): metrics.txt renders it as key = value,
     and simulate's stdout prints line, the fact in words, unless it is None.
-    The adaptive law adds varrho, D2 (uncertifiable when varrho >= alpha),
-    whether its tail met D2, and d_sup.
+    The adaptive law adds varrho, D2 (uncertifiable when varrho >= alpha) and
+    d_sup; only the radius that gates the verdict adds whether the tail met it.
     """
     kind, steps = scn.controller.kind, len(traj.times)
-    tail, d1, d1_ok = metrics.tail_sup_xi_sq, bounds.d1_radius_sq, metrics.d1_certified
+    tail, d1, met = metrics.tail_sup_xi_sq, bounds.d1_radius_sq, bounds.gate_met(metrics.tail_sup_xi_sq)
+
+    def radius_line(name, line):  # a radius that gates nothing is a line of stdout alone
+        if bounds.gate != name:
+            return None, None, line
+        return f"{name}_certified", met, f"{line} (certified: {met})"
+
     record = [
         ("kind", kind, f"integrated {steps} steps of h = {scn.h} ({kind})"),
         ("steps", steps, None),
@@ -547,21 +543,17 @@ def run_record(
         ("envelope_offset", bounds.envelope_offset, None),
         ("d1_radius_sq", d1, None),
         ("tail_sup_xi_sq", tail, f"tail sup |xi|^2 = {_fmt(tail)}"),
-        ("d1_certified", d1_ok, f"D1 radius^2 = {_fmt(d1)} (certified: {d1_ok})"),
+        radius_line("d1", f"D1 radius^2 = {_fmt(d1)}"),
     ]
     if kind == ADAPTIVE:
+        record.append(("varrho", bounds.varrho, None))
         if bounds.d2_radius_sq is None:
-            d2, d2_ok = "uncertifiable (varrho >= alpha)", False
-            d2_line = f"D2 radius^2: {d2}"
+            d2 = "uncertifiable (varrho >= alpha)"
+            record.append(("d2_radius_sq", d2, f"D2 radius^2: {d2}"))
         else:
-            d2, d2_ok = bounds.d2_radius_sq, metrics.d2_certified
-            d2_line = f"D2 radius^2 = {_fmt(d2)} (certified: {d2_ok})"
-        record += [
-            ("varrho", bounds.varrho, None),
-            ("d2_radius_sq", d2, None),
-            ("d2_certified", d2_ok, d2_line),
-            ("d_sup", metrics.d_sup, f"d_sup = {_fmt(metrics.d_sup)}"),
-        ]
+            d2 = bounds.d2_radius_sq
+            record += [("d2_radius_sq", d2, None), radius_line("d2", f"D2 radius^2 = {_fmt(d2)}")]
+        record.append(("d_sup", metrics.d_sup, f"d_sup = {_fmt(metrics.d_sup)}"))
     envelope, leader = metrics.envelope_violations, traj.assumption2_violations
     return record + [
         ("envelope_violations", envelope, f"envelope violations = {envelope}"),
@@ -573,12 +565,12 @@ def run_record(
 
 
 def write_metrics(path: str, record: list) -> None:
-    """metrics.txt, one key = value line per fact of a run_record: a string
-    value as it is, any other value as its repr."""
+    """metrics.txt, one key = value line per fact of a run_record that has a
+    key: a string value as it is, any other value as its repr."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(
             f"{key} = {value if isinstance(value, str) else repr(value)}\n"
-            for key, value, _line in record
+            for key, value, _line in record if key is not None
         )
 
 
@@ -688,7 +680,7 @@ def cmd_synth(scenario: str, **overrides) -> int:
 def cmd_bound(scenario: str, **overrides) -> int:
     scn, part, gains = _design(scenario, overrides)
     bounds = compute_bound_report(scn, part, gains)
-    if bounds.varrho is not None and bounds.d2_radius_sq is None:
+    if bounds.varrho is not None and bounds.gate is None:  # an adaptive design without D2
         raise VarrhoTooLarge(bounds.varrho, gains.alpha)
     print(f"alpha = {_fmt(gains.alpha)}")
     print(f"envelope offset b/alpha = {_fmt(bounds.envelope_offset)}")
@@ -703,12 +695,9 @@ def cmd_bound(scenario: str, **overrides) -> int:
 def cmd_simulate(scenario: str, out: str, **overrides) -> int:
     scn, part, gains = _design(scenario, overrides)
     bounds = compute_bound_report(scn, part, gains)
-    if bounds.varrho is not None and bounds.d2_radius_sq is None:
-        print(f"note: {VarrhoTooLarge(bounds.varrho, gains.alpha)}")
-
     traj = integrate(scn, gains, part)
     metrics = compute_metrics(traj, bounds, gains, scn.tail_fraction)
-    verdict = run_verdict(scn.controller.kind, metrics, traj)
+    verdict = run_verdict(bounds, metrics, traj)
     record = run_record(scn, part, gains, bounds, metrics, traj, verdict)
 
     os.makedirs(out, exist_ok=True)

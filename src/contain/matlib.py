@@ -280,7 +280,11 @@ def care_solve(a, b, q, return_residuals: bool = False):
         return x, frobenius(a.T @ x + x @ a - x @ (b @ (b.T @ x)) + q)
 
     beta = 1.0 + frobenius(a)
-    z = lyap_solve(a + beta * np.eye(n), -2.0 * bbt)
+    try:
+        z = lyap_solve(a + beta * np.eye(n), -2.0 * bbt)
+    except NonFinite:
+        raise NonFinite("the Bass seed overflows: its Lyapunov operator of A + beta I "
+                        "is not finite") from None
     k = solve_linear(z, b).T  # b.T Z^-1, Z symmetric
     bound = TOL.solve * (1.0 + frobenius(q))
     residuals: list[float] = []

@@ -57,7 +57,6 @@ import numpy as np
 
 from .control import (
     ADAPTIVE,
-    CONTINUOUS_STATIC,
     OBSERVER_BASED,
     ControllerConfig,
     LinearSystem,
@@ -101,9 +100,9 @@ class NonFiniteState(RuntimeError):
 class Scenario:
     """Everything needed to run one closed-loop simulation and certify it.
 
-    x0 (and v0, which only the observer-based law reads) hold one row per
-    agent in canonical followers-first order; parse_scenario permutes the
-    file's rows before building one of these. The recorded grid has
+    x0 and v0 hold one row per agent in canonical followers-first order (any
+    v0 is checked; only the observer-based law keeps it, zeros by default);
+    parse_scenario permutes the file's rows before building one of these. The recorded grid has
     round(t_end / h) steps, and the certified tail is the final tail_fraction
     of it. The rules that tie the parts together (shapes, counts, the
     recording budget) and those on the grid are checked here, once.
@@ -149,12 +148,8 @@ class Scenario:
                 raise ValueError(f"leader {label} gain must be {self.system.p}x{n}, got {got}")
             if not all(np.isfinite(abs(s.omega) * self.t_end + abs(s.phase)) for s in spec.sinusoids):
                 raise ValueError("leader sinusoid phase omega t + phase overflows before t_end")
-        if kind == OBSERVER_BASED:
-            if self.v0 is None:
-                raise ValueError("observer-based scenario needs v0")
-            object.__setattr__(self, "v0", agent_rows(self.v0, "v0", n_agents, n))
-        elif self.v0 is not None:
-            raise ValueError("v0 only makes sense for observer-based scenarios")
+        v0 = np.zeros((n_agents, n)) if self.v0 is None else agent_rows(self.v0, "v0", n_agents, n)
+        object.__setattr__(self, "v0", v0 if kind == OBSERVER_BASED else None)
         weight = self.controller.are_weight
         if weight is not None and weight.shape != (n, n):
             raise ValueError(f"are_weight must be {n}x{n}, got {weight.shape[0]}x{weight.shape[1]}")
@@ -227,10 +222,8 @@ class Trajectory:
 @dataclass(frozen=True)
 class Metrics:
     tail_sup_xi_sq: float
-    d1_certified: bool
     envelope_violations: int
     chattering_index: float
-    d2_certified: Optional[bool] = None
     d_sup: Optional[float] = None
 
 
@@ -563,11 +556,6 @@ def compute_metrics(
     mask = times >= (1.0 - tail_fraction) * span - 1e-12
     tail_sup = float(np.max(traj.xi_norm[mask] ** 2))
 
-    d1_certified = tail_sup <= bounds.d1_radius_sq
-    d2_certified = None
-    if bounds.d2_radius_sq is not None:
-        d2_certified = tail_sup <= bounds.d2_radius_sq
-
     alpha = gains.alpha
     offset = bounds.envelope_offset
     v10 = float(traj.v1[0])
@@ -591,10 +579,8 @@ def compute_metrics(
 
     return Metrics(
         tail_sup_xi_sq=tail_sup,
-        d1_certified=d1_certified,
         envelope_violations=violations,
         chattering_index=chattering,
-        d2_certified=d2_certified,
         d_sup=d_sup,
     )
 
@@ -610,24 +596,21 @@ class Verdict(NamedTuple):
         return "certified" if self.certified else "not certified"
 
 
-def run_verdict(kind: str, metrics: Metrics, traj: Trajectory) -> Verdict:
+def run_verdict(bounds: BoundReport, metrics: Metrics, traj: Trajectory) -> Verdict:
     """The verdict of a completed run, for the report and the exit code.
 
     D1 and D2 assume every leader input stays within its bound gamma_j, so one
-    sampled violation leaves the run not certified. Otherwise the continuous
-    static law is certified by its tail inside D1 and the adaptive law by its
-    tail inside D2 (never when varrho >= alpha). The observer-based law asserts no
-    radius and is not gated; the discontinuous law's D1 = 0 is never certified.
+    sampled violation leaves the run not certified, with that reason. Otherwise
+    the run is certified when its tail lies inside the radius the bound report
+    names as its gate; with no gate, it is certified unless the report gives a
+    reason why no radius certifies the law.
     """
     if traj.assumption2_violations:
         return Verdict(False, (
             f"{traj.assumption2_violations} leader input samples exceed their "
             "bound gamma_j, which D1 and D2 assume"
         ))
-    if kind == CONTINUOUS_STATIC:
-        return Verdict(metrics.d1_certified)
-    if kind == ADAPTIVE:
-        return Verdict(bool(metrics.d2_certified))
-    if kind == OBSERVER_BASED:
-        return Verdict(True)
-    return Verdict(False, "the discontinuous law asserts no finite radius (D1 = 0 at width 0)")
+    met = bounds.gate_met(metrics.tail_sup_xi_sq)
+    if met is None:
+        return Verdict(bounds.reason is None, bounds.reason)
+    return Verdict(met)

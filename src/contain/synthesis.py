@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .control import ADAPTIVE, OBSERVER_BASED
+from .control import ADAPTIVE, CONTINUOUS_STATIC, DISCONTINUOUS_STATIC, OBSERVER_BASED
 from .graph import LaplacianPartition
 from .matlib import NoConvergence, NonFinite, NotControllable, Singular
 from .matlib import care_solve, solve_linear, sym_eigs
@@ -65,13 +65,20 @@ class GainSet:
 
 @dataclass
 class BoundReport:
-    """Residual-set radii and the scalars they were computed from.
+    """Residual-set radii, the scalars they were computed from, and the verdict's gate.
 
     d1_radius_sq bounds the squared containment error for the saturated static
     controller; d2_radius_sq bounds it for the adaptive one, and is None when
     varrho >= alpha or the controller is not adaptive. varrho is set for every
     adaptive controller. envelope_offset is the steady-state level b/alpha of
     the Lyapunov envelope.
+
+    gate names the radius whose tail test decides the verdict: "d1" for the
+    continuous static law, "d2" for the adaptive law with varrho < alpha. With
+    no gate, reason says why no radius certifies the law (the discontinuous
+    law's D1 = 0; no D2 when varrho >= alpha). The observer-based law has
+    neither: it asserts no radius yet, so its run is certified unless a leader
+    bound breaks, as perfbench/reference.json records the default observer run.
     """
 
     d1_radius_sq: float
@@ -79,6 +86,13 @@ class BoundReport:
     envelope_offset: float
     d2_radius_sq: Optional[float] = None
     varrho: Optional[float] = None
+    gate: Optional[str] = None
+    reason: Optional[str] = None
+
+    def gate_met(self, tail_sup_xi_sq: float) -> Optional[bool]:
+        """Whether a tail sup |xi|^2 lies inside the gating radius; None without a gate."""
+        radius = {"d1": self.d1_radius_sq, "d2": self.d2_radius_sq}.get(self.gate)
+        return None if radius is None else tail_sup_xi_sq <= radius
 
 
 def solve_P(a, b, q=None) -> np.ndarray:
@@ -195,18 +209,27 @@ def compute_bound_report(scn: Scenario, part: LaplacianPartition, gains: GainSet
     p_max = gains.p_lambda_max
     d1 = 2.0 * p_max * n_followers * kappa * gamma_max / (gains.alpha * lam)
     offset = n_followers * kappa * gamma_max / gains.alpha
-    d2 = varrho = None
-    if cfg.kind == ADAPTIVE:
+    d2 = varrho = gate = reason = None
+    if cfg.kind == CONTINUOUS_STATIC:
+        gate = "d1"
+    elif cfg.kind == DISCONTINUOUS_STATIC:
+        reason = "the discontinuous law asserts no finite radius (D1 = 0 at width 0)"
+    elif cfg.kind == ADAPTIVE:
         varrho = float(np.max(cfg.phis * cfg.taus))
         if varrho < gains.alpha:
             total = float(beta * beta * np.sum(cfg.phis)) + 0.5 * n_followers * kappa
             d2 = p_max / (lam * (gains.alpha - varrho)) * total
+            gate = "d2"
+        else:
+            reason = str(VarrhoTooLarge(varrho, gains.alpha))
     return BoundReport(
         d1_radius_sq=_finite("D1 radius^2", d1),
         beta=beta,
         envelope_offset=_finite("envelope offset b/alpha", offset),
         d2_radius_sq=_finite("D2 radius^2", d2),
         varrho=varrho,
+        gate=gate,
+        reason=reason,
     )
 
 

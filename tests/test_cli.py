@@ -564,14 +564,16 @@ def test_coupling_scales_below_one_rejected(tmp_path, capsys, command, line, nam
     (("2.gain = 0", "2.gain = 0 1"), [], "leader 2 gain must be 1x1, got 1x2"),
     (("kappa = 0.1", "kappa = 0.1\nare_weight = 1 0"), [],
      "[controller]: are_weight must be square, got (1, 2)"),
-    # an unused v0 meets the rule Scenario applies to a used one
+    # an unused v0 meets the rule Scenario applies to a used one, in one message
     (("x0 = -2; 0", "x0 = -2; 0\nv0 = 1"), [],
-     "[sim].v0: v0 must be 2x1 (one row per agent), got 1x1"),
+     "error: v0 must be 2x1 (one row per agent), got 1x1"),
     # a misspelled key or section is an error, not a line the run ignores
     (("kappa = 0.1", "kappa = 0.1\nc1_scle = 2"), [], "line 12: [controller]: unknown key 'c1_scle'"),
     (("h = 0.01", "h = 0.01\ntail_fracton = 0.5"), [], "line 21: [sim]: unknown key 'tail_fracton'"),
     (("h = 0.01", "h = 0.01\n\n[extra]"), [], "line 22: [extra]: unknown section"),
     (("[graph]", "[grahp]"), [], "line 6: [grahp]: unknown section"),
+    (("x0 = -2; 0", "x0 = -2; 0\nv0 = 1"), ["--controller", "observer_based"],
+     "error: v0 must be 2x1 (one row per agent), got 1x1"),
 ])
 def test_scenario_rules_exit_1_naming_the_key(tmp_path, capsys, edit, args, words):
     text = CHAIN_TEXT if edit is None else CHAIN_TEXT.replace(*edit)
@@ -588,10 +590,13 @@ def test_parse_permutes_agent_rows_into_canonical_order():
     assert scn.topology.labels == (2, 1)
     assert scn.x0.tolist() == [[-2.0], [5.0]]
     assert scn.v0.tolist() == [[-1.0], [0.5]]
-    # only the observer-based law reads v0; a v0 of the wrong shape is still rejected
+    # only the observer-based law reads v0; a v0 of the wrong shape is rejected
+    # with one message whichever law the file is read for
     assert parse_scenario(text).v0 is None
-    with pytest.raises(ScenarioParseError, match="v0 must be 2x1"):
-        parse_scenario(text.replace("v0 = 0.5; -1", "v0 = 0.5"))
+    for law in (None, "observer_based"):
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(text.replace("v0 = 0.5; -1", "v0 = 0.5"), controller=law)
+        assert str(err.value) == "v0 must be 2x1 (one row per agent), got 1x1"
     # absent v0 starts every observer at zero
     assert parse_scenario(CHAIN_TEXT, controller="observer_based").v0.tolist() == [[0.0], [0.0]]
 
@@ -657,6 +662,9 @@ def test_leader_bound_violation_is_not_certified(tmp_path, capsys, kind):
     # a weight sym_eigs reads without overflow (validate runs on it) overflows the design
     ("bound", [("are_weight = 4 0; 0 1", "are_weight = 1e308 0; 0 1e308")], [],
      "synthesis failed: the Riccati iteration overflows: its next X is not finite"),
+    # the Bass seed's overflow names the seed, not a kernel argument
+    ("bound", [("A = 0 1; -1 1", "A = 0 1; -1e308 1")], [],
+     "synthesis failed: the Bass seed overflows: its Lyapunov operator of A + beta I"),
 ])
 def test_synthesis_failure_exits_3_with_one_line(tmp_path, capsys, command, edits, args, prefix):
     text = default_scenario()
@@ -971,16 +979,17 @@ def _write_metrics_by_hand(path, scn, gains, part, bounds, metrics, traj, verdic
         f"envelope_offset = {bounds.envelope_offset!r}",
         f"d1_radius_sq = {bounds.d1_radius_sq!r}",
         f"tail_sup_xi_sq = {metrics.tail_sup_xi_sq!r}",
-        f"d1_certified = {metrics.d1_certified}",
     ]
+    # only the radius that gates the verdict says whether the tail met it
+    if cfg.kind == "continuous_static":
+        lines.append(f"d1_certified = {metrics.tail_sup_xi_sq <= bounds.d1_radius_sq}")
     if cfg.kind == "adaptive":
         lines.append(f"varrho = {bounds.varrho!r}")
         if bounds.d2_radius_sq is not None:
             lines.append(f"d2_radius_sq = {bounds.d2_radius_sq!r}")
-            lines.append(f"d2_certified = {metrics.d2_certified}")
+            lines.append(f"d2_certified = {metrics.tail_sup_xi_sq <= bounds.d2_radius_sq}")
         else:
             lines.append("d2_radius_sq = uncertifiable (varrho >= alpha)")
-            lines.append("d2_certified = False")
         lines.append(f"d_sup = {metrics.d_sup!r}")
     lines.append(f"envelope_violations = {metrics.envelope_violations}")
     lines.append(f"chattering_index = {metrics.chattering_index!r}")
@@ -990,19 +999,21 @@ def _write_metrics_by_hand(path, scn, gains, part, bounds, metrics, traj, verdic
         fh.write("\n".join(lines) + "\n")
 
 
-def _print_report_by_hand(scn, gains, bounds, metrics, traj, verdict, csv_path):
+def _print_report_by_hand(scn, bounds, metrics, traj, verdict, csv_path):
     """Reference stdout of simulate: the print block as it was."""
     cfg = scn.controller
-    if cfg.kind == "adaptive" and bounds.d2_radius_sq is None:
-        print(f"note: {synthesis.VarrhoTooLarge(bounds.varrho, gains.alpha)}")
+    tail = metrics.tail_sup_xi_sq
     print(f"integrated {len(traj.times)} steps of h = {scn.h} ({cfg.kind})")
-    print(f"tail sup |xi|^2 = {cli._fmt(metrics.tail_sup_xi_sq)}")
-    print(f"D1 radius^2 = {cli._fmt(bounds.d1_radius_sq)} (certified: {metrics.d1_certified})")
+    print(f"tail sup |xi|^2 = {cli._fmt(tail)}")
+    if cfg.kind == "continuous_static":
+        print(f"D1 radius^2 = {cli._fmt(bounds.d1_radius_sq)} (certified: {tail <= bounds.d1_radius_sq})")
+    else:
+        print(f"D1 radius^2 = {cli._fmt(bounds.d1_radius_sq)}")
     if cfg.kind == "adaptive":
         if bounds.d2_radius_sq is not None:
             print(
                 f"D2 radius^2 = {cli._fmt(bounds.d2_radius_sq)} "
-                f"(certified: {metrics.d2_certified})"
+                f"(certified: {tail <= bounds.d2_radius_sq})"
             )
         else:
             print("D2 radius^2: uncertifiable (varrho >= alpha)")
@@ -1049,13 +1060,49 @@ def test_run_record_renders_as_the_hand_written_report(tmp_path, capsys, monkeyp
     (scn, part, gains, bounds, metrics, traj, verdict), = runs
     _write_metrics_by_hand(tmp_path / "reference.txt", scn, gains, part, bounds, metrics, traj, verdict)
     _print_report_by_hand(
-        scn, gains, bounds, metrics, traj, verdict, os.path.join(str(out_dir), "trajectory.csv")
+        scn, bounds, metrics, traj, verdict, os.path.join(str(out_dir), "trajectory.csv")
     )
     assert rc == (0 if verdict.certified else 5)
     assert (out_dir / "metrics.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
     assert stdout == capsys.readouterr().out
     if edit is not None:
         assert "uncertifiable" in stdout or "reason: " in stdout
+
+
+@pytest.mark.parametrize("kind,edit,gate,reason", [
+    ("adaptive", None, "d2", None),
+    ("continuous_static", None, "d1", None),
+    ("discontinuous_static", None, None, "the discontinuous law asserts no finite radius"),
+    ("observer_based", None, None, None),
+    ("adaptive", ("phis = 0.005 0.005 0.005 0.005 0.005 0.005", "phis = 5 5 5 5 5 5"),
+     None, "varrho = 25 must be below alpha = "),
+    ("adaptive", ("7.gamma = 6", "7.gamma = 1"), "d2", "leader input samples exceed"),
+], ids=["adaptive", "continuous_static", "discontinuous_static", "observer_based",
+        "varrho-at-least-alpha", "leader-bound-broken"])
+def test_only_the_gating_radius_says_certified(tmp_path, capsys, kind, edit, gate, reason):
+    text = default_scenario() if edit is None else default_scenario().replace(*edit)
+    out_dir = tmp_path / "out"
+    argv = ["simulate", chain_file(tmp_path, text), "--controller", kind, "--t-end", "0.3"]
+    rc = main([*argv, "--out", str(out_dir)])
+    stdout = capsys.readouterr().out.splitlines()
+    metrics = (out_dir / "metrics.txt").read_text().splitlines()
+    flag_keys = [line.split(" = ")[0] for line in metrics if "_certified = " in line]
+    flag_lines = [line for line in stdout if "(certified: " in line]
+    if gate is None:
+        assert flag_keys == [] and flag_lines == []
+    else:
+        assert flag_keys == [f"{gate}_certified"]
+        assert len(flag_lines) == 1 and flag_lines[0].startswith(f"{gate.upper()} radius^2 = ")
+    # every radius still prints its line
+    assert any(line.startswith("D1 radius^2 = ") for line in stdout)
+    certified = stdout[-1] == "verdict: certified"
+    assert rc == (0 if certified else 5)
+    reasons = [line for line in stdout if line.startswith("reason: ")]
+    if reason is None:
+        assert reasons == []
+    else:
+        assert not certified and len(reasons) == 1 and reason in reasons[0]
+        assert stdout[-2] == reasons[0]
 
 
 _EXIT_CODES = [

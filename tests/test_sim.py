@@ -31,7 +31,7 @@ from contain.sim import (
     run_verdict,
 )
 from contain.matlib import solve_linear
-from contain.synthesis import compute_bound_report, synthesize
+from contain.synthesis import BoundReport, compute_bound_report, synthesize
 from conftest import ring_scenario
 from test_evaluator import assert_bitwise, oracle_evaluator
 
@@ -146,9 +146,9 @@ def test_continuous_run_converges_and_certifies():
     bounds = compute_bound_report(scn, part, gains)
     metrics = compute_metrics(traj, bounds, gains, scn.tail_fraction)
     assert traj.xi_norm[-1] < 1e-2
-    assert metrics.d1_certified
+    assert bounds.gate == "d1" and bounds.gate_met(metrics.tail_sup_xi_sq)
     assert metrics.envelope_violations == 0
-    assert metrics.d2_certified is None
+    assert bounds.d2_radius_sq is None
     assert metrics.d_sup is None
     # v1 ends far below its start
     assert traj.v1[-1] < 1e-3 * traj.v1[0]
@@ -163,7 +163,7 @@ def test_adaptive_run_gains_stay_bounded():
     assert np.isfinite(traj.adaptive_gains).all()
     assert np.all(traj.adaptive_gains >= 0.0)
     assert metrics.d_sup == pytest.approx(float(traj.adaptive_gains.max()))
-    assert metrics.d2_certified
+    assert bounds.gate == "d2" and bounds.gate_met(metrics.tail_sup_xi_sq)
     assert traj.xi_norm[-1] < 0.1
 
 
@@ -445,10 +445,17 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(system=SYS1D, topology=CHAIN1D, controller=cfg,
                  leader_specs=(HOLD,), x0=np.zeros((2, 1)), t_end=0.005, h=0.01)
-    with pytest.raises(ValueError):
-        # v0 given to a state-feedback design
-        Scenario(system=SYS1D, topology=CHAIN1D, controller=cfg,
-                 leader_specs=(HOLD,), x0=np.zeros((2, 1)), v0=np.zeros((2, 1)))
+    # any v0 meets the one-row-per-agent rule; only the observer-based law keeps
+    # it, and starts from zeros without one
+    assert Scenario(system=SYS1D, topology=CHAIN1D, controller=cfg, leader_specs=(HOLD,),
+                    x0=np.zeros((2, 1)), v0=np.ones((2, 1))).v0 is None
+    observer = ControllerConfig(kind="observer_based", kappa=0.1)
+    for law in (cfg, observer):
+        with pytest.raises(ValueError, match=r"^v0 must be 2x1 \(one row per agent\), got 3x1$"):
+            Scenario(system=SYS1D, topology=CHAIN1D, controller=law,
+                     leader_specs=(HOLD,), x0=np.zeros((2, 1)), v0=np.zeros((3, 1)))
+    assert Scenario(system=SYS1D, topology=CHAIN1D, controller=observer, leader_specs=(HOLD,),
+                    x0=np.zeros((2, 1))).v0.tolist() == [[0.0], [0.0]]
 
 
 def test_scenario_defaults_gammas_and_tail_fraction():
@@ -476,25 +483,25 @@ def test_tail_window_fraction():
 
 
 def test_run_verdict_rule():
-    def metrics(d1, d2):
-        return Metrics(tail_sup_xi_sq=0.1, d1_certified=d1, envelope_violations=0,
-                       chattering_index=0.0, d2_certified=d2)
+    metrics = Metrics(tail_sup_xi_sq=0.1, envelope_violations=0, chattering_index=0.0)
+
+    def report(gate=None, reason=None, d1=1.0, d2=None):
+        return BoundReport(d1_radius_sq=d1, beta=1.0, envelope_offset=0.0, d2_radius_sq=d2,
+                           gate=gate, reason=reason)
 
     clean = SimpleNamespace(assumption2_violations=0)
-    assert run_verdict("continuous_static", metrics(True, None), clean) == Verdict(True)
-    assert run_verdict("continuous_static", metrics(False, None), clean) == Verdict(False)
-    assert run_verdict("adaptive", metrics(True, True), clean) == Verdict(True)
-    assert run_verdict("adaptive", metrics(True, False), clean) == Verdict(False)
-    # varrho >= alpha leaves no D2, so no adaptive certificate
-    assert run_verdict("adaptive", metrics(True, None), clean) == Verdict(False)
-    # the observer-based law asserts no radius and is not gated; the
-    # discontinuous law's D1 = 0 certifies nothing
-    assert run_verdict("observer_based", metrics(False, None), clean) == Verdict(True)
-    verdict = run_verdict("discontinuous_static", metrics(True, None), clean)
-    assert not verdict.certified and "asserts no finite radius" in verdict.reason
-    # a leader input over its bound voids every certificate
-    for kind in KINDS:
-        verdict = run_verdict(kind, metrics(True, True), SimpleNamespace(assumption2_violations=3))
+    # the tail is compared with the gating radius alone
+    assert run_verdict(report("d1", d1=0.1), metrics, clean) == Verdict(True)
+    assert run_verdict(report("d1", d1=0.05, d2=1.0), metrics, clean) == Verdict(False)
+    assert run_verdict(report("d2", d1=0.05, d2=1.0), metrics, clean) == Verdict(True)
+    assert run_verdict(report("d2", d1=1.0, d2=0.05), metrics, clean) == Verdict(False)
+    # with no gate, the report's reason (varrho >= alpha, the discontinuous
+    # law's D1 = 0) leaves the run not certified; without one it is certified
+    assert run_verdict(report(reason="no D2"), metrics, clean) == Verdict(False, "no D2")
+    assert run_verdict(report(), metrics, clean) == Verdict(True)
+    # a leader input over its bound voids every certificate, and its reason wins
+    for bounds in (report("d1"), report("d2", d2=1.0), report(reason="no D2"), report()):
+        verdict = run_verdict(bounds, metrics, SimpleNamespace(assumption2_violations=3))
         assert not verdict.certified
         assert verdict.reason.startswith("3 leader input samples exceed")
     assert (Verdict(True).label, Verdict(False).label) == ("certified", "not certified")

@@ -160,6 +160,9 @@ def test_bound_D2_requires_slow_leakage():
     assert fast.d2_radius_sq is None
     assert fast.d1_radius_sq == rep.d1_radius_sq
     assert str(VarrhoTooLarge(fast.varrho, gains.alpha)).startswith("varrho = 5 must be below alpha")
+    # D2 gates the adaptive verdict; without D2 nothing does, and the report says why
+    assert (rep.gate, rep.reason) == ("d2", None)
+    assert (fast.gate, fast.reason) == (None, str(VarrhoTooLarge(fast.varrho, gains.alpha)))
 
 
 def test_observer_gain_stabilizes_estimator():
@@ -199,6 +202,16 @@ def test_bound_report_fields():
     rep2 = compute_bound_report(*design(adaptive_config(0.01, 2.0)))
     assert rep2.varrho == pytest.approx(0.02)
     assert rep2.d2_radius_sq > 0.0
+    # each law's gate, or the reason it has none; the observer law has neither
+    assert (rep.gate, rep.reason) == ("d1", None)
+    disc = compute_bound_report(*design(ControllerConfig(kind="discontinuous_static")))
+    assert disc.gate is None and "asserts no finite radius" in disc.reason
+    obs = compute_bound_report(*design(ControllerConfig(kind="observer_based", kappa=0.1)))
+    assert (obs.gate, obs.reason) == (None, None)
+    # the tail is compared with the gating radius alone, and may touch it
+    assert rep.gate_met(rep.d1_radius_sq) and not rep.gate_met(2.0 * rep.d1_radius_sq)
+    assert rep2.gate_met(rep2.d2_radius_sq) and not rep2.gate_met(2.0 * rep2.d2_radius_sq)
+    assert obs.gate_met(0.0) is None
 
 
 def test_overflowing_design_certifies_nothing():
