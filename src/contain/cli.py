@@ -458,36 +458,46 @@ def _fmt_matrix(mat: np.ndarray) -> str:
     return "\n".join(lines)
 
 
-def trajectory_columns(topology: Topology, traj: Trajectory) -> list:
-    """(name, column) pairs of trajectory.csv, in file order.
+def trajectory_columns(topology: Topology, traj: Trajectory) -> tuple:
+    """(names, values) of trajectory.csv: the column names in file order, and
+    values(rows), the (steps, columns) array of the recorded steps in the
+    slice rows, whose columns are those names'.
 
     t; the states of every agent, in the order the scenario file lists them;
     the inputs of every follower, same order; xi_norm and v1; then the
     adaptive gains d_<label> of every follower, same order, and the observer
-    states of every agent, when present.
+    states of every agent, when present. values takes each recorded array's
+    columns with one fancy index, not one view per column.
     """
     m = topology.n_followers
-    order = sorted(range(topology.n_agents), key=topology.labels.__getitem__)
+    labels = topology.labels
+    order = np.array(sorted(range(topology.n_agents), key=labels.__getitem__))
+    followers = order[order < m]
 
-    def per_agent(prefix, blocks):
-        """prefix<label>_<k> for every (label, (S, K) block) and k = 1..K."""
-        return [
-            (f"{prefix}{label}_{k + 1}", block[:, k])
-            for label, block in blocks
-            for k in range(block.shape[1])
-        ]
+    def per_agent(prefix, agents, width):
+        """prefix<label>_<k> for every agent and k = 1..width."""
+        return [f"{prefix}{labels[c]}_{k + 1}" for c in agents for k in range(width)]
 
-    labels = [topology.labels[c] for c in order]
-    states = [traj.follower_states[:, c] if c < m else traj.leader_states[:, c - m] for c in order]
-    pairs = [("t", traj.times)]
-    pairs += per_agent("x", zip(labels, states))
-    pairs += per_agent("u", [(topology.labels[c], traj.follower_inputs[:, c]) for c in order if c < m])
-    pairs += [("xi_norm", traj.xi_norm), ("v1", traj.v1)]
+    names = ["t", *per_agent("x", order, traj.follower_states.shape[2]),
+             *per_agent("u", followers, traj.follower_inputs.shape[2]), "xi_norm", "v1"]
     if traj.adaptive_gains is not None:
-        pairs += [(f"d_{topology.labels[i]}", traj.adaptive_gains[:, i]) for i in range(m)]
+        names += [f"d_{labels[i]}" for i in range(m)]
     if traj.observer_states is not None:
-        pairs += per_agent("v", zip(labels, [traj.observer_states[:, c] for c in order]))
-    return pairs
+        names += per_agent("v", order, traj.observer_states.shape[2])
+
+    def values(rows: slice) -> np.ndarray:
+        states = np.concatenate((traj.follower_states[rows], traj.leader_states[rows]), axis=1)
+        steps = len(states)
+        blocks = [traj.times[rows, None], states[:, order].reshape(steps, -1),
+                  traj.follower_inputs[rows][:, followers].reshape(steps, -1),
+                  traj.xi_norm[rows, None], traj.v1[rows, None]]
+        if traj.adaptive_gains is not None:
+            blocks.append(traj.adaptive_gains[rows])
+        if traj.observer_states is not None:
+            blocks.append(traj.observer_states[rows][:, order].reshape(steps, -1))
+        return np.concatenate(blocks, axis=1)
+
+    return names, values
 
 
 # Values converted to Python floats at a time, whatever the row width: a chunk
@@ -499,12 +509,12 @@ _CSV_CHUNK_VALUES = 1 << 16
 
 def write_trajectory_csv(path: str, topology: Topology, traj: Trajectory) -> None:
     """Write the CSV; values use shortest round-trip decimals."""
-    names, cols = zip(*trajectory_columns(topology, traj))
-    chunk_rows = max(1, _CSV_CHUNK_VALUES // len(cols))
+    names, values = trajectory_columns(topology, traj)
+    chunk_rows = max(1, _CSV_CHUNK_VALUES // len(names))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
         for start in range(0, len(traj.times), chunk_rows):
-            block = np.column_stack([col[start:start + chunk_rows] for col in cols])
+            block = values(slice(start, start + chunk_rows))
             fh.writelines(",".join(map(repr, row)) + "\n" for row in block.tolist())
 
 
@@ -579,7 +589,7 @@ def write_plot_script(path: str, topology: Topology, traj: Trajectory) -> None:
     followers = {str(label) for label in topology.follower_labels}
     state_series = {}  # component -> one series per agent, in file order
     d_series = []
-    for idx, (name, _col) in enumerate(trajectory_columns(topology, traj), start=1):
+    for idx, name in enumerate(trajectory_columns(topology, traj)[0], start=1):
         # states are x<label>_<component>; xi_norm is the one other x name
         if name[0] == "x" and name[1].isdigit():
             label, _, component = name[1:].partition("_")

@@ -28,6 +28,19 @@ shows in the reported metrics. Two rules keep the arithmetic bit-identical:
 - the saturation divides as the scalar formulas do: w / ||w||, w / kappa and
   (w / kappa) * d, never w * (1 / ||w||) or w * (d / kappa).
 
+Neighbour sums, the sum_j a_ij s_j of sigma_i and the L1 xi of V1, follow
+one crossover rule (network_operator). While more than one entry in eight of
+the matrix summed over is nonzero, as on the default graph (16 of the 48
+entries of its follower rows), they stay the dense products above, bit for
+bit. At or below it, as on the 510-follower ring (1 022 of 261 120), they are
+CSR sums over the nonzeros alone (NeighbourSum): O(edges) work in place of
+O(M N). The two differ in rounding. The CSR sum adds a follower's neighbours
+in column order onto the first, and the gemv sums every column, zeros
+included, in BLAS's order, so a graph above the crossover records different
+last bits (up to 3.6e-13 relative over the ring's 50 benchmark steps, whose
+metrics keep every printed digit). A non-finite state reaches only the
+followers that hear it: the dense product's 0 * inf spreads nan to all.
+
 At 6 followers an evaluation costs numpy call overhead, not flops, so the
 evaluator binds its buffers and views once per run (make_evaluator) and a call
 is a short list of out= ufunc and matmul calls on them. An out= call runs the
@@ -51,6 +64,7 @@ integrate derives them from the recorded states of each chunk as it lands.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -239,11 +253,76 @@ def containment_error(
     return diff.reshape(diff.shape[:-2] + (-1,))
 
 
+class NeighbourSum:
+    """A sparse matrix in row-compressed (CSR) form, applied as sums over the
+    nonzeros of each row.
+
+    It holds the column index of every nonzero in row order, where each row's
+    run of them starts, and their values unless every one is 1. The product
+    with a stack of rows s (..., columns, n) is one np.take of the rows of s
+    the nonzeros name and one np.add.reduceat over each row's run, with a
+    product by the values between them when there are values: O(nonzeros)
+    work where the dense product is O(rows x columns). Each run adds its later
+    terms onto its first, in column order, as numpy's add-reduce does.
+
+    Every row must hold a nonzero, since np.add.reduceat returns the start
+    element for an empty run: the follower rows of the adjacency do (a
+    follower hears someone), and so do the rows of L1, by their diagonal.
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        # the nonzeros found on a boolean mask: np.nonzero on the float
+        # matrix takes about 15 times as long at M = 510
+        flat = np.flatnonzero(matrix != 0.0)
+        rows, self.columns = np.divmod(flat, matrix.shape[1])
+        self.starts = np.searchsorted(rows, np.arange(matrix.shape[0]))
+        if np.any(np.diff(np.append(self.starts, len(rows))) == 0):
+            raise ValueError("a neighbour sum needs a nonzero in every row")
+        values = np.take(matrix, flat)
+        self.values = None if np.all(values == 1.0) else values[:, None]
+
+    def product(self, source: np.ndarray, out=None, gathered=None) -> np.ndarray:
+        """matrix @ source over source's second-to-last axis, written into out.
+
+        gathered holds the taken rows: shaped like source with one row per
+        nonzero. Both are made here when not given.
+        """
+        # an index known to be in range needs no bounds check: "clip" takes
+        # straight into out, where the default "raise" buffers it
+        gathered = np.take(source, self.columns, axis=-2, out=gathered, mode="clip")
+        if self.values is not None:
+            np.multiply(gathered, self.values, out=gathered)
+        return np.add.reduceat(gathered, self.starts, axis=-2, out=out)
+
+    def __matmul__(self, source: np.ndarray) -> np.ndarray:
+        return self.product(source)
+
+
+def network_operator(matrix: np.ndarray):
+    """matrix as a NeighbourSum when at most one entry in eight is nonzero,
+    else matrix itself; `operator @ s` is matrix @ s either way.
+
+    This is the crossover rule (module docstring). Timed on a 2-vCPU Xeon
+    against the per-row gemvs of the evaluator's dense path, over random
+    follower rows with n = 2: at M = 126 the CSR sum breaks even near a
+    density of 1/4 and takes 17 us against 22 at 1/8; at M = 510 it takes
+    26-40 us against 160 at densities of 1/32-1/16. Below a few dozen
+    followers either costs a few us a call, the CSR sum about 1 us more.
+    """
+    if 8 * np.count_nonzero(matrix != 0.0) <= matrix.size:
+        return NeighbourSum(matrix)
+    return matrix
+
+
 def lyapunov_v1(xi: np.ndarray, part: LaplacianPartition, p_inv: np.ndarray):
-    """V1 = 0.5 xi.T (L1 (x) P^-1) xi, for one xi or a stack of them (S, M*n)."""
+    """V1 = 0.5 xi.T (L1 (x) P^-1) xi, for one xi or a stack of them (S, M*n).
+
+    L1 is applied as network_operator(L1), built on each call: about 0.26 ms
+    at M = 510, against about 25 ms for the 64 steps of one integrate chunk.
+    """
     xi = np.asarray(xi, dtype=float)
     block = xi.reshape(xi.shape[:-1] + (part.L1.shape[0], -1))
-    weighted = block * (part.L1 @ block @ p_inv)
+    weighted = block * (network_operator(part.L1) @ block @ p_inv)
     return 0.5 * np.sum(weighted.reshape(xi.shape), axis=-1)
 
 
@@ -263,11 +342,12 @@ def make_evaluator(scn: Scenario, gains: GainSet):
     result copies it first. The evaluator is not reentrant.
 
     The forms are chosen to round exactly as the per-follower formulas do
-    (see the module docstring): sigma_i = deg_i s_i - a_i @ s row by row via
-    rows @ s, and every matrix-vector product, K sigma_i, Gamma sigma_i and
-    the observer's C, A, B and L_obs products, as a stacked matmul that runs
-    one BLAS gemv per row (so C x and C v can share one matmul over the 2N
-    rows of x and v). Each matmul writes into a C-contiguous buffer of
+    (see the module docstring): sigma_i = deg_i s_i - a_i @ s, with a_i @ s
+    row by row via rows @ s below the crossover and as a CSR sum over the
+    neighbours above it (network_operator), and every matrix-vector product,
+    K sigma_i, Gamma sigma_i and the observer's C, A, B and L_obs products, as
+    a stacked matmul that runs one BLAS gemv per row (so C x and C v can share
+    one matmul over the 2N rows of x and v). Each matmul writes into a C-contiguous buffer of
     the shape the allocating call would return, so numpy picks the same BLAS
     call for it.
     """
@@ -280,7 +360,7 @@ def make_evaluator(scn: Scenario, gains: GainSet):
     n = system.n
     p = system.p
     observer = cfg.kind == OBSERVER_BASED
-    rows = topo.adjacency[:m, None, :]
+    rows = network_operator(topo.adjacency[:m])
     # deg_i repeated over the n columns: the products of broadcasting the
     # (M, 1) column, without broadcasting on every call
     degree = np.repeat(topo.adjacency[:m].sum(axis=1)[:, None], n, axis=1)
@@ -293,8 +373,17 @@ def make_evaluator(scn: Scenario, gains: GainSet):
     xl = x[m:]
     source = v if observer else x
     source_f = source[:m]
-    neighbours = np.empty((m, 1, n))
-    neighbour_sum = neighbours[:, 0]
+    # neighbour_sums() writes sum_j a_ij s_j for every follower i into
+    # neighbour_sum: one gemv per row (rows @ s) below the crossover, the
+    # CSR sums above it
+    if isinstance(rows, NeighbourSum):
+        neighbour_sum = np.empty((m, n))
+        neighbour_sums = partial(rows.product, source, out=neighbour_sum,
+                                 gathered=np.empty((len(rows.columns), n)))
+    else:
+        neighbours = np.empty((m, 1, n))
+        neighbour_sum = neighbours[:, 0]
+        neighbour_sums = partial(np.matmul, rows[:, None, :], source, out=neighbours)
     sigma = np.empty((m, n))
     # ydot's blocks are written in place; the inputs of all agents share one
     # (N, p, 1) buffer.
@@ -325,17 +414,19 @@ def make_evaluator(scn: Scenario, gains: GainSet):
     def evaluate(t: float, y: np.ndarray):
         state[...] = y
         np.multiply(degree, source_f, out=sigma)
-        np.matmul(rows, source, out=neighbours)
+        neighbour_sums()
         np.subtract(sigma, neighbour_sum, out=sigma)
         law()
         leader_inputs(t)
         # Separate follower and leader products, as the per-agent code had:
         # a gemm over a different row count is not guaranteed to round alike.
-        np.matmul(xf, a_t, out=xdot_f)
-        np.matmul(u_f, b_t, out=bu_f)
+        # np.dot runs the same gemm for these 2-D products as matmul, with
+        # less call overhead.
+        np.dot(xf, a_t, out=xdot_f)
+        np.dot(u_f, b_t, out=bu_f)
         np.add(xdot_f, bu_f, out=xdot_f)
-        np.matmul(xl, a_t, out=xdot_l)
-        np.matmul(u_l, b_t, out=bu_l)
+        np.dot(xl, a_t, out=xdot_l)
+        np.dot(u_l, b_t, out=bu_l)
         np.add(xdot_l, bu_l, out=xdot_l)
         if observer:
             np.matmul(system.C, xv_col, out=c_xv)

@@ -416,9 +416,32 @@ def test_load_scenario_applies_overrides(tmp_path):
     assert parsed.h == 0.005
 
 
+def _columns_per_cell(topology, traj):
+    """Reference column list: (name, column view) pairs of trajectory.csv,
+    one view per column, agents in file (label) order."""
+    m = topology.n_followers
+    order = sorted(range(topology.n_agents), key=topology.labels.__getitem__)
+
+    def per_agent(prefix, blocks):
+        return [(f"{prefix}{label}_{k + 1}", block[:, k])
+                for label, block in blocks for k in range(block.shape[1])]
+
+    labels = [topology.labels[c] for c in order]
+    states = [traj.follower_states[:, c] if c < m else traj.leader_states[:, c - m] for c in order]
+    pairs = [("t", traj.times)]
+    pairs += per_agent("x", zip(labels, states))
+    pairs += per_agent("u", [(topology.labels[c], traj.follower_inputs[:, c]) for c in order if c < m])
+    pairs += [("xi_norm", traj.xi_norm), ("v1", traj.v1)]
+    if traj.adaptive_gains is not None:
+        pairs += [(f"d_{topology.labels[i]}", traj.adaptive_gains[:, i]) for i in range(m)]
+    if traj.observer_states is not None:
+        pairs += per_agent("v", zip(labels, [traj.observer_states[:, c] for c in order]))
+    return pairs
+
+
 def _write_csv_per_cell(path, topology, traj):
     """Reference writer: one repr(float(...)) per cell, row by row."""
-    pairs = cli.trajectory_columns(topology, traj)
+    pairs = _columns_per_cell(topology, traj)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(name for name, _ in pairs) + "\n")
         for k in range(len(traj.times)):
@@ -464,10 +487,12 @@ def wide_run(ring510_topology):
     )
 
 
-@pytest.mark.parametrize("run_name", ["cont_run", "disc_run", "adaptive_run", "observer_run", "wide_run"])
+@pytest.mark.parametrize("run_name", ["cont_run", "disc_run", "adaptive_run", "observer_run", "wide_run",
+                                      "leader_first_run"])
 def test_csv_writer_matches_per_cell_reference(run_name, request, tmp_path):
     # the default runs' 20 000 rows and the 100 wide rows each span many write
-    # chunks; adaptive adds d_i, observer v columns
+    # chunks; adaptive adds d_i, observer v columns; leader_first_run lists
+    # its agents in neither canonical nor label order
     run = request.getfixturevalue(run_name)
     write_trajectory_csv(str(tmp_path / "chunked.csv"), run.scenario.topology, run.traj)
     _write_csv_per_cell(str(tmp_path / "cells.csv"), run.scenario.topology, run.traj)
@@ -868,7 +893,7 @@ def _write_plot_script_by_regex(path, topology, traj):
     followers = set(topology.follower_labels)
     state_series = {}  # component -> one series per agent, in file order
     d_series = []
-    for idx, (name, _col) in enumerate(cli.trajectory_columns(topology, traj), start=1):
+    for idx, (name, _col) in enumerate(_columns_per_cell(topology, traj), start=1):
         state = re.fullmatch(r"x(\d+)_(\d+)", name)
         if state:
             dash = 4 if int(state[1]) in followers else 1
@@ -922,7 +947,7 @@ def leader_first_run():
     assert topology.leader_labels == (1, 11)
     return SimpleNamespace(
         scenario=SimpleNamespace(topology=topology),
-        traj=wide_trajectory(topology, 2, np.zeros),
+        traj=wide_trajectory(topology, 2, np.random.default_rng(5).standard_normal),
     )
 
 

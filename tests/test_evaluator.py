@@ -30,8 +30,9 @@ from contain.control import (
     saturate,
 )
 from contain.graph import build_topology, partition_laplacian
-from contain.sim import Scenario, integrate, make_evaluator
+from contain.sim import NeighbourSum, Scenario, integrate, make_evaluator, network_operator
 from contain.synthesis import synthesize
+from perfbench.workloads import ring_scenario
 
 # ---------------------------------------------------------------------------
 # per-agent oracle
@@ -266,18 +267,20 @@ WIDE_LEADERS = (
 )
 
 
-def wide_setup(kind, t_end=20.0):
-    part = partition_laplacian(WIDE)
+def wide_setup(kind, t_end=20.0, topology=WIDE):
+    """The WIDE system and leaders on WIDE, or on another topology with two leaders."""
+    part = partition_laplacian(topology)
+    m, n_agents = topology.n_followers, topology.n_agents
     extra = {}
     if kind == ADAPTIVE:
-        extra = dict(taus=np.linspace(1.0, 5.0, 8), phis=np.linspace(0.0, 0.1, 8),
-                     d0=np.linspace(0.0, 3.0, 8))
+        extra = dict(taus=np.linspace(1.0, 5.0, m), phis=np.linspace(0.0, 0.1, m),
+                     d0=np.linspace(0.0, 3.0, m))
     cfg = ControllerConfig(kind=kind, kappa=None if kind == DISCONTINUOUS_STATIC else 0.1,
                            **extra)
-    x0 = np.random.default_rng(3).uniform(-2.0, 2.0, (10, 3))
-    scn = Scenario(system=WIDE_SYSTEM, topology=WIDE, controller=cfg,
+    x0 = np.random.default_rng(3).uniform(-2.0, 2.0, (n_agents, 3))
+    scn = Scenario(system=WIDE_SYSTEM, topology=topology, controller=cfg,
                    leader_specs=WIDE_LEADERS, x0=x0,
-                   v0=np.zeros((10, 3)) if kind == OBSERVER_BASED else None,
+                   v0=np.zeros((n_agents, 3)) if kind == OBSERVER_BASED else None,
                    t_end=t_end, h=1e-3)
     return scn, synthesize(scn, part), part
 
@@ -506,3 +509,202 @@ def test_evaluator_results_survive_the_next_call(kind, topology, monkeypatch):
     recorded = [a for a in vars(traj).values() if isinstance(a, np.ndarray)]
     assert len(buffers) == 3 and len(recorded) >= 7
     assert not any(np.shares_memory(a, b) for a in recorded for b in buffers)
+
+
+# ---------------------------------------------------------------------------
+# the CSR path: graphs above the crossover, against a per-follower oracle
+#
+# Above the crossover (sim.network_operator) sigma_i sums only follower i's
+# neighbours, in ascending column order, the later ones onto the first: for a
+# run of up to eight terms np.add.reduceat adds them one at a time onto -0.0
+# and that sum onto the first term. The graphs below keep every follower's
+# neighbours within eight, so the oracle spells out exactly that.
+
+
+def neighbour_sum(values):
+    """values[0] + (values[1] + ... + values[-1]), the rest added one at a time."""
+    rest = -0.0
+    for value in values[1:]:
+        rest = rest + value
+    return values[0] + rest
+
+
+def csr_relative_state(i, state, topology):
+    x_all = np.concatenate([state.follower_states, state.leader_states], axis=0)
+    row = topology.adjacency[i]
+    return row.sum() * x_all[i] - neighbour_sum(x_all[np.flatnonzero(row)])
+
+
+def csr_observer_relative_state(i, state, topology):
+    row = topology.adjacency[i]
+    return row.sum() * state.observer_states[i] - neighbour_sum(
+        state.observer_states[np.flatnonzero(row)])
+
+
+@pytest.fixture
+def csr_oracle(monkeypatch):
+    """oracle_evaluator, its relative states summed over neighbours only."""
+    monkeypatch.setitem(globals(), "relative_state", csr_relative_state)
+    monkeypatch.setitem(globals(), "observer_relative_state", csr_observer_relative_state)
+    return oracle_evaluator
+
+
+def sparse_a1_adjacency(rng, m=40, n_leaders=2):
+    """A random 0/1 adjacency above the crossover that meets the standing
+    assumption: followers first, a random undirected follower forest whose
+    every tree some leader feeds, plus a few extra follower edges. Follower 0
+    hears only leaders, so its row of L1 is its diagonal alone. No follower
+    has more than eight neighbours."""
+    n = m + n_leaders
+    adj = np.zeros((n, n))
+    adj[0, m:] = 1.0
+    for i in range(1, m):
+        if i == 1 or rng.random() < 0.1:
+            adj[i, int(rng.integers(m, n))] = 1.0
+        else:
+            j = int(rng.integers(1, i))
+            adj[i, j] = adj[j, i] = 1.0
+    for _ in range(m // 4):
+        i, j = rng.choice(np.arange(1, m), 2, replace=False)
+        adj[i, j] = adj[j, i] = 1.0
+    assert adj.sum(axis=1).max() <= 8
+    return adj
+
+
+def ring_setup(kind, t_end=20.0):
+    scn = cli.parse_scenario(ring_scenario(510, 1), controller=kind, t_end=t_end)
+    part = partition_laplacian(scn.topology)
+    return scn, synthesize(scn, part), part
+
+
+def sparse_setup(kind, t_end=20.0):
+    topology = build_topology(sparse_a1_adjacency(np.random.default_rng(17)))
+    return wide_setup(kind, t_end, topology)
+
+
+CSR_SETUPS = {"ring510": ring_setup, "sparse": sparse_setup}
+
+
+def assert_bitwise_nan(got, want):
+    """assert_bitwise, where nan matches nan (whatever its sign bit)."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    numbers = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
+
+
+def blown_up_states(scn, rng, draws):
+    """States in which one agent, by turns the last leader and a random
+    follower, holds inf or nan in one component."""
+    topo = scn.topology
+    n_agents, n = topo.n_agents, scn.system.n
+    observer = scn.controller.kind == OBSERVER_BASED
+    for k, (t, y) in enumerate(random_states(scn, rng, draws)):
+        x, _, v = scn.blocks(y)
+        agent = int(rng.integers(0, topo.n_followers)) if k % 2 else n_agents - 1
+        bad = np.inf if k % 4 < 2 else np.nan
+        (v if observer else x)[agent, int(rng.integers(0, n))] = bad
+        yield t, y, agent
+
+
+def test_crossover_takes_csr_above_and_keeps_the_dense_product_below():
+    # the unedited oracle above guards the dense bits on default, chain and
+    # wide only while their neighbour sums stay dense
+    for name, setup in list(SETUPS.items()) + list(CSR_SETUPS.items()):
+        scn, _, part = setup(ADAPTIVE, t_end=0.01)
+        rows = scn.topology.adjacency[:scn.topology.n_followers]
+        sparse = name in CSR_SETUPS
+        assert isinstance(network_operator(rows), NeighbourSum) == sparse, name
+        assert isinstance(network_operator(part.L1), NeighbourSum) == sparse, name
+
+
+@pytest.mark.parametrize("topology,draws", [("ring510", 12), ("sparse", 200)])
+@pytest.mark.parametrize("kind", KINDS)
+def test_csr_evaluator_matches_neighbour_oracle_bitwise(kind, topology, draws, csr_oracle):
+    scn, gains, _ = CSR_SETUPS[topology](kind, t_end=0.01)
+    evaluate = make_evaluator(scn, gains)
+    oracle = csr_oracle(scn, gains)
+    rng = np.random.default_rng(23)
+    for t, y in random_states(scn, rng, draws):
+        for a, b in zip(evaluate(t, y), oracle(t, y)):
+            assert_bitwise(a, b)
+
+
+@pytest.mark.parametrize("topology", sorted(CSR_SETUPS))
+@pytest.mark.parametrize("kind", KINDS)
+def test_csr_path_spreads_non_finite_states_to_neighbours_only(kind, topology, csr_oracle):
+    # The dense product multiplies every non-neighbour by 0, and 0 * inf is
+    # nan; the CSR sums never read a non-neighbour, so an inf or nan agent
+    # reaches only the followers that hear it.
+    scn, gains, _ = CSR_SETUPS[topology](kind, t_end=0.01)
+    evaluate = make_evaluator(scn, gains)
+    oracle = csr_oracle(scn, gains)
+    adjacency = scn.topology.adjacency
+    m = scn.topology.n_followers
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, y, agent in blown_up_states(scn, np.random.default_rng(29), 8):
+            got = evaluate(t, y)
+            for a, b in zip(got, oracle(t, y)):
+                assert_bitwise_nan(a, b)
+            touched = adjacency[:m, agent] != 0.0
+            if agent < m:
+                touched[agent] = True
+            assert np.isfinite(got[1][~touched]).all()
+            assert not np.isfinite(got[1][touched]).all(axis=1).any()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_csr_integrate_matches_neighbour_oracle_run(kind, csr_oracle, monkeypatch):
+    scn, gains, part = sparse_setup(kind, t_end=0.3)
+    traj = integrate(scn, gains, part)
+    monkeypatch.setattr(sim, "make_evaluator", csr_oracle)
+    ref = integrate(scn, gains, part)
+    for name in ("follower_states", "leader_states", "follower_inputs", "leader_inputs",
+                 "adaptive_gains", "observer_states"):
+        got, want = getattr(traj, name), getattr(ref, name)
+        if want is None:
+            assert got is None
+        else:
+            assert_bitwise(got, want, name)
+    _, xi_norm, v1, violations = oracle_derived(traj, scn, gains, part)
+    assert np.allclose(traj.xi_norm, xi_norm, rtol=1e-12, atol=0.0)
+    assert np.allclose(traj.v1, v1, rtol=1e-12, atol=0.0)
+    assert traj.assumption2_violations == violations
+
+
+def dense_v1(xi, part, p_inv):
+    """0.5 xi' (L1 (x) P^-1) xi for each row of a stack of xi."""
+    weight = np.kron(part.L1, p_inv)
+    return np.array([0.5 * float(row @ weight @ row) for row in xi])
+
+
+@pytest.mark.parametrize("topology", sorted(CSR_SETUPS))
+def test_csr_v1_matches_the_dense_quadratic_form(topology):
+    scn, gains, part = CSR_SETUPS[topology](ADAPTIVE, t_end=0.01)
+    l1 = network_operator(part.L1)
+    assert isinstance(l1, NeighbourSum)
+    p_inv = np.linalg.inv(gains.P)
+    m, n = scn.topology.n_followers, scn.system.n
+    rng = np.random.default_rng(31)
+    xi = rng.standard_normal((5, m * n)) * 10.0 ** rng.uniform(-4.0, 2.0, (5, 1))
+    want = dense_v1(xi, part, p_inv)
+    assert np.allclose(sim.lyapunov_v1(xi, part, p_inv), want, rtol=1e-12, atol=0.0)
+    assert np.allclose(sim.lyapunov_v1(xi[2], part, p_inv), want[2], rtol=1e-12, atol=0.0)
+    assert np.allclose(l1 @ xi.reshape(5, m, n), part.L1 @ xi.reshape(5, m, n),
+                       rtol=0.0, atol=1e-12 * np.abs(xi).max())
+
+
+def test_neighbour_sum_needs_a_nonzero_in_every_row():
+    # follower 0 of the sparse graph hears only leaders: its row of the
+    # follower-to-follower adjacency is empty, which np.add.reduceat would
+    # fill with the start element, so the operator refuses it; L1 keeps the
+    # row nonempty by its diagonal, the degree
+    topology = build_topology(sparse_a1_adjacency(np.random.default_rng(17)))
+    part = partition_laplacian(topology)
+    m = topology.n_followers
+    among_followers = topology.adjacency[:m, :m]
+    assert not among_followers[0].any() and part.L1[0, 0] == 2.0
+    with pytest.raises(ValueError, match="nonzero in every row"):
+        NeighbourSum(among_followers)
+    block = np.random.default_rng(37).standard_normal((m, 3))
+    assert np.allclose(NeighbourSum(part.L1) @ block, part.L1 @ block, rtol=0.0, atol=1e-12)
