@@ -293,11 +293,11 @@ def _scalars(sections, section: str, keys) -> dict:
     }
 
 
-def _build(field: Optional[str], make, *args, **kwargs):
-    """make(*args, **kwargs), a ValueError it raises reported as a
-    ScenarioParseError under field."""
+def _build(field: Optional[str], make, **kwargs):
+    """make(**kwargs), a ValueError it raises reported as a ScenarioParseError
+    under field."""
     try:
-        return make(*args, **kwargs)
+        return make(**kwargs)
     except ValueError as exc:
         raise ScenarioParseError(str(exc), field=field) from None
 

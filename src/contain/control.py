@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
-from .matlib import TOL, NotSymmetric, as_matrix, as_square, sym_eigs
+from .matlib import as_matrix, as_square, spd_eigs
 if TYPE_CHECKING:
     from .synthesis import GainSet
 
@@ -124,13 +124,7 @@ class ControllerConfig:
                 raise ValueError(f"{name} must be a finite number >= 1, got {scale!r}")
         if self.are_weight is not None:
             weight = as_square(self.are_weight, "are_weight")
-            try:
-                lam = float(sym_eigs(weight)[0])
-            except NotSymmetric as exc:
-                raise ValueError(f"are_weight {exc}") from None
-            if not lam > TOL.eig:
-                raise ValueError(f"are_weight must be positive definite: lambda_min {lam:.3e} "
-                                 f"is not above the eig tolerance {TOL.eig:.1e}")
+            spd_eigs(weight, "are_weight")  # its NotSymmetric and Singular are ValueErrors
             object.__setattr__(self, "are_weight", weight)
         if self.kind != DISCONTINUOUS_STATIC:
             if self.kappa is None or not 0.0 < self.kappa < math.inf:
@@ -247,22 +241,21 @@ def saturate(w: np.ndarray, norm: np.ndarray, width: float, d=None, out=None):
     return sat
 
 
-def follower_law(config: ControllerConfig, gains: GainSet, sigma: np.ndarray, d=None,
-                 u=None, d_rate=None):
-    """Bind the configured law to the caller's buffers: law() -> (u, d_rate).
+def follower_law(config: ControllerConfig, gains: GainSet, sigma: np.ndarray, u: np.ndarray,
+                 d=None, d_rate=None):
+    """Bind the configured law to the caller's buffers: law() refills u and d_rate.
 
     Every law is u_i = g1 K sigma_i + g2 sat(K sigma_i; d, width): the static
     laws take g1 = c1, g2 = c2 and no d, the adaptive law g1 = g2 = d = d_i;
     the width is config.width. sigma is the caller's M x n array of relative
-    states (one row per follower) and d its adaptive gain vector (adaptive
-    law only, where it is required); each law() call reads their
-    current contents and writes the inputs into u (M x p) and, for the
-    adaptive law, the gain rates
+    states (one row per follower), d its adaptive gain vector and d_rate the
+    (M,) array of their rates (adaptive law only, where both are required);
+    each law() call reads the current contents of sigma and d and writes the
+    inputs into u (M x p) and, for the adaptive law, the gain rates
     d_i' = tau_i (-phi_i d_i + sigma_i.T Gamma sigma_i + ||K sigma_i||) into
-    d_rate (M,). u and d_rate are the caller's arrays when given, else the
-    law's own; d_rate is None for the static laws. Every intermediate buffer,
-    view and constant is bound here, once. K sigma and its norms are computed
-    once per call and shared by the input and the gain rate.
+    d_rate. Every intermediate buffer, view and constant is bound here, once.
+    K sigma and its norms are computed once per call and shared by the input
+    and the gain rate.
     """
     m, n = sigma.shape
     p = gains.K.shape[0]
@@ -272,22 +265,18 @@ def follower_law(config: ControllerConfig, gains: GainSet, sigma: np.ndarray, d=
     norm = np.empty(m)
     norms = row_norms(ks, out=norm)
     sat = np.empty((m, p))
-    if u is None:
-        u = np.empty((m, p))
     if config.kind == ADAPTIVE:
         g1 = g2 = d[:, None]
         sigma_row = sigma[:, None, :]
         gamma_sigma = np.empty((m, n, 1))
         quad_col = np.empty((m, 1, 1))
         quad = quad_col[:, 0, 0]
-        if d_rate is None:
-            d_rate = np.empty(m)
         taus = config.taus
         neg_phis = -config.phis
     else:
         # arrays of the scalar gains: numpy multiplies arrays faster than scalars
         g1, g2 = np.full((m, p), gains.c1), np.full((m, p), gains.c2)
-        d = d_rate = None
+        d = None
     saturated = saturate(ks, norm, config.width, d, out=sat)
 
     def law():
@@ -303,7 +292,6 @@ def follower_law(config: ControllerConfig, gains: GainSet, sigma: np.ndarray, d=
             np.add(d_rate, quad, out=d_rate)
             np.add(d_rate, norm, out=d_rate)
             np.multiply(taus, d_rate, out=d_rate)
-        return u, d_rate
 
     return law
 

@@ -43,14 +43,13 @@ class BadTolerance(ValueError):
 class Tolerances:
     """Numeric thresholds shared by every kernel in this module.
 
-    solve: backward-error bound of every linear solve; Riccati and rank tolerance.
-    eig:   positive-definiteness floor of a Riccati weight (are_weight, q).
-    sym:   max absolute entry of s - s.T that sym_eigs, its one reader, tolerates.
+    solve: backward-error bound of every linear solve and relative skew bound of
+           sym_eigs; Riccati and rank tolerance.
+    eig:   positive-definiteness floor of spd_eigs, its one reader.
     """
 
     solve: float = 1e-9
     eig: float = 1e-10
-    sym: float = 1e-9
 
 
 TOL = Tolerances()
@@ -60,8 +59,8 @@ def apply_tolerance_overrides(text: str) -> None:
     """Set TOL to the default tolerances with the fields a spec string names
     overridden, whatever earlier calls set.
 
-    The spec is empty (the defaults), a single float (sets `solve` and `sym`)
-    or a comma list of name=value pairs, e.g. "solve=1e-8,eig=1e-11". The
+    The spec is empty (the defaults), a single float (sets `solve`) or a
+    comma list of name=value pairs, e.g. "solve=1e-8,eig=1e-11". The
     whole spec is checked before any field changes: an unknown name, or a
     value that is not a finite number >= 0, raises BadTolerance and leaves TOL
     as it was.
@@ -70,13 +69,13 @@ def apply_tolerance_overrides(text: str) -> None:
     if not text:
         pairs = []
     elif "=" not in text:
-        pairs = [("solve", text), ("sym", text)]
+        pairs = [("solve", text)]
     else:
         pairs = [item.partition("=")[::2] for item in text.split(",")]
     values = {}
     for name, raw in pairs:
         name = name.strip()
-        if name not in ("solve", "eig", "sym"):
+        if name not in ("solve", "eig"):
             raise BadTolerance(f"unknown tolerance field {name!r}")
         try:
             value = float(raw)
@@ -132,23 +131,37 @@ def frobenius(a) -> float:
     return scale * math.sqrt(float(np.sum(scaled * scaled)))
 
 
-def sym_eigs(s) -> np.ndarray:
+def sym_eigs(s, name: str = "s") -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix.
 
-    Raises NotSymmetric when s differs from its transpose by more than TOL.sym.
-    A skewed s is symmetrized, as 0.5 (s + s.T) in the scratch matrix of the
-    skew check; an exactly symmetric s goes to eigvalsh as it is (where s + s.T
-    does not overflow, 0.5 (s + s.T) is s bit for bit).
+    Raises NotSymmetric, naming s by name, when s's skew max |s - s.T| exceeds
+    TOL.solve ||s||_F, the relative form every linear solve is judged by. Only a
+    skewed s pays for that norm, and only a skewed s is symmetrized, as 0.5 s
+    (formed in the scratch matrix of the skew check) plus its transpose: the
+    bits of 0.5 (s + s.T) above the subnormal range, without its overflow. An
+    exactly symmetric s goes to eigvalsh as it is.
     """
-    arr = as_square(s, "s")
+    arr = as_square(s, name)
     work = np.subtract(arr, arr.T)
     skew = float(np.max(np.abs(work, out=work)))
-    if skew > TOL.sym:
-        raise NotSymmetric(f"matrix is not symmetric: max |s - s.T| = {skew:.3e}")
     if skew > 0.0:
-        arr = np.add(arr, arr.T, out=work)
-        work *= 0.5
+        norm = frobenius(arr)
+        if skew > TOL.solve * norm:
+            raise NotSymmetric(f"{name} is not symmetric: its skew max|s - s'| {skew:.3e} exceeds "
+                               f"the solve tolerance {TOL.solve:.1e} times |s|_F ({norm:.3e})")
+        half = np.multiply(arr, 0.5, out=work)
+        arr = half + half.T
     return np.linalg.eigvalsh(arr)
+
+
+def spd_eigs(s, name: str) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric positive definite matrix: sym_eigs's,
+    or Singular naming s unless lambda_min > TOL.eig (a nan lambda_min fails)."""
+    values = sym_eigs(s, name)
+    if not values[0] > TOL.eig:
+        raise Singular(f"{name} must be positive definite: lambda_min {values[0]:.3e} is not "
+                       f"above the eig tolerance {TOL.eig:.1e}")
+    return values
 
 
 def check_solve(a, x, rhs) -> None:
@@ -256,7 +269,7 @@ def care_solve(a, b, q, return_residuals: bool = False):
     (a - b K_j).T X + X (a - b K_j) = -(q + K_j.T K_j). Stops when the Riccati residual
     drops to TOL.solve * (1 + ||q||_F); raises NoConvergence after 100 iterations, and
     NonFinite naming what overflowed. Returns X only if a - b b.T X is Hurwitz, so that
-    X > 0 by the Riccati equation; raises Singular otherwise, or if lambda_min(q) <= TOL.eig.
+    X > 0 by the Riccati equation; raises Singular otherwise, or if spd_eigs rejects q.
 
     With return_residuals=True, returns (X, residual_history).
     """
@@ -266,10 +279,7 @@ def care_solve(a, b, q, return_residuals: bool = False):
     n = a.shape[0]
     if q.shape[0] != n:
         raise ValueError(f"q is {q.shape}, expected {(n, n)}")
-    lam = float(sym_eigs(q)[0])
-    if lam <= TOL.eig:
-        raise Singular(f"q must be positive definite: lambda_min {lam:.3e} is not above "
-                       f"the eig tolerance {TOL.eig:.1e}")
+    spd_eigs(q, "q")
     if not is_controllable(a, b):
         raise NotControllable("(a, b) fails the controllability rank test")
 

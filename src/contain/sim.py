@@ -397,7 +397,7 @@ def make_evaluator(scn: Scenario, gains: GainSet):
     u_f = u_col[:m, :, 0]
     u_l = u_col[m:, :, 0]
     results = (ydot, u_f, u_l)
-    law = follower_law(cfg, gains, sigma, d, u=u_f, d_rate=d_rate)
+    law = follower_law(cfg, gains, sigma, u_f, d, d_rate)
     leader_inputs = leader_input(scn.leader_specs, xl, out=u_col[m:])
     if observer:
         v_col = v[:, :, None]
@@ -456,8 +456,8 @@ def rk4_step(f: Callable, t: float, y: np.ndarray, h: float, k1: np.ndarray,
              out: Optional[np.ndarray] = None, work: Optional[tuple] = None) -> np.ndarray:
     """One classic Runge-Kutta 4 step from y at t, given its first stage k1 = f(t, y).
 
-    f(t, y) returns the rate at (t, y), alone or as the first item of a tuple
-    (make_evaluator's (ydot, u_f, u_l)). The rate may be a buffer that the
+    f(t, y) returns a tuple whose first item is the rate at (t, y), as
+    make_evaluator's (ydot, u_f, u_l) does. The rate may be a buffer that the
     next call of f overwrites: each stage is consumed, into the next stage
     point and the running sum, before f is called again. f keeps no reference
     to its argument, the stage point, which is rebuilt for the next stage.
@@ -479,9 +479,7 @@ def rk4_step(f: Callable, t: float, y: np.ndarray, h: float, k1: np.ndarray,
                                    (h, full_h, False)):
         np.multiply(k, scale, out=stage)
         np.add(stage, y, out=stage)
-        k = f(t + offset, stage)
-        if isinstance(k, tuple):
-            k = k[0]
+        k = f(t + offset, stage)[0]
         if doubled:
             np.add(k, k, out=scratch)
             np.add(out, scratch, out=out)

@@ -121,7 +121,7 @@ def test_criterion_09_integrator_order():
         y = np.array([1.0])
         steps = round(1.0 / h)
         for k in range(steps):
-            y = rk4_step(lambda t, y: -y, k * h, y, h, -y)
+            y = rk4_step(lambda t, y: (-y,), k * h, y, h, -y)
         return abs(float(y[0]) - np.exp(-1.0))
 
     ratio = global_err(0.1) / global_err(0.05)

@@ -606,6 +606,23 @@ def test_scenario_rules_exit_1_naming_the_key(tmp_path, capsys, edit, args, word
     assert_one_line_error(capsys, rc, "scenario error:", words)
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("7.gain = 0 -2", "7.gian = 0 -2",
+     "[leaders]: leader keys look like <label>.gain/.sinusoids/.gamma, got '7.gian'"),
+    ("7.gain = 0 -2", "x.gain = 0 -2", "[leaders]: leader label 'x' is not an integer"),
+    ("7.gain = 0 -2", "1.gain = 0 -2", "[leaders]: agent 1 is not a leader"),
+    ("8.gamma = 4\n", "", "[leaders].8.gamma: leader 8 needs a gamma declaration"),
+], ids=["typo", "label", "follower", "gamma"])
+def test_leader_key_rules_exit_1_with_one_line(tmp_path, capsys, old, new, message):
+    text = default_scenario()
+    assert old in text
+    line = text[:text.index(old)].count("\n") + 1
+    rc = main(["validate", chain_file(tmp_path, text.replace(old, new))])
+    # each key rule names the key's line; the missing gamma has no line to name
+    where = "" if message.startswith("[leaders].8") else f"line {line}: "
+    assert_one_line_error(capsys, rc, f"scenario error: {where}{message}")
+
+
 def test_parse_permutes_agent_rows_into_canonical_order():
     # the leader is agent 1 in the file; canonical order puts follower 2 first
     text = CHAIN_TEXT.replace("adjacency = 0 1; 0 0", "adjacency = 0 0; 1 0")
@@ -627,7 +644,7 @@ def test_parse_permutes_agent_rows_into_canonical_order():
 
 
 @pytest.mark.parametrize("spec", ["abc", "solve=1e-8,nope=3", "solve=1e-8,pivot=nan", "-1",
-                                  "pivot=0.5"])
+                                  "pivot=0.5", "sym=1e-9"])
 def test_malformed_contain_tol(tmp_path, capsys, monkeypatch, spec):
     before = dataclasses.astuple(TOL)
     monkeypatch.setenv("CONTAIN_TOL", spec)
@@ -723,7 +740,7 @@ def test_a_non_stabilizing_riccati_solution_exits_3(tmp_path, capsys, monkeypatc
 
 
 @pytest.mark.parametrize("weighted", [True, False], ids=["are_weight", "identity_weight"])
-@pytest.mark.parametrize("field", ["solve", "eig", "pivot", "sym"])
+@pytest.mark.parametrize("field", ["solve", "eig"])
 def test_tolerance_overrides_exit_with_a_code_and_one_line(tmp_path, capsys, monkeypatch,
                                                            field, weighted):
     # any tolerance a user sets, however extreme, runs or fails with one line;
@@ -761,22 +778,22 @@ def test_observer_design_reads_no_eig_tolerance(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ["synth", "bound", "simulate"])
 def test_certificate_eigenvalues_taken_once(tmp_path, monkeypatch, command):
-    # besides ControllerConfig's are_weight check at parse, a command
-    # eigen-solves exactly two matrices, A P + P A' - 2 B B' and P, whichever
-    # of them it prints
+    # besides the positive-definiteness checks of the weight, at parse and in
+    # the Riccati solve, a command eigen-solves exactly two matrices,
+    # A P + P A' - 2 B B' and P, whichever of them it prints
     solved = []
 
-    def counting_sym_eigs(s):
+    def counting_sym_eigs(s, *args):
         solved.append(s)
-        return sym_eigs(s)
+        return sym_eigs(s, *args)
 
     sym_eigs = synthesis.sym_eigs
     monkeypatch.setattr(synthesis, "sym_eigs", counting_sym_eigs)
-    monkeypatch.setattr(control, "sym_eigs", counting_sym_eigs)
+    monkeypatch.setattr(matlib, "sym_eigs", counting_sym_eigs)
     args = ["--out", str(tmp_path / "out"), "--t-end", "0.01"] if command == "simulate" else []
     assert main([command, chain_file(tmp_path, default_scenario()), *args]) in (0, 5)
-    weight, lmi, p = solved
-    assert weight.tolist() == [[4.0, 0.0], [0.0, 1.0]]
+    weight, q, lmi, p = solved
+    assert weight.tolist() == q.tolist() == [[4.0, 0.0], [0.0, 1.0]]
     assert sym_eigs(lmi)[-1] < 0.0 < sym_eigs(p)[0]
 
 
@@ -805,6 +822,34 @@ def test_are_weight_checked_at_parse(tmp_path, capsys, command, weight, words):
     # ControllerConfig owns symmetric positive definiteness, Scenario the n x n shape
     owner = "" if words.startswith("must be 2x2") else "[controller]: "
     assert_one_line_error(capsys, rc, f"scenario error: {owner}are_weight", words)
+
+
+@pytest.mark.parametrize("spec,weight,code", [
+    # c (4 0; 1e-9 1) is symmetric within TOL.solve |s|_F at every scale c, and
+    # c (1 2; 3 4) is not
+    ("", "4e-6 0; 1e-15 1e-6", 0),
+    ("", "1e-6 2e-6; 3e-6 4e-6", 1),
+    ("", "4 0; 1e-9 1", 0),
+    ("", "1 2; 3 4", 1),
+    ("", "4e6 0; 1e-3 1e6", 0),
+    ("", "1e6 2e6; 3e6 4e6", 1),
+    # |s - s'| = 1e-6 is 2.4e-7 |s|_F for s = (4 0; 1e-6 1); solve=0 admits no skew
+    ("solve=1e-6", "4 0; 1e-6 1", 0),
+    ("solve=1e-7", "4 0; 1e-6 1", 1),
+    ("solve=0", "4 0; 1e-9 1", 1),
+])
+def test_are_weight_symmetry_is_judged_relative_to_its_norm(tmp_path, capsys, monkeypatch, spec,
+                                                            weight, code):
+    monkeypatch.setenv("CONTAIN_TOL", spec)
+    text = default_scenario().replace("are_weight = 4 0; 0 1", f"are_weight = {weight}")
+    rc = main(["validate", chain_file(tmp_path, text)])
+    if code == 0:
+        assert rc == 0, capsys.readouterr().err
+    else:
+        solve = float(spec.partition("=")[2] or 1e-9)
+        assert_one_line_error(capsys, rc, "scenario error: [controller]: are_weight is not "
+                              "symmetric: its skew max|s - s'| ",
+                              f"exceeds the solve tolerance {solve:.1e} times |s|_F")
 
 
 @pytest.mark.parametrize("command", ["bound", "synth"])

@@ -14,7 +14,8 @@ import pytest
 
 from contain import cli
 from contain.cli import ScenarioParseError, default_scenario
-from conftest import main_without_warnings
+from contain.control import KINDS
+from conftest import main_without_warnings, random_a1_topology
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -155,3 +156,51 @@ def test_matrix_parse_matches_a_float_per_token(text):
         assert got.dtype == np.float64 and got.shape == expected.shape
         # bit for bit, so -0.0 and 0.0 differ
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), text
+
+
+def _rows(matrix) -> str:
+    return "; ".join(" ".join(repr(float(v)) for v in row) for row in np.atleast_2d(matrix))
+
+
+def drawn_scenario(rng, kind: str) -> str:
+    """A scenario file beyond the default's shape: n in 1-4, p in 1-3, C with
+    q <= n rows or absent, 1-3 leaders at shuffled file rows (from
+    random_a1_topology), A scaled by 1e-3 to 1e3, a horizon of at most 0.2."""
+    n, p = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    adjacency = random_a1_topology(rng, n_max=6)
+    leaders = [i + 1 for i, row in enumerate(adjacency) if not row.any()]
+    m = len(adjacency) - len(leaders)
+    a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    lines = ["[system]", f"A = {_rows(a)}", f"B = {_rows(rng.standard_normal((n, p)))}"]
+    if rng.random() < 0.7:
+        lines.append(f"C = {_rows(rng.standard_normal((int(rng.integers(1, n + 1)), n)))}")
+    lines += ["[graph]", "adjacency = " + _rows(adjacency),
+              "[controller]", f"kind = {kind}", f"kappa = {rng.uniform(0.01, 1.0)!r}",
+              f"taus = {_rows(rng.uniform(0.5, 5.0, m))}",
+              f"phis = {_rows(rng.uniform(0.0, 0.01, m))}", "[leaders]"]
+    for label in leaders:
+        lines += [f"{label}.gain = {_rows(rng.uniform(-1.0, 1.0, (p, n)))}",
+                  f"{label}.sinusoids = {int(rng.integers(1, p + 1))}:1:{rng.uniform(0.5, 2.0)!r}:0",
+                  f"{label}.gamma = {rng.uniform(1.0, 10.0)!r}"]
+    lines += ["[sim]", f"x0 = {_rows(rng.uniform(-2.0, 2.0, (len(adjacency), n)))}",
+              f"t_end = {rng.uniform(0.02, 0.2)!r}", "h = 0.01"]
+    return "\n".join(lines) + "\n"
+
+
+def test_drawn_scenarios_run_or_exit_with_one_line():
+    # the mutated scenarios keep the default's n = 2, p = 1, 8 agents and
+    # leaders last; these draw the shape, each law in turn
+    rng = np.random.default_rng(2026)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/drawn.scn"
+        for i in range(20):
+            kind = KINDS[i % len(KINDS)]
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(drawn_scenario(rng, kind))
+            for argv in (["validate", path], ["bound", path], ["synth", path],
+                         ["simulate", path, "--out", f"{tmp}/out"]):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    rc = main_without_warnings(argv)
+                assert 0 <= rc <= 6, (i, kind, argv, err.getvalue())
+                assert len(err.getvalue().splitlines()) <= 1, (i, kind, argv, err.getvalue())

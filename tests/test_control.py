@@ -9,7 +9,6 @@ from contain.control import (
     LeaderInputSpec,
     LinearSystem,
     Sinusoid,
-    follower_law,
     leader_input,
     row_norms,
     saturate,

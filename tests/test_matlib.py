@@ -5,7 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
+from contain import matlib
 from contain.cli import default_scenario, parse_scenario
+from contain.control import ControllerConfig
 from contain.graph import partition_laplacian
 from contain.matlib import (
     TOL,
@@ -24,6 +26,7 @@ from contain.matlib import (
     is_hurwitz,
     lyap_solve,
     solve_linear,
+    spd_eigs,
     sym_eigs,
 )
 from conftest import random_controllable_pair, ring_scenario
@@ -71,7 +74,7 @@ def test_sym_eigs_returns_ascending_values_of_eigh():
 def test_sym_eigs_feeds_eigh_the_symmetrized_input_bit_for_bit(monkeypatch):
     # the skew check and 0.5 (s + s.T) share one scratch matrix; eigvalsh must
     # still see the bits of that expression, zero signs included, on nearly
-    # symmetric matrices (skew within TOL.sym) and on the 510-follower ring's L1
+    # symmetric matrices (skew within TOL.solve ||s||_F) and on the 510-follower ring's L1
     eigvalsh = np.linalg.eigvalsh
     seen = []
 
@@ -85,7 +88,8 @@ def test_sym_eigs_feeds_eigh_the_symmetrized_input_bit_for_bit(monkeypatch):
     for _ in range(40):
         size = int(rng.integers(1, 12))
         m = rng.standard_normal((size, size)) * 10.0 ** rng.uniform(-3.0, 3.0)
-        matrices.append(m + m.T + rng.uniform(-0.25, 0.25, m.shape) * TOL.sym)
+        s = m + m.T
+        matrices.append(s + rng.uniform(-0.25, 0.25, m.shape) * TOL.solve * frobenius(s))
     for s in matrices:
         values = sym_eigs(s)
         want = 0.5 * (s + s.T)
@@ -126,7 +130,8 @@ def test_sym_eigs_gives_the_symmetrized_bits_on_symmetric_input():
     for _ in range(30):
         size = int(rng.integers(2, 10))
         m = rng.standard_normal((size, size))
-        s = m + m.T + rng.uniform(-0.5, 0.5, m.shape) * TOL.sym
+        s = m + m.T
+        s += rng.uniform(-0.25, 0.25, m.shape) * TOL.solve * frobenius(s)
         values = sym_eigs(s)
         assert np.array_equal(values.view(np.uint64), _symmetrized_eigs(s).view(np.uint64))
         differ += not np.array_equal(values, np.linalg.eigvalsh(s))
@@ -142,8 +147,34 @@ def test_sym_eigs_gives_the_symmetrized_bits_on_symmetric_input():
 
 
 def test_sym_eigs_rejects_asymmetric():
-    with pytest.raises(NotSymmetric):
+    with pytest.raises(NotSymmetric, match=r"^s is not symmetric: its skew max\|s - s'\| "
+                                           r"1\.000e\+00 exceeds the solve tolerance 1\.0e-09 "
+                                           r"times \|s\|_F \(1\.000e\+00\)$"):
         sym_eigs([[0.0, 1.0], [0.0, 0.0]])
+
+
+def test_sym_eigs_symmetrizes_a_skewed_matrix_near_the_float_range_without_overflow():
+    # 0.5 s + 0.5 s' is finite wherever s is; 0.5 (s + s') overflowed to
+    # lambda_min nan here
+    s = np.array([[1e308, 1.0], [0.0, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = sym_eigs(s)
+    assert np.isfinite(values).all() and values[0] > 0.0
+
+
+def test_spd_eigs_is_the_one_positive_definiteness_check(monkeypatch):
+    assert np.array_equal(spd_eigs(np.diag([2.0, 1.0]), "w"), [1.0, 2.0])
+    with pytest.raises(Singular, match=r"^w must be positive definite: lambda_min 0\.000e\+00 "
+                                       r"is not above the eig tolerance 1\.0e-10$"):
+        spd_eigs(np.diag([1.0, 0.0]), "w")
+    # a nan lambda_min is not above the floor: care_solve rejects it as
+    # ControllerConfig does
+    monkeypatch.setattr(matlib, "sym_eigs", lambda s, name="s": np.array([math.nan, 1.0]))
+    with pytest.raises(Singular, match="q must be positive definite: lambda_min nan"):
+        care_solve([[0.0]], [[1.0]], [[1.0]])
+    with pytest.raises(ValueError, match="are_weight must be positive definite: lambda_min nan"):
+        ControllerConfig(kind="continuous_static", kappa=0.1, are_weight=np.eye(2))
 
 
 def test_solve_linear_known_system():
@@ -433,12 +464,12 @@ def test_care_rejects_uncontrollable():
 
 
 def test_care_accepts_a_weight_whose_skew_sym_eigs_tolerates():
-    # sym_eigs alone judges symmetry: q + K'K, whose skew rounds just above
-    # TOL.sym here, goes to the Lyapunov solve unchecked
+    # sym_eigs alone judges symmetry: q, whose skew is the bound exactly, is
+    # accepted, and q + K'K goes to the Lyapunov solve unchecked
     a = np.array([[0.0, 1.0], [-1.0, 1.0]])
     b = np.array([[0.0], [1.0]])
-    q = np.array([[4.0, 0.0], [TOL.sym, 1.0]])
-    assert float(np.max(np.abs(q - q.T))) == TOL.sym
+    q = np.array([[4.0, 0.0], [TOL.solve * frobenius(np.diag([4.0, 1.0])), 1.0]])
+    assert float(np.max(np.abs(q - q.T))) == TOL.solve * frobenius(q)
     x = care_solve(a, b, q)
     assert is_hurwitz(a - b @ (b.T @ x))
 
@@ -453,15 +484,14 @@ def test_care_rejects_bad_weight():
 
 
 def test_tolerance_overrides_roundtrip():
-    old = (TOL.solve, TOL.eig, TOL.sym)
+    old = (TOL.solve, TOL.eig)
     try:
-        apply_tolerance_overrides("solve=1e-6,sym=1e-10")
-        assert TOL.solve == 1e-6
-        assert TOL.sym == 1e-10
+        apply_tolerance_overrides("solve=1e-6,eig=1e-11")
+        assert (TOL.solve, TOL.eig) == (1e-6, 1e-11)
         apply_tolerance_overrides("1e-7")
-        assert TOL.solve == 1e-7
-        assert TOL.sym == 1e-7
-        with pytest.raises(ValueError):
-            apply_tolerance_overrides("nope=3")
+        assert (TOL.solve, TOL.eig) == (1e-7, 1e-10)
+        for spec in ("nope=3", "sym=1e-9"):
+            with pytest.raises(ValueError):
+                apply_tolerance_overrides(spec)
     finally:
-        TOL.solve, TOL.eig, TOL.sym = old
+        TOL.solve, TOL.eig = old

@@ -65,16 +65,16 @@ def chain_scenario(kind="continuous_static", kappa=0.1, t_end=2.0, h=0.01,
 def test_rk4_exact_on_cubic_rate():
     # classical RK4 quadrature is exact through t^3
     def f(t, y):
-        return np.array([4.0 * t ** 3])
+        return (np.array([4.0 * t ** 3]),)
 
     y0 = np.array([0.0])
-    y = rk4_step(f, 0.0, y0, 1.0, f(0.0, y0))
+    y = rk4_step(f, 0.0, y0, 1.0, f(0.0, y0)[0])
     assert abs(float(y[0]) - 1.0) < 1e-14
 
 
 def test_rk4_local_accuracy_on_decay():
     y0 = np.array([1.0])
-    y = rk4_step(lambda t, y: -y, 0.0, y0, 0.01, -y0)
+    y = rk4_step(lambda t, y: (-y,), 0.0, y0, 0.01, -y0)
     assert abs(float(y[0]) - math.exp(-0.01)) < 1e-12
 
 
