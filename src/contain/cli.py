@@ -873,12 +873,7 @@ def main(argv=None) -> int:
         return args.pop("run")(**args)
     except tuple(error for errors, _prefix, _code in _FAILURES for error in errors) as exc:
         prefix, code = next((p, c) for errors, p, c in _FAILURES if isinstance(exc, errors))
-        message = str(exc)
-        if isinstance(exc, NonFiniteState):
-            label, block, component = exc.entry
-            entry = block if component is None else f"{block}_{component}"
-            message += f" (first non-finite: agent {label} {entry})"
-        print(f"{prefix}: {message}", file=sys.stderr)
+        print(f"{prefix}: {exc}", file=sys.stderr)
         return code
 
 

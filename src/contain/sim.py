@@ -49,13 +49,13 @@ C-contiguous buffer of the shape that call would return, so numpy picks the
 same BLAS dot or gemv. What the evaluator returns are its own buffers, valid
 until its next call.
 
-One stepper, steps(), runs every simulation and yields it in chunks of steps;
-integrate collects them. Each step evaluates once at its start, recording the
-inputs and taking the rate as RK4's k1, and rk4_step consumes the evaluator's
-buffers in order, each stage before the next call overwrites it, summing in
-the textbook order into the chunk's next row. Finiteness is checked once per
-chunk, and the first non-finite state is then located exactly, so a
-divergence reports what a per-step check would.
+One loop, integrate, runs every simulation, straight into the recording it
+returns: each state and input is written once. Each step evaluates once at
+its start, writing the inputs into row k and taking the rate as RK4's k1, and
+rk4_step consumes the evaluator's buffers in order, each stage before the
+next call overwrites it, summing in the textbook order into row k + 1.
+Finiteness is checked once per chunk of steps, and the first non-finite state
+is then located exactly, so a divergence reports what a per-step check would.
 
 xi, |xi|, V1 and the leader-bound count never feed back into the dynamics;
 integrate derives them from the recorded states of each chunk as it lands.
@@ -96,13 +96,19 @@ class HorizonTooLong(ValueError):
 class NonFiniteState(RuntimeError):
     """State blew up mid-run.
 
-    Carries the finite prefix of the trajectory, the step and time t of the
-    first non-finite state, and that state's first non-finite entry as
-    (agent label, block, component): block "x" for an agent state, "d" for an
-    adaptive gain (a scalar: component None) and "v" for an observer state.
+    Carries the finite prefix of the trajectory, the step and grid time
+    t = step h of the first non-finite state, and that state's first
+    non-finite entry as (agent label, block, component): block "x" for an
+    agent state, "d" for an adaptive gain (a scalar: component None) and "v"
+    for an observer state. The message ends by naming the entry, as in
+    "(first non-finite: agent 1 x_1)".
     """
 
     def __init__(self, message, trajectory=None, step=None, t=None, entry=None):
+        if entry is not None:
+            label, block, component = entry
+            name = block if component is None else f"{block}_{component}"
+            message = f"{message} (first non-finite: agent {label} {name})"
         super().__init__(message)
         self.trajectory = trajectory
         self.step = step
@@ -490,74 +496,10 @@ def rk4_step(f: Callable, t: float, y: np.ndarray, h: float, k1: np.ndarray,
     return out
 
 
-# Steps integrated between finiteness checks: steps() yields chunks of this
-# many steps, and a diverging run integrates at most this many steps past its
-# first non-finite state.
+# Steps integrated between finiteness checks: integrate checks and derives
+# once per chunk of this many steps, and a diverging run integrates at most
+# this many steps past its first non-finite state.
 _STEP_CHUNK = 64
-
-
-def steps(scn: Scenario, gains: GainSet):
-    """Integrate the scenario, yielding chunks (times, y, u_f, u_l) of its steps.
-
-    Each chunk holds up to _STEP_CHUNK consecutive steps of the grid t_k = k h
-    (module docstring): times (C,), the stacked state at each step start y
-    (C, width), and the inputs applied over each step, u_f (C, M, p) and u_l
-    (C, N-M, p). The arrays are views of buffers the stepper owns, allocated
-    once per run: they hold the chunk until the next one is asked for, so a
-    consumer that keeps them copies them.
-
-    One evaluation per step, at its start, gives the recorded inputs and
-    rk4_step's k1; rk4_step writes the next state straight into the chunk's
-    next row. Finiteness is checked once per chunk: when a state is not
-    finite, the chunk's finite prefix is yielded and NonFiniteState raised,
-    naming the first non-finite state's step and time and its first
-    non-finite entry.
-    """
-    topo = scn.topology
-    cfg = scn.controller
-    m = topo.n_followers
-    p = scn.system.p
-    h = scn.h
-    total = scn.n_steps
-    chunk = _STEP_CHUNK
-
-    evaluate = make_evaluator(scn, gains)
-    # row C carries the state at the next chunk's first step
-    ys = np.empty((chunk + 1, scn.state_size))
-    uf = np.empty((chunk, m, p))
-    ul = np.empty((chunk, topo.n_leaders, p))
-    work = rk4_work(ys[0], h)
-    rows = list(ys)
-    x0, d0, v0 = scn.blocks(ys[0])
-    x0[...] = scn.x0
-    if d0 is not None:
-        d0[...] = cfg.d0
-    if v0 is not None:
-        v0[...] = scn.v0
-    for start in range(0, total, chunk):
-        if start:
-            ys[0] = ys[chunk]
-        count = min(chunk, total - start)
-        advanced = count if start + count < total else count - 1
-        times = np.arange(start, start + count) * h
-        # divergent runs overflow on purpose before the check below fires
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j, t in enumerate(times.tolist()):
-                k1, uf[j], ul[j] = evaluate(t, rows[j])
-                if j < advanced:
-                    rk4_step(evaluate, t, rows[j], h, k1, out=rows[j + 1], work=work)
-        finite = np.isfinite(ys[1:advanced + 1])
-        if not finite.all():
-            row = int(np.argmin(finite.all(axis=1)))
-            yield times[:row + 1], ys[:row + 1], uf[:row + 1], ul[:row + 1]
-            t = float(times[row])
-            raise NonFiniteState(
-                f"state became non-finite advancing from t = {t:.6g}",
-                step=start + row + 1,
-                t=t + h,
-                entry=_state_entry(scn, int(np.argmin(finite[row]))),
-            )
-        yield times, ys[:count], uf[:count], ul[:count]
 
 
 def _state_entry(scn: Scenario, column: int):
@@ -570,20 +512,27 @@ def _state_entry(scn: Scenario, column: int):
 
 
 def integrate(scn: Scenario, gains: GainSet, part: LaplacianPartition) -> Trajectory:
-    """Run the scenario, recording every step start: steps() collected into a
-    Trajectory, with xi, V1 and the leader-bound count derived from each
-    chunk as it lands.
+    """Run the scenario on the grid t_k = k h, recording every step start.
 
-    Raises NonFiniteState on divergence, with the finite prefix attached.
+    The recording is allocated once. One evaluation per step, at its start,
+    writes the inputs applied over the step into row k and gives rk4_step's
+    k1; rk4_step writes the next state straight into row k + 1. Every
+    _STEP_CHUNK steps the new rows are checked for finiteness and xi, |xi|,
+    V1 and the leader-bound count derived over the chunk.
+
+    Raises NonFiniteState on divergence, naming the first non-finite state's
+    step, time and first non-finite entry, with the finite prefix attached.
     """
     m = scn.topology.n_followers
     p = scn.system.p
+    h = scn.h
     total = scn.n_steps
 
+    evaluate = make_evaluator(scn, gains)
     p_inv = solve_linear(gains.P, np.eye(scn.system.n))
     gammas = np.array(scn.gammas)
 
-    times = np.empty(total)
+    times = np.arange(total) * h
     y_rec = np.empty((total, scn.state_size))
     uf_rec = np.empty((total, m, p))
     ul_rec = np.empty((total, scn.topology.n_leaders, p))
@@ -591,6 +540,12 @@ def integrate(scn: Scenario, gains: GainSet, part: LaplacianPartition) -> Trajec
     xi_norm = np.empty(total)
     v1 = np.empty(total)
     violations = 0
+    work = rk4_work(y_rec[0], h)
+    x_rec[0] = scn.x0
+    if d_rec is not None:
+        d_rec[0] = scn.controller.d0
+    if v_rec is not None:
+        v_rec[0] = scn.v0
 
     def snapshot(upto: int) -> Trajectory:
         """Trajectory of the first `upto` recorded steps."""
@@ -607,24 +562,36 @@ def integrate(scn: Scenario, gains: GainSet, part: LaplacianPartition) -> Trajec
             observer_states=None if v_rec is None else v_rec[:upto],
         )
 
-    filled = 0
-    try:
-        for t, y, u_f, u_l in steps(scn, gains):
-            span = slice(filled, filled + len(t))
-            times[span] = t
-            y_rec[span] = y
-            uf_rec[span] = u_f
-            ul_rec[span] = u_l
-            # the finite prefix of a run that blew up may overflow here too
-            with np.errstate(over="ignore", invalid="ignore"):
-                xi = containment_error(x_rec[span, :m], x_rec[span, m:], part)
-                row_norms(xi, out=xi_norm[span])()
-                v1[span] = lyapunov_v1(xi, part, p_inv)
-                violations += int(np.count_nonzero(row_norms(ul_rec[span])() > gammas))
-            filled = span.stop
-    except NonFiniteState as exc:
-        exc.trajectory = snapshot(filled)
-        raise
+    for start in range(0, total, _STEP_CHUNK):
+        stop = min(start + _STEP_CHUNK, total)
+        # the last row this chunk advances into: the next chunk's first, or
+        # the grid's last, which is never advanced from
+        last = min(stop, total - 1)
+        rows = list(y_rec[start:last + 1])
+        # divergent runs overflow on purpose before the check below fires, and
+        # the finite prefix of a run that blew up may overflow in xi and V1
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, t in enumerate(times[start:stop].tolist()):
+                k1, uf_rec[start + j], ul_rec[start + j] = evaluate(t, rows[j])
+                if start + j < last:
+                    rk4_step(evaluate, t, rows[j], h, k1, out=rows[j + 1], work=work)
+            finite = np.isfinite(y_rec[start + 1:last + 1]).all(axis=1)
+            blown = not finite.all()
+            if blown:
+                stop = start + 1 + int(np.argmin(finite))
+            span = slice(start, stop)
+            xi = containment_error(x_rec[span, :m], x_rec[span, m:], part)
+            row_norms(xi, out=xi_norm[span])()
+            v1[span] = lyapunov_v1(xi, part, p_inv)
+            violations += int(np.count_nonzero(row_norms(ul_rec[span])() > gammas))
+        if blown:
+            raise NonFiniteState(
+                f"state became non-finite advancing from t = {times[stop - 1]:.6g}",
+                trajectory=snapshot(stop),
+                step=stop,
+                t=float(times[stop]),
+                entry=_state_entry(scn, int(np.argmin(np.isfinite(y_rec[stop])))),
+            )
     return snapshot(total)
 
 

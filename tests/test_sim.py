@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -19,6 +20,7 @@ from contain.sim import (
     MAX_RECORDED_VALUES,
     HorizonTooLong,
     Metrics,
+    NeighbourSum,
     NonFiniteState,
     Scenario,
     Verdict,
@@ -27,13 +29,14 @@ from contain.sim import (
     integrate,
     lyapunov_v1,
     make_evaluator,
+    network_operator,
     rk4_step,
     run_verdict,
 )
 from contain.matlib import solve_linear
 from contain.synthesis import BoundReport, compute_bound_report, synthesize
 from conftest import ring_scenario
-from test_evaluator import assert_bitwise, oracle_evaluator
+from test_evaluator import assert_bitwise, csr_oracle, oracle_evaluator  # noqa: F401
 
 # one scalar follower pulled toward one constant leader
 CHAIN1D = build_topology([[0, 1], [0, 0]])
@@ -261,12 +264,12 @@ def first_entry(scn, column):
     return labels[column // n], "v", column % n + 1
 
 
-def per_step_run(scn, gains):
-    """The loop the chunked stepper replaced, on the per-agent oracle: step,
-    record, advance with rk4_step and check every new state. Returns the
-    recorded states and inputs, and the step, t and first non-finite column of
+def per_step_run(scn, gains, oracle=oracle_evaluator):
+    """The loop the chunked one replaced, on a per-agent oracle: step, record,
+    advance with rk4_step and check every new state. Returns the recorded
+    states and inputs, and the step, grid time and first non-finite column of
     the first non-finite state."""
-    evaluate = oracle_evaluator(scn, gains)
+    evaluate = oracle(scn, gains)
     pieces = [scn.x0.ravel()]
     if scn.controller.kind == "adaptive":
         pieces.append(scn.controller.d0)
@@ -284,27 +287,59 @@ def per_step_run(scn, gains):
             y = rk4_step(evaluate, t, y, scn.h, k1)
             if not np.isfinite(y).all():
                 column = int(np.flatnonzero(~np.isfinite(y))[0])
-                return np.array(states), np.array(inputs_f), np.array(inputs_l), k + 1, t + scn.h, column
+                return (np.array(states), np.array(inputs_f), np.array(inputs_l), k + 1,
+                        (k + 1) * scn.h, column)
     raise AssertionError("the run did not diverge")
 
 
-@pytest.mark.parametrize("where", ["mid-chunk", "first row"])
-@pytest.mark.parametrize("kind", KINDS)
-def test_divergence_found_per_chunk_matches_a_per_step_check(monkeypatch, kind, where):
+def entry_name(entry):
+    """An entry (agent label, block, component) as NonFiniteState's message
+    names it."""
+    label, block, component = entry
+    return f"agent {label} {block if component is None else f'{block}_{component}'}"
+
+
+def chain_blowup(kind):
     # h = 5 puts the linear closed loop far outside the RK4 stability region
-    scn, gains, part = chain_scenario(kind=kind, t_end=2000.0, h=5.0)
-    states, inputs_f, inputs_l, step, t, column = per_step_run(scn, gains)
-    # the first non-finite state is y_step: inside a default chunk, or the
-    # first row of the chunk after one of `step` steps
-    chunk = sim._STEP_CHUNK if where == "mid-chunk" else step
-    assert (step % chunk != 0) == (where == "mid-chunk")
+    scn, gains, _part = chain_scenario(kind=kind, t_end=2000.0, h=5.0)
+    return scn, gains
+
+
+def ring30_blowup(kind):
+    # above the crossover, on the CSR path: diverges within 2 000 steps
+    scn = parse_scenario(ring_scenario(30, 1), controller=kind, h=0.01, t_end=20.0)
+    return scn, synthesize(scn, partition_laplacian(scn.topology))
+
+
+@pytest.mark.parametrize("where", ["mid-chunk", "first row", "last row"])
+@pytest.mark.parametrize("setup,kind", [(chain_blowup, kind) for kind in KINDS]
+                         + [(ring30_blowup, "continuous_static")],
+                         ids=list(KINDS) + ["ring30-continuous_static"])
+def test_divergence_found_per_chunk_matches_a_per_step_check(monkeypatch, request, setup, kind,
+                                                            where):
+    scn, gains = setup(kind)
+    oracle = oracle_evaluator
+    if setup is ring30_blowup:
+        m = scn.topology.n_followers
+        assert isinstance(network_operator(scn.topology.adjacency[:m]), NeighbourSum)
+        oracle = request.getfixturevalue("csr_oracle")
+    states, inputs_f, inputs_l, step, t, column = per_step_run(scn, gains, oracle)
+    # the first non-finite state is y_step: inside a default chunk, the first
+    # row of the chunk after one of `step` steps, or the last row of a grid
+    # that ends there, in its final, partial chunk, which never advances from it
+    chunk = step if where == "first row" else sim._STEP_CHUNK
+    if where == "last row":
+        scn = dataclasses.replace(scn, t_end=(step + 1) * scn.h)
+        assert scn.n_steps == step + 1 and scn.n_steps % chunk != 0
+    assert (step % chunk != 0) == (where != "first row")
     monkeypatch.setattr(sim, "_STEP_CHUNK", chunk)
     with pytest.raises(NonFiniteState) as info:
-        integrate(scn, gains, part)
+        integrate(scn, gains, partition_laplacian(scn.topology))
     exc = info.value
     assert (exc.step, exc.t) == (step, t)
-    assert str(exc) == f"state became non-finite advancing from t = {t - scn.h:.6g}"
     assert exc.entry == first_entry(scn, column)
+    assert str(exc) == (f"state became non-finite advancing from t = {(step - 1) * scn.h:.6g} "
+                        f"(first non-finite: {entry_name(exc.entry)})")
     traj = exc.trajectory
     split = scn.topology.n_followers * scn.system.n
     assert_bitwise(traj.times, np.arange(step) * scn.h)
@@ -313,6 +348,19 @@ def test_divergence_found_per_chunk_matches_a_per_step_check(monkeypatch, kind, 
                    states[:, split:scn.topology.n_agents * scn.system.n])
     assert_bitwise(traj.follower_inputs, inputs_f)
     assert_bitwise(traj.leader_inputs, inputs_l)
+
+
+def test_divergence_is_timed_on_the_grid_and_names_its_entry():
+    # at h = 0.9 the default static law diverges; t + h rounds off the grid
+    # (71.1 + 0.9 is 72.00000000000001), while t_k = k h
+    scn = parse_scenario(default_scenario(), controller="continuous_static", h=0.9, t_end=90.0)
+    part = partition_laplacian(scn.topology)
+    with pytest.raises(NonFiniteState) as info:
+        integrate(scn, synthesize(scn, part), part)
+    exc = info.value
+    assert exc.t == exc.step * scn.h
+    assert exc.trajectory.times.shape == (exc.step,)
+    assert str(exc).endswith(f" (first non-finite: {entry_name(exc.entry)})")
 
 
 @pytest.mark.parametrize("kind,column,entry", [
