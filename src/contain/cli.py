@@ -502,9 +502,9 @@ def trajectory_columns(topology: Topology, traj: Trajectory) -> tuple:
 
 # Values converted to Python floats at a time, whatever the row width: a chunk
 # is a whole number of rows (at least one), and it and its list of floats take
-# about 2.5 MB. The 2 047-column rows of the 510-follower ring fit 32 to a
-# chunk, the 41-column observer rows of the default scenario 1 598.
-_CSV_CHUNK_VALUES = 1 << 16
+# about 0.3 MB, below what setup holds on the 510-follower ring. Its 2 047-column
+# rows fit 4 to a chunk, the 41-column observer rows of the default scenario 199.
+_CSV_CHUNK_VALUES = 1 << 13
 
 
 def write_trajectory_csv(path: str, topology: Topology, traj: Trajectory) -> None:

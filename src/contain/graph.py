@@ -28,7 +28,8 @@ class AssumptionViolated(ValueError):
 class Topology:
     """Validated network in canonical (followers-first) order.
 
-    adjacency: N x N binary matrix, row i listing who agent i hears.
+    adjacency: N x N read-only boolean matrix, row i marking who agent i
+    hears; an eighth of the float matrix it was read from.
     labels: 1-based user row of each canonical index (followers first, then
     leaders); canonical agent i is row labels[i] - 1 of the caller's matrix.
     """
@@ -100,12 +101,18 @@ def build_topology(adjacency) -> Topology:
         arr = as_square(adjacency, "adjacency")
     except ValueError as exc:
         raise BadAdjacency(str(exc)) from None
-    if not ((arr == 0.0) | (arr == 1.0)).all():
+    # One N x N boolean at a time: the ones are counted, then the same buffer
+    # marks the nonzeros. Every entry is 0 or 1 exactly when the counts agree,
+    # since every one is a nonzero.
+    nonzero = np.equal(arr, 1.0)
+    ones = np.count_nonzero(nonzero)
+    np.not_equal(arr, 0.0, out=nonzero)
+    if np.count_nonzero(nonzero) != ones:
         raise BadAdjacency("adjacency entries must be 0 or 1")
-    if np.any(np.diag(arr) != 0.0):
+    if nonzero.diagonal().any():
         raise BadAdjacency("adjacency must have a zero diagonal (no self-loops)")
 
-    is_leader = ~arr.any(axis=1)
+    is_leader = ~nonzero.any(axis=1)
     followers = np.flatnonzero(~is_leader).tolist()
     leaders = np.flatnonzero(is_leader).tolist()
     if not leaders:
@@ -114,7 +121,7 @@ def build_topology(adjacency) -> Topology:
         raise AssumptionViolated("every agent is a leader")
 
     perm = followers + leaders
-    canonical = arr[np.ix_(perm, perm)]
+    canonical = nonzero[np.ix_(perm, perm)]
     return Topology(
         adjacency=_freeze(canonical),
         labels=tuple(i + 1 for i in perm),
@@ -134,15 +141,15 @@ def check_assumption1(topology: Topology) -> Assumption1Report:
     labels = topology.labels
 
     # Every edge, as (hearer i, source j) in row-major order: information
-    # flows j -> i when adj[i, j] == 1. Leader rows are zero, so every hearer
-    # is a follower.
-    hearers, sources = np.divmod(np.flatnonzero(adj != 0.0), n)
+    # flows j -> i when adj[i, j] is set. Leader rows are empty, so every
+    # hearer is a follower.
+    hearers, sources = np.divmod(np.flatnonzero(adj), n)
 
     # A follower pair is asymmetric when exactly one of its two edges exists;
     # pairs (i, j), i < j, are listed in row-major order.
     among = sources < m
     ei, ej = hearers[among], sources[among]
-    one_way = adj[ej, ei] == 0.0
+    one_way = ~adj[ej, ei]
     low, high = np.minimum(ei, ej)[one_way], np.maximum(ei, ej)[one_way]
     order = np.argsort(low * m + high)
     asymmetric = tuple(
@@ -202,7 +209,8 @@ def partition_laplacian(topology: Topology) -> LaplacianPartition:
         raise AssumptionViolated("; ".join(parts))
 
     # The follower rows of the Laplacian diag(degrees) - adjacency, entry for
-    # entry: 0.0 - a_ij off the diagonal (+0.0, never -0.0) and the degree on it.
+    # entry: 0.0 - a_ij off the diagonal (+0.0, never -0.0; the boolean a_ij
+    # reads as 0.0 or 1.0) and the degree on it.
     rows = topology.adjacency[:topology.n_followers]
     m = rows.shape[0]
     l1 = 0.0 - rows[:, :m]

@@ -135,16 +135,18 @@ def sym_eigs(s, name: str = "s") -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix.
 
     Raises NotSymmetric, naming s by name, when s's skew max |s - s.T| exceeds
-    TOL.solve ||s||_F, the relative form every linear solve is judged by. Only a
-    skewed s pays for that norm, and only a skewed s is symmetrized, as 0.5 s
-    (formed in the scratch matrix of the skew check) plus its transpose: the
-    bits of 0.5 (s + s.T) above the subnormal range, without its overflow. An
-    exactly symmetric s goes to eigvalsh as it is.
+    TOL.solve ||s||_F, the relative form every linear solve is judged by. An
+    exactly symmetric s, found by a boolean comparison with s.T, goes to
+    eigvalsh as it is. Only a skewed s pays for the float scratch matrix of
+    the skew and for the norm, and only a skewed s is symmetrized, as 0.5 s
+    (formed in that scratch matrix) plus its transpose: the bits of
+    0.5 (s + s.T) above the subnormal range, without its overflow.
     """
     arr = as_square(s, name)
-    work = np.subtract(arr, arr.T)
-    skew = float(np.max(np.abs(work, out=work)))
-    if skew > 0.0:
+    # finite entries differ exactly when their difference is nonzero
+    if not np.array_equal(arr, arr.T):
+        work = np.subtract(arr, arr.T)
+        skew = float(np.max(np.abs(work, out=work)))
         norm = frobenius(arr)
         if skew > TOL.solve * norm:
             raise NotSymmetric(f"{name} is not symmetric: its skew max|s - s'| {skew:.3e} exceeds "

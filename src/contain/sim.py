@@ -306,7 +306,8 @@ class NeighbourSum:
 
 def network_operator(matrix: np.ndarray):
     """matrix as a NeighbourSum when at most one entry in eight is nonzero,
-    else matrix itself; `operator @ s` is matrix @ s either way.
+    else matrix as float64 (the boolean adjacency is cast once, here);
+    `operator @ s` is matrix @ s either way.
 
     This is the crossover rule (module docstring). Timed on a 2-vCPU Xeon
     against the per-row gemvs of the evaluator's dense path, over random
@@ -317,7 +318,7 @@ def network_operator(matrix: np.ndarray):
     """
     if 8 * np.count_nonzero(matrix != 0.0) <= matrix.size:
         return NeighbourSum(matrix)
-    return matrix
+    return np.asarray(matrix, dtype=float)
 
 
 def lyapunov_v1(xi: np.ndarray, part: LaplacianPartition, p_inv: np.ndarray):
@@ -369,7 +370,7 @@ def make_evaluator(scn: Scenario, gains: GainSet):
     rows = network_operator(topo.adjacency[:m])
     # deg_i repeated over the n columns: the products of broadcasting the
     # (M, 1) column, without broadcasting on every call
-    degree = np.repeat(topo.adjacency[:m].sum(axis=1)[:, None], n, axis=1)
+    degree = np.repeat(topo.adjacency[:m].sum(axis=1, dtype=float)[:, None], n, axis=1)
     a_t = system.A.T.copy()
     b_t = system.B.T.copy()
 

@@ -157,9 +157,9 @@ def test_matrix_errors_name_the_row_and_its_line(fragments, message):
 
 
 def test_parse_of_the_510_ring_stays_small():
-    # 262 144 adjacency entries go straight into float arrays: the matrix in
-    # file order plus its canonical copy are 4.2 MB, and nothing else that big
-    # is live at once
+    # 262 144 adjacency entries go straight into a float array: the matrix in
+    # file order (2.1 MB) plus its boolean canonical copy (0.26 MB), and
+    # nothing else that big is live at once
     text = ring_scenario(510, 1)
     tracemalloc.start()
     try:
@@ -167,7 +167,7 @@ def test_parse_of_the_510_ring_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5e6
+    assert peak < 4e6
 
 
 def test_adaptive_override_needs_taus():

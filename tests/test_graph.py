@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -39,6 +40,38 @@ def test_topology_adjacency_is_readonly():
     topo = build_topology(RING8)
     with pytest.raises(ValueError):
         topo.adjacency[0, 0] = 1.0
+
+
+def test_build_topology_keeps_a_readonly_boolean_adjacency():
+    # the 0/1 matrix given, in canonical order, as booleans: an eighth of the
+    # float matrix's bytes
+    rng = np.random.default_rng(19)
+    for adjacency in [RING8] + [random_a1_topology(rng) for _ in range(20)]:
+        topo = build_topology(adjacency)
+        perm = [label - 1 for label in topo.labels]
+        assert topo.adjacency.dtype == bool
+        assert not topo.adjacency.flags.writeable
+        assert np.array_equal(topo.adjacency, adjacency[np.ix_(perm, perm)])
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_topology_checks_hold_at_most_one_boolean_matrix_at_a_time():
+    # build_topology keeps one N x N boolean and makes one more to check the
+    # entries; check_assumption1 reads the edge list alone. The ring lists its
+    # leaders last, so its file order is canonical.
+    topo = parse_scenario(ring_scenario(510, 1)).topology
+    adjacency = topo.adjacency.astype(float)
+    cells = adjacency.size
+    assert _traced_peak(lambda: build_topology(adjacency)) < 3 * cells
+    assert _traced_peak(lambda: check_assumption1(topo)) < cells / 2
 
 
 def test_build_topology_rejects_malformed():
@@ -125,20 +158,22 @@ def test_laplacian_block_structure():
 
 def test_laplacian_blocks_are_the_full_laplacians_bit_for_bit():
     # L1 and L2 come straight from the follower rows; each entry, zero signs
-    # included, is the one diag(degrees) - adjacency holds. A "-0" in the file
-    # parses to -0.0, which the 0/1 rule accepts.
+    # included, is the one diag(degrees) - adjacency holds for the float
+    # matrix given, in canonical order. A "-0" in the file parses to -0.0,
+    # which the 0/1 rule accepts.
     rng = np.random.default_rng(21)
     signed_zeros = np.where(RING8 == 0.0, -0.0, RING8)
     np.fill_diagonal(signed_zeros, 0.0)
     for adjacency in [RING8, signed_zeros] + [random_a1_topology(rng) for _ in range(20)]:
         topo = build_topology(adjacency)
-        adj = topo.adjacency
+        perm = [label - 1 for label in topo.labels]
+        adj = np.asarray(adjacency, dtype=float)[np.ix_(perm, perm)]
         m = topo.n_followers
         lap = np.diag(adj.sum(axis=1)) - adj
         part = partition_laplacian(topo)
         assert part.L1.tobytes() == lap[:m, :m].tobytes()
         assert part.L2.tobytes() == lap[:m, m:].tobytes()
-        for block in (adj, part.L1, part.L2, part.W):
+        for block in (topo.adjacency, part.L1, part.L2, part.W):
             assert not block.flags.writeable
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -161,6 +162,20 @@ def test_sym_eigs_symmetrizes_a_skewed_matrix_near_the_float_range_without_overf
         warnings.simplefilter("error")
         values = sym_eigs(s)
     assert np.isfinite(values).all() and values[0] > 0.0
+
+
+def test_sym_eigs_makes_no_scratch_matrix_for_a_symmetric_input():
+    # the ring's L1 is exactly symmetric: a boolean comparison finds it so,
+    # where a float skew matrix would take all of l1.nbytes (LAPACK's own
+    # copy of the input is not traced)
+    l1 = partition_laplacian(parse_scenario(ring_scenario(510, 1)).topology).L1
+    tracemalloc.start()
+    try:
+        sym_eigs(l1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < l1.nbytes / 2, peak
 
 
 def test_spd_eigs_is_the_one_positive_definiteness_check(monkeypatch):
