@@ -17,11 +17,13 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import orjson
 
 from .control import (
     ADAPTIVE,
@@ -460,8 +462,8 @@ def _fmt_matrix(mat: np.ndarray) -> str:
 
 def trajectory_columns(topology: Topology, traj: Trajectory) -> tuple:
     """(names, values) of trajectory.csv: the column names in file order, and
-    values(rows), the (steps, columns) array of the recorded steps in the
-    slice rows, whose columns are those names'.
+    values(rows), the C-ordered (steps, columns) array of the recorded steps
+    in the slice rows, whose columns are those names'.
 
     t; the states of every agent, in the order the scenario file lists them;
     the inputs of every follower, same order; xi_norm and v1; then the
@@ -495,27 +497,58 @@ def trajectory_columns(topology: Topology, traj: Trajectory) -> tuple:
             blocks.append(traj.adaptive_gains[rows])
         if traj.observer_states is not None:
             blocks.append(traj.observer_states[rows][:, order].reshape(steps, -1))
-        return np.concatenate(blocks, axis=1)
+        return np.concatenate(blocks, axis=1, out=np.empty((steps, len(names))))
 
     return names, values
 
 
-# Values converted to Python floats at a time, whatever the row width: a chunk
-# is a whole number of rows (at least one), and it and its list of floats take
-# about 0.3 MB, below what setup holds on the 510-follower ring. Its 2 047-column
-# rows fit 4 to a chunk, the 41-column observer rows of the default scenario 199.
+# Values formatted at a time, whatever the row width: a chunk is a whole number
+# of rows (at least one). Its C-ordered float64 block, the block's text and the
+# copies the fix-ups make peak at about 0.7 MB, below what setup holds on the
+# 510-follower ring. Its 2 047-column rows fit 4 to a chunk, the 41-column
+# observer rows of the default scenario 199.
 _CSV_CHUNK_VALUES = 1 << 13
+
+# orjson writes repr's shortest round-trip digits in its own notation; each
+# fix-up turns one of its forms into repr's, and runs only when its marker is
+# in the text. Both exponent fix-ups key on the one byte e, which a scan finds
+# faster than it finds e-. The decade [1e-5, 1e-4) is matched only at a token
+# start, so 10.00001 stays; the literal leads the pattern, as a leading
+# lookbehind would be tried at every byte.
+_REPR_NOTATION = (
+    (b"e", re.compile(rb"e([0-9])"), rb"e+\1"),  # 1e16 -> 1e+16
+    (b"e", re.compile(rb"e-([0-9])(?![0-9])"), rb"e-0\1"),  # 1e-7 -> 1e-07
+    (b"0.0000", re.compile(rb"0\.0000(?<![0-9.]0\.0000)([1-9])([0-9]*)"),  # 0.000025 -> 2.5e-05
+     lambda m: m[1] + (b"." + m[2] if m[2] else b"") + b"e-05"),
+)
+_NON_FINITE = re.compile(rb"null")
+
+
+def csv_rows(block: np.ndarray) -> bytes:
+    """The lines of trajectory.csv for a C-ordered float64 block: one line per
+    row, each ended by a newline, each cell repr(float(cell)).
+
+    orjson formats the whole block in one call; it writes null for inf, -inf
+    and nan, which take repr of the block's non-finite cells, in order.
+    """
+    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].replace(b"],[", b"\n")
+    for marker, pattern, repl in _REPR_NOTATION:
+        if marker in text:
+            text = pattern.sub(repl, text)
+    if b"n" in text:  # null is the one token with an n, and one byte scans fastest
+        cells = iter(block[~np.isfinite(block)].tolist())
+        text = _NON_FINITE.sub(lambda _m: repr(next(cells)).encode(), text)
+    return text + b"\n"
 
 
 def write_trajectory_csv(path: str, topology: Topology, traj: Trajectory) -> None:
-    """Write the CSV; values use shortest round-trip decimals."""
+    """Write the CSV; each value is its repr, shortest round-trip decimals."""
     names, values = trajectory_columns(topology, traj)
     chunk_rows = max(1, _CSV_CHUNK_VALUES // len(names))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\n").encode())
         for start in range(0, len(traj.times), chunk_rows):
-            block = values(slice(start, start + chunk_rows))
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in block.tolist())
+            fh.write(csv_rows(values(slice(start, start + chunk_rows))))
 
 
 def run_record(

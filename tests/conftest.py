@@ -90,8 +90,8 @@ def main_without_warnings(argv):
 class DefaultRun:
     """One synthesized and simulated instance of the built-in scenario."""
 
-    def __init__(self, kind, kappa=0.1):
-        scn = cli.parse_scenario(cli.default_scenario(), controller=kind, kappa=kappa)
+    def __init__(self, kind, kappa=0.1, **overrides):
+        scn = cli.parse_scenario(cli.default_scenario(), controller=kind, kappa=kappa, **overrides)
         part = partition_laplacian(scn.topology)
         gains = synthesize(scn, part)
         bounds = compute_bound_report(scn, part, gains)

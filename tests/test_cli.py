@@ -12,6 +12,7 @@ from contain import cli, control, matlib
 from contain.cli import (
     ScenarioParseError,
     cmd_simulate,
+    csv_rows,
     default_scenario,
     load_scenario,
     main,
@@ -31,7 +32,7 @@ from contain.matlib import (
 from contain.sim import NonFiniteState, Scenario, Trajectory
 from contain import synthesis
 from contain.synthesis import NonPositiveAlpha
-from conftest import main_without_warnings, ring_scenario
+from conftest import DefaultRun, main_without_warnings, ring_scenario
 
 CHAIN_TEXT = """\
 [system]
@@ -472,9 +473,15 @@ def wide_trajectory(topology, steps, values):
 @pytest.fixture
 def wide_run(ring510_topology):
     """100 rows of 2 047 columns (the 510-follower adaptive ring), spread over
-    several chunks, with random values and the extremes of float64."""
+    several chunks, with random values, the extremes of float64 and the
+    values where repr changes notation."""
     rng = np.random.default_rng(4)
-    specials = np.array([-0.0, 5e-324, 1.7976931348623157e308, -1e-300, 0.1, 1e16])
+    specials = np.array([
+        -0.0, 5e-324, 1.7976931348623157e308, -1e-300, 0.1, np.inf, -np.inf, np.nan,
+        1e-05, 2.5e-05, -9.999999999999999e-05, 1e-04,  # repr's e-05 decade ends at 1e-4
+        1e-07, 1e15, 9999999999999998.0, 1e16, 1e100,  # padded and signed exponents
+        10.00001, 100.000012,  # 0.0000 inside a token
+    ])
 
     def values(shape):
         block = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
@@ -497,6 +504,37 @@ def test_csv_writer_matches_per_cell_reference(run_name, request, tmp_path):
     write_trajectory_csv(str(tmp_path / "chunked.csv"), run.scenario.topology, run.traj)
     _write_csv_per_cell(str(tmp_path / "cells.csv"), run.scenario.topology, run.traj)
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
+def test_csv_of_a_run_whose_derived_series_overflow(tmp_path):
+    # the run completes (exit 5) with finite states, about 1e164 by its last
+    # row, while xi_norm and v1 overflow to inf from row 42 on
+    args = ["--controller", "continuous_static", "--h", "0.9", "--t-end", "40"]
+    out = tmp_path / "out"
+    assert main(["simulate", chain_file(tmp_path, default_scenario()), *args, "--out", str(out)]) == 5
+    with np.errstate(over="ignore"):  # the run's metrics overflow too
+        run = DefaultRun("continuous_static", h=0.9, t_end=40.0)
+    _write_csv_per_cell(str(tmp_path / "cells.csv"), run.scenario.topology, run.traj)
+    written = (out / "trajectory.csv").read_bytes()
+    assert b"inf" in written
+    assert written == (tmp_path / "cells.csv").read_bytes()
+
+
+def test_csv_rows_match_repr_on_seeded_float64():
+    # random bit patterns (both signs; 88 nan and 106 subnormals among them)
+    # and the values next to every power of two and ten, where the shortest
+    # digits and repr's notation change; fails if orjson's notation drifts
+    # from repr's
+    rng = np.random.default_rng(29)
+    bits = rng.integers(0, 1 << 64, 200_000, dtype=np.uint64).view(np.float64)
+    edges = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                            [float(f"1e{k}") for k in range(-323, 309)]])
+    edges = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, 0.0)])
+    values = np.concatenate([bits, edges, -edges])
+    for width in (1, 7):
+        block = values[: values.size // width * width].reshape(-1, width)
+        expected = "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
+        assert csv_rows(block) == expected.encode()
 
 
 def test_csv_writer_memory_does_not_grow_with_rows(ring510_topology):
