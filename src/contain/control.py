@@ -18,7 +18,8 @@ sim module docstring for why that matters. follower_law, leader_input,
 row_norms and saturate each bind once to the caller's arrays and return a
 callable that refills buffers on each call: the law binds its row norm and its
 saturation, so one evaluation makes no temporary array and re-derives no
-view.
+view. Each call passes its output positionally, through a name bound with the
+buffers, which numpy parses faster than an out= keyword.
 """
 
 from __future__ import annotations
@@ -172,10 +173,11 @@ def row_norms(w: np.ndarray, out=None):
     squares = dots[..., 0, 0]
     if out is None:
         out = np.empty(w.shape[:-1])
+    matmul, sqrt = np.matmul, np.sqrt
 
     def norms() -> np.ndarray:
-        np.matmul(rows, cols, out=dots)
-        return np.sqrt(squares, out=out)
+        matmul(rows, cols, dots)
+        return sqrt(squares, out)
 
     return norms
 
@@ -186,57 +188,55 @@ def saturate(w: np.ndarray, norm: np.ndarray, width: float, d=None, out=None):
 
     norm holds the row_norms of w and d the per-row gains (d = 1 when absent);
     sat() reads the current contents of all three. A row is outside the layer
-    when d ||w|| > width and gives w / ||w||; inside it gives (w / width) d.
-    Width 0 is the discontinuous unit vector, whose only inside rows are zero
-    rows: they give +0.0. out, when given, is the caller's array of w's shape
-    that receives the result, else the binding owns one.
+    when its reach d ||w|| exceeds width and gives w / ||w||; inside it gives
+    (w / width) d. Width 0 is the discontinuous unit vector: a row is inside
+    only when its reach is zero, and gives +0.0, so a nan row stays nan. out,
+    when given, is the caller's array of w's shape that receives the result,
+    else the binding owns one.
 
     The divisions keep their scalar form, w / ||w|| and (w / width) d; a
-    reciprocal multiply rounds differently. Each row is divided by its own
-    denominator, ||w|| outside the layer and width inside (1 at width 0, whose
-    inside rows are then zeroed); without d that denominator is
-    fmax(||w||, width), which is exact and also gives width on a nan norm. The
-    rows outside the layer are multiplied by one, which is exact. The masks,
-    denominators and factors live in buffers bound here, and the constants
-    are arrays, which numpy multiplies and compares faster than scalars.
+    reciprocal multiply rounds differently. sat() writes the inside form into
+    every row, then one masked division overwrites the rows outside the layer
+    with w / ||w||. Without d the denominator is fmax(||w||, width), which is
+    exact and also gives width on a nan norm, so one division does. The mask
+    and the reach live in buffers bound here, the constants are arrays, which
+    numpy compares faster than scalars, and every call passes its output
+    positionally.
     """
-    den = np.empty(norm.shape)
-    den_col = den[..., None]
     limit = np.full(norm.shape, width)
     if out is None:
         out = np.empty_like(w)
+    divide = np.divide
     if d is None and width > 0.0:
+        den = np.empty(norm.shape)
+        den_col = den[..., None]
+        fmax = np.fmax
+
         def sat() -> np.ndarray:
-            np.fmax(norm, limit, out=den)
-            return np.divide(w, den_col, out=out)
+            fmax(norm, limit, den)
+            return divide(w, den_col, out)
 
         return sat
 
+    multiply = np.multiply
+    beyond = np.greater if width > 0.0 else np.not_equal
+    reach = norm if d is None else np.empty_like(norm)
     outside = np.empty(norm.shape, dtype=bool)
     outside_col = outside[..., None]
-    reach = norm if d is None else np.empty_like(norm)
-    # inside the layer a row is divided by the width, or by 1 at width 0
-    inside_den = limit if width > 0.0 else np.ones_like(den)
-    inside_rows = np.empty(out.shape, dtype=bool)
-    factor = np.empty_like(den)
-    factor_col = factor[..., None]
-    ones = np.ones_like(factor)
+    norm_col = norm[..., None]
+    limit_col = limit[..., None]
+    d_col = None if d is None else d[..., None]
 
     def sat() -> np.ndarray:
         if d is not None:
-            np.multiply(d, norm, out=reach)
-        np.greater(reach, limit, out=outside)
-        den[...] = inside_den
-        np.putmask(den, outside, norm)
-        np.divide(w, den_col, out=out)
+            multiply(d, norm, reach)
+        beyond(reach, limit, outside)
         if width == 0.0:
-            np.logical_not(outside_col, out=inside_rows)
-            np.putmask(out, inside_rows, 0.0)
+            out.fill(0.0)
         else:
-            factor[...] = d
-            np.putmask(factor, outside, ones)
-            np.multiply(out, factor_col, out=out)
-        return out
+            divide(w, limit_col, out)
+            multiply(out, d_col, out)
+        return divide(w, norm_col, out, where=outside_col)
 
     return sat
 
@@ -278,20 +278,22 @@ def follower_law(config: ControllerConfig, gains: GainSet, sigma: np.ndarray, u:
         g1, g2 = np.full((m, p), gains.c1), np.full((m, p), gains.c2)
         d = None
     saturated = saturate(ks, norm, config.width, d, out=sat)
+    k, big_gamma = gains.K, gains.Gamma
+    matmul, multiply, add = np.matmul, np.multiply, np.add
 
     def law():
-        np.matmul(gains.K, sigma_col, out=ks_col)
+        matmul(k, sigma_col, ks_col)
         norms()
-        np.multiply(g1, ks, out=u)
-        np.multiply(g2, saturated(), out=sat)
-        np.add(u, sat, out=u)
+        multiply(g1, ks, u)
+        multiply(g2, saturated(), sat)
+        add(u, sat, u)
         if d is not None:
-            np.matmul(gains.Gamma, sigma_col, out=gamma_sigma)
-            np.matmul(sigma_row, gamma_sigma, out=quad_col)
-            np.multiply(neg_phis, d, out=d_rate)
-            np.add(d_rate, quad, out=d_rate)
-            np.add(d_rate, norm, out=d_rate)
-            np.multiply(taus, d_rate, out=d_rate)
+            matmul(big_gamma, sigma_col, gamma_sigma)
+            matmul(sigma_row, gamma_sigma, quad_col)
+            multiply(neg_phis, d, d_rate)
+            add(d_rate, quad, d_rate)
+            add(d_rate, norm, d_rate)
+            multiply(taus, d_rate, d_rate)
 
     return law
 
@@ -319,8 +321,10 @@ def leader_input(specs, states: np.ndarray, out=None):
         for s in spec.sinusoids
     ]
 
+    matmul = np.matmul
+
     def inputs(t: float) -> np.ndarray:
-        np.matmul(gains, states_col, out=u_col)
+        matmul(gains, states_col, u_col)
         for i, amplitude, omega, phase in waves:
             flat[i] += amplitude * math.sin(omega * t + phase)
         return u

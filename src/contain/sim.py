@@ -19,14 +19,22 @@ The vector field evaluates every follower at once (make_evaluator) and must
 round exactly as a per-follower evaluation does. The default adaptive run
 chatters inside a boundary layer of width kappa/d (about 0.014), so a
 difference in the last bit of one input grows along the trajectory until it
-shows in the reported metrics. Two rules keep the arithmetic bit-identical:
+shows in the reported metrics. Three rules keep the arithmetic bit-identical:
 
-- every matrix-vector product is a stacked matmul, M @ v[:, :, None], and
-  every norm a stacked dot; numpy runs those as one BLAS gemv or dot per row,
-  the same call a single vector gets. sigma @ K.T and einsum use other
-  kernels and round differently (FMA, summation order) on most inputs;
+- every matrix-vector product of the law and the observer is a stacked
+  matmul, M @ v[:, :, None], and every norm a stacked dot; numpy runs those
+  as one BLAS gemv or dot per row, the same call a single vector gets.
+  sigma @ K.T and einsum use other kernels and round differently (FMA,
+  summation order) on most inputs;
+- the agent dynamics A x_i + B u_i are one product per matrix over all N
+  agent rows, x @ A.T and u @ B.T, and one add. The oracle tests find that
+  this gemm rounds each row as the per-agent product does under OpenBLAS's
+  SkylakeX, Haswell and Sandybridge kernels. The observer's four products
+  stay stacked matmuls: as 2-D products they change its bits;
 - the saturation divides as the scalar formulas do: w / ||w||, w / kappa and
-  (w / kappa) * d, never w * (1 / ||w||) or w * (d / kappa).
+  (w / kappa) * d, never w * (1 / ||w||) or w * (d / kappa). It writes the
+  inside form into every row and then divides the rows outside the layer by
+  their norms in one masked division.
 
 Neighbour sums, the sum_j a_ij s_j of sigma_i and the L1 xi of V1, follow
 one crossover rule (network_operator). While more than one entry in eight of
@@ -43,11 +51,13 @@ followers that hear it: the dense product's 0 * inf spreads nan to all.
 
 At 6 followers an evaluation costs numpy call overhead, not flops, so the
 evaluator binds its buffers and views once per run (make_evaluator) and a call
-is a short list of out= ufunc and matmul calls on them. An out= call runs the
-same kernel as the allocating call it replaces: each matmul writes into a
-C-contiguous buffer of the shape that call would return, so numpy picks the
-same BLAS dot or gemv. What the evaluator returns are its own buffers, valid
-until its next call.
+is a short list of ufunc, matmul and dot calls on them, 25 for an adaptive
+evaluation. Each passes its output positionally, through a name bound once,
+which numpy parses faster than an out= keyword. A call with an output runs
+the same kernel as the allocating call it replaces: each product writes into
+a C-contiguous buffer of the shape that call would return, so numpy picks the
+same BLAS call. What the evaluator returns are its own buffers, valid until
+its next call.
 
 One loop, integrate, runs every simulation, straight into the recording it
 returns: each state and input is written once. Each step evaluates once at
@@ -354,15 +364,15 @@ def make_evaluator(scn: Scenario, gains: GainSet):
     neighbours above it (network_operator), and every matrix-vector product,
     K sigma_i, Gamma sigma_i and the observer's C, A, B and L_obs products, as
     a stacked matmul that runs one BLAS gemv per row (so C x and C v can share
-    one matmul over the 2N rows of x and v). Each matmul writes into a C-contiguous buffer of
-    the shape the allocating call would return, so numpy picks the same BLAS
-    call for it.
+    one matmul over the 2N rows of x and v). The agent dynamics A x_i + B u_i
+    are one 2-D product per matrix over all N agent rows, x @ A.T and
+    u @ B.T. Each product writes into a C-contiguous buffer of the shape the
+    allocating call would return, so numpy picks the same BLAS call for it.
     """
     topo = scn.topology
     cfg = scn.controller
     system = scn.system
     m = topo.n_followers
-    n_leaders = topo.n_leaders
     n_agents = topo.n_agents
     n = system.n
     p = system.p
@@ -376,8 +386,6 @@ def make_evaluator(scn: Scenario, gains: GainSet):
 
     state = np.empty(scn.state_size)
     x, d, v = scn.blocks(state)
-    xf = x[:m]
-    xl = x[m:]
     source = v if observer else x
     source_f = source[:m]
     # neighbour_sums() writes sum_j a_ij s_j for every follower i into
@@ -390,22 +398,20 @@ def make_evaluator(scn: Scenario, gains: GainSet):
     else:
         neighbours = np.empty((m, 1, n))
         neighbour_sum = neighbours[:, 0]
-        neighbour_sums = partial(np.matmul, rows[:, None, :], source, out=neighbours)
+        neighbour_sums = partial(np.matmul, rows[:, None, :], source, neighbours)
     sigma = np.empty((m, n))
     # ydot's blocks are written in place; the inputs of all agents share one
-    # (N, p, 1) buffer.
+    # (N, p, 1) buffer, whose (N, p) view u_all feeds the dynamics product.
     ydot = np.empty_like(state)
     xdot, d_rate, vdot = scn.blocks(ydot)
-    xdot_f = xdot[:m]
-    xdot_l = xdot[m:]
-    bu_f = np.empty((m, n))
-    bu_l = np.empty((n_leaders, n))
+    bu_x = np.empty((n_agents, n))
     u_col = np.empty((n_agents, p, 1))
-    u_f = u_col[:m, :, 0]
-    u_l = u_col[m:, :, 0]
+    u_all = u_col[:, :, 0]
+    u_f = u_all[:m]
+    u_l = u_all[m:]
     results = (ydot, u_f, u_l)
     law = follower_law(cfg, gains, sigma, u_f, d, d_rate)
-    leader_inputs = leader_input(scn.leader_specs, xl, out=u_col[m:])
+    leader_inputs = leader_input(scn.leader_specs, x[m:], out=u_col[m:])
     if observer:
         v_col = v[:, :, None]
         # an observer run's state is [x | v] (Scenario.blocks), so one stacked
@@ -417,32 +423,30 @@ def make_evaluator(scn: Scenario, gains: GainSet):
         vdot = vdot.reshape(n_agents, n, 1)
         bu = np.empty_like(vdot)
         l_innovation = np.empty_like(vdot)
+        c, a, b, l_obs = system.C, system.A, system.B, gains.L_obs
+    multiply, subtract, add, dot, matmul = np.multiply, np.subtract, np.add, np.dot, np.matmul
 
     def evaluate(t: float, y: np.ndarray):
         state[...] = y
-        np.multiply(degree, source_f, out=sigma)
+        multiply(degree, source_f, sigma)
         neighbour_sums()
-        np.subtract(sigma, neighbour_sum, out=sigma)
+        subtract(sigma, neighbour_sum, sigma)
         law()
         leader_inputs(t)
-        # Separate follower and leader products, as the per-agent code had:
-        # a gemm over a different row count is not guaranteed to round alike.
-        # np.dot runs the same gemm for these 2-D products as matmul, with
-        # less call overhead.
-        np.dot(xf, a_t, out=xdot_f)
-        np.dot(u_f, b_t, out=bu_f)
-        np.add(xdot_f, bu_f, out=xdot_f)
-        np.dot(xl, a_t, out=xdot_l)
-        np.dot(u_l, b_t, out=bu_l)
-        np.add(xdot_l, bu_l, out=xdot_l)
+        # one product per dynamics matrix over all N agent rows; np.dot runs
+        # the same gemm for these 2-D products as matmul, with less call
+        # overhead
+        dot(x, a_t, xdot)
+        dot(u_all, b_t, bu_x)
+        add(xdot, bu_x, xdot)
         if observer:
-            np.matmul(system.C, xv_col, out=c_xv)
-            np.subtract(cv, cx, out=cv)
-            np.matmul(system.A, v_col, out=vdot)
-            np.matmul(system.B, u_col, out=bu)
-            np.matmul(gains.L_obs, cv, out=l_innovation)
-            np.add(vdot, bu, out=vdot)
-            np.add(vdot, l_innovation, out=vdot)
+            matmul(c, xv_col, c_xv)
+            subtract(cv, cx, cv)
+            matmul(a, v_col, vdot)
+            matmul(b, u_col, bu)
+            matmul(l_obs, cv, l_innovation)
+            add(vdot, bu, vdot)
+            add(vdot, l_innovation, vdot)
         return results
 
     return evaluate
@@ -457,6 +461,11 @@ def rk4_work(y: np.ndarray, h: float) -> tuple:
     """
     return (np.empty_like(y), np.empty_like(y),
             np.array(0.5 * h), np.array(h), np.array(h / 6.0))
+
+
+# rk4_step's ufuncs, bound once: a module-level name with a positional output
+# is the cheapest call numpy offers
+_multiply, _add = np.multiply, np.add
 
 
 def rk4_step(f: Callable, t: float, y: np.ndarray, h: float, k1: np.ndarray,
@@ -484,17 +493,16 @@ def rk4_step(f: Callable, t: float, y: np.ndarray, h: float, k1: np.ndarray,
     # weighted 2, 2 and 1 in the sum; 2 k is k + k, exactly
     for offset, scale, doubled in ((0.5 * h, half_h, True), (0.5 * h, half_h, True),
                                    (h, full_h, False)):
-        np.multiply(k, scale, out=stage)
-        np.add(stage, y, out=stage)
+        _multiply(k, scale, stage)
+        _add(stage, y, stage)
         k = f(t + offset, stage)[0]
         if doubled:
-            np.add(k, k, out=scratch)
-            np.add(out, scratch, out=out)
+            _add(k, k, scratch)
+            _add(out, scratch, out)
         else:
-            np.add(out, k, out=out)
-    np.multiply(out, sixth_h, out=out)
-    np.add(out, y, out=out)
-    return out
+            _add(out, k, out)
+    _multiply(out, sixth_h, out)
+    return _add(out, y, out)
 
 
 # Steps integrated between finiteness checks: integrate checks and derives
@@ -607,28 +615,32 @@ def compute_metrics(
     The tail window is the final tail_fraction of the recorded horizon. The
     V1 envelope check allows 1e-9 absolute slack plus one step of time slack
     (the envelope is evaluated at both t and t - h and the larger value wins).
+    A run whose states grew large but stayed finite may overflow the squares
+    of its tail, envelope or input steps: inf is then the value it reports,
+    so the overflow warns nothing.
     """
     times = traj.times
     span = float(times[-1])
     mask = times >= (1.0 - tail_fraction) * span - 1e-12
-    tail_sup = float(np.max(traj.xi_norm[mask] ** 2))
-
     alpha = gains.alpha
     offset = bounds.envelope_offset
     v10 = float(traj.v1[0])
     h = float(times[1] - times[0]) if len(times) > 1 else 0.0
-    env_now = (v10 - offset) * np.exp(-alpha * times) + offset
-    shifted = np.maximum(times - h, 0.0)
-    env_prev = (v10 - offset) * np.exp(-alpha * shifted) + offset
-    envelope = np.maximum(env_now, env_prev)
-    violations = int(np.sum(traj.v1 > envelope + 1e-9))
+    with np.errstate(over="ignore", invalid="ignore"):
+        tail_sup = float(np.max(traj.xi_norm[mask] ** 2))
 
-    if len(times) > 1:
-        diffs = np.diff(traj.follower_inputs, axis=0)
-        per_step = np.sqrt(np.sum(diffs * diffs, axis=(1, 2)))
-        chattering = float(np.mean(per_step)) / h
-    else:
-        chattering = 0.0
+        env_now = (v10 - offset) * np.exp(-alpha * times) + offset
+        shifted = np.maximum(times - h, 0.0)
+        env_prev = (v10 - offset) * np.exp(-alpha * shifted) + offset
+        envelope = np.maximum(env_now, env_prev)
+        violations = int(np.sum(traj.v1 > envelope + 1e-9))
+
+        if len(times) > 1:
+            diffs = np.diff(traj.follower_inputs, axis=0)
+            per_step = np.sqrt(np.sum(diffs * diffs, axis=(1, 2)))
+            chattering = float(np.mean(per_step)) / h
+        else:
+            chattering = 0.0
 
     d_sup = None
     if traj.adaptive_gains is not None:

@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -512,8 +514,11 @@ def test_csv_of_a_run_whose_derived_series_overflow(tmp_path):
     args = ["--controller", "continuous_static", "--h", "0.9", "--t-end", "40"]
     out = tmp_path / "out"
     assert main(["simulate", chain_file(tmp_path, default_scenario()), *args, "--out", str(out)]) == 5
-    with np.errstate(over="ignore"):  # the run's metrics overflow too
+    # the run's metrics overflow too, to the inf they report, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         run = DefaultRun("continuous_static", h=0.9, t_end=40.0)
+    assert math.isinf(run.metrics.chattering_index)
     _write_csv_per_cell(str(tmp_path / "cells.csv"), run.scenario.topology, run.traj)
     written = (out / "trajectory.csv").read_bytes()
     assert b"inf" in written

@@ -400,6 +400,29 @@ def random_rows(rng, rows, p, kappa):
     return w, d
 
 
+def non_finite_rows(rng, p):
+    """Rows w and gains d on which every saturation meets nan or inf.
+
+    Rows holding nan, +inf or -inf (in one entry, or in all), and an inf
+    beside a nan when p > 1, each once with a gain in [0.5, 2) and once with
+    d = 0, whose reach 0 * inf is nan on the inf rows; then finite rows (zero,
+    inside and outside the layer) with a nan d.
+    """
+    rows = []
+    for bad in (np.nan, np.inf, -np.inf):
+        for column in range(p):
+            row = rng.standard_normal(p)
+            row[column] = bad
+            rows.append(row)
+        rows.append(np.full(p, bad))
+    if p > 1:
+        rows.append(np.array([np.inf, np.nan] + [1.0] * (p - 2)))
+    w = np.array(rows)
+    finite = np.array([np.zeros(p), np.full(p, 1e-3), np.full(p, 10.0)])
+    d = np.concatenate([rng.uniform(0.5, 2.0, len(w)), np.zeros(len(w)), np.full(3, np.nan)])
+    return np.concatenate([w, w, finite]), d
+
+
 # ---------------------------------------------------------------------------
 # tests
 
@@ -424,6 +447,20 @@ def test_saturate_matches_the_three_saturations_bitwise(p):
     assert (reach > kappa).any() and ((reach < kappa) & (d > 0.0) & ~zero_rows).any()
     assert (norm == kappa).any() and ((reach == kappa) & (d == 2.0)).any()
     assert ((d == 0.0) & ~zero_rows).any()
+
+    # non-finite rows pick their branch by the same comparisons
+    w, d = non_finite_rows(np.random.default_rng(41 + p), p)
+    with np.errstate(invalid="ignore", over="ignore"):
+        norm = row_norms(w)()
+        assert_bitwise_nan(saturate(w, norm, 0.0)(), stacked_ghat(w, norm))
+        assert_bitwise_nan(saturate(w, norm, kappa)(), stacked_gsat(w, kappa, norm))
+        assert_bitwise_nan(saturate(w, norm, kappa, d)(), stacked_rsat(w, d, kappa, norm))
+        reach = d * norm
+    # every case occurs: nan and inf norms, a nan reach from an inf norm with
+    # d = 0, and a nan d on finite rows
+    assert np.isnan(norm).any() and np.isinf(norm).any()
+    assert (np.isnan(reach) & np.isinf(norm) & (d == 0.0)).any()
+    assert (np.isnan(d) & np.isfinite(norm)).any()
 
 
 @pytest.mark.parametrize("topology", sorted(SETUPS))
